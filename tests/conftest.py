@@ -68,3 +68,21 @@ def short_trace():
 @pytest.fixture(scope="session")
 def short_events(short_trace):
     return uniform_random_events(40, short_trace.duration, rng=9)
+
+
+def run_oracle(spec):
+    """The scalar oracle: every device of ``spec`` through its own
+    :class:`~repro.sim.simulator.Simulator` via ``run_device``, in index
+    order, as one :class:`~repro.fleet.results.FleetResult`."""
+    from repro.fleet.results import FleetResult
+    from repro.fleet.runner import run_device
+
+    devices = [run_device((i, d, spec.seed)) for i, d in enumerate(spec.devices)]
+    return FleetResult(fleet_name=spec.name, seed=spec.seed, devices=devices)
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """:func:`run_oracle`, for tests that check a fleet path against the
+    per-device scalar simulator."""
+    return run_oracle
