@@ -3,8 +3,8 @@
 The PR-6 contract is that a run with observability off (the default
 ``NULL_RECORDER``) costs nothing measurable: every hot-loop
 instrumentation point reduces to one attribute read and a ``None``
-check.  This bench drives the same 32-device solar farm as P4's
-batched-serial section and gates the no-op cost at ≤2%.
+check.  This bench drives a 32-device solar farm serially and gates the
+no-op cost at ≤2%.
 
 The gate is a **paired, interleaved** comparison: no-op and
 fully-enabled (metrics + phase profiler) rounds alternate inside one
@@ -14,10 +14,9 @@ The enabled path strictly contains all the no-op path's work, so if the
 a recorder leaked into the default — the exact regressions the contract
 forbids.  A direct gate against a pre-instrumentation build is
 impossible (that code no longer exists in-tree), and a cross-process
-gate against the committed P4 trajectory is hopeless at the 2% level on
-a 1-vCPU microVM whose run-to-run wall clock swings by tens of percent;
-the committed baseline is still recorded for context, and the
-cross-run trajectory is gated by ``compare.py``'s collapse thresholds.
+gate is hopeless at the 2% level on a 1-vCPU microVM whose run-to-run
+wall clock swings by tens of percent; the cross-run trajectory is gated
+by ``compare.py``'s collapse thresholds.
 
 Also asserts the stronger determinism contract end-to-end: the fleet
 report is byte-identical with observability off and fully on.
@@ -26,7 +25,6 @@ report is byte-identical with observability off and fully on.
 from __future__ import annotations
 
 import json
-import os
 
 from benchmarks.conftest import BENCH_SMOKE as SMOKE
 from benchmarks.conftest import bench_output_path, print_table, write_bench_json
@@ -42,12 +40,6 @@ DEVICES = 32
 NOOP_OVERHEAD_FRAC = 0.02
 
 BENCH_JSON = bench_output_path("BENCH_p6_obs.json")
-#: Committed (non-smoke) P4 trajectory — context only, never asserted
-#: against at the 2% level (cross-process noise dwarfs it; see module
-#: docstring).
-P4_COMMITTED = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_p4_batch.json"
-)
 
 _RESULTS: dict = {}
 
@@ -76,16 +68,6 @@ def _interleaved_best(spec, rounds: int = ROUNDS):
     return noop_best, obs_best, noop_result, obs_result
 
 
-def _p4_committed_dps():
-    """batched32 devices/s from the committed trajectory (None if absent)."""
-    try:
-        with open(P4_COMMITTED) as fh:
-            payload = json.load(fh)
-        return float(payload["batched32"]["batched_devices_per_s"])
-    except (OSError, KeyError, TypeError, ValueError):
-        return None
-
-
 def test_p6_noop_overhead_and_identity():
     spec = _spec()
     # Up to 3 attempts of the whole interleaved block: even the paired
@@ -98,7 +80,6 @@ def test_p6_noop_overhead_and_identity():
             break
     noop_dps = DEVICES / noop_best
     obs_dps = DEVICES / obs_best
-    p4_dps = _p4_committed_dps()
     _RESULTS["obs32"] = {
         "devices": DEVICES,
         "gate_attempts": attempts,
@@ -107,16 +88,12 @@ def test_p6_noop_overhead_and_identity():
         "obs_on_best_s": obs_best,
         "obs_on_devices_per_s": obs_dps,
         "noop_vs_obs_on_frac": noop_best / obs_best - 1.0,
-        # Not a throughput metric of this run (no _per_s suffix on
-        # purpose): the committed same-code reference, for context.
-        "p4_committed_baseline_dps": p4_dps,
     }
     print_table(
         f"P6: {DEVICES}-device batched fleet, observability cost (interleaved)",
         [
             ("off (no-op)", f"{noop_best * 1e3:.1f}", f"{noop_dps:.0f}"),
             ("metrics+profile", f"{obs_best * 1e3:.1f}", f"{obs_dps:.0f}"),
-            ("P4 committed baseline", "-", f"{p4_dps:.0f}" if p4_dps else "-"),
         ],
         ["observability", "best_ms", "devices/s"],
     )

@@ -29,7 +29,7 @@ def fleet_metrics():
         FleetRunner(spec, workers=1).run()
     metrics = rec.metrics.to_dict()
     counters, gauges = metrics["counters"], metrics["gauges"]
-    print(f"  engine={gauges['fleet.engine']}  workers={gauges['fleet.workers']}")
+    print(f"  workers={gauges['fleet.workers']}  parallel={gauges['fleet.parallel']}")
     for name in ("fleet.devices", "fleet.events", "fleet.events.processed"):
         print(f"  {name:<24} {counters[name]}")
     iepmj = metrics["histograms"]["fleet.device.iepmj"]
@@ -63,7 +63,7 @@ def batched_phase_profile():
     spec = SCENARIOS.build("city-block-1k", num_devices=32)
     recorder = Recorder(metrics=True, profile=True)
     with recording(recorder):
-        FleetRunner(spec, workers=1, engine="batched").run()
+        FleetRunner(spec, workers=1).run()
     profile = recorder.profiler.to_dict()
     for name, phase in sorted(profile["phases"].items()):
         print(f"  {name:<20} {phase['wall_s'] * 1e3:8.1f} ms  x{phase['calls']}")
@@ -71,9 +71,6 @@ def batched_phase_profile():
     print(
         f"  lockstep passes {counts.get('batch.lockstep.passes', 0)}, "
         f"intermittent micro-passes {counts.get('intermittent.micro_passes', 0)}"
-    )
-    print(
-        "  (the full 128-device attribution: benchmarks/PROFILE_p6_cityblock128.json)"
     )
 
 

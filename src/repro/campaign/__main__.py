@@ -63,12 +63,12 @@ def _progress(cell, status) -> None:
 
 def _run(
     spec: CampaignSpec, out: str, workers: int, resume: bool, report_json,
-    engine: str = "auto", trace_out=None, metrics_out=None,
+    trace_out=None, metrics_out=None,
     chaos_plan=None, retry=None, shard_devices=None,
 ) -> int:
     store = CampaignStore(out)
     runner = CampaignRunner(
-        spec, store=store, workers=workers, resume=resume, engine=engine,
+        spec, store=store, workers=workers, resume=resume,
         retry=retry, shard_devices=shard_devices,
     )
     recorder = None
@@ -82,7 +82,6 @@ def _run(
                         campaign=spec.name,
                         campaign_digest=spec.digest(),
                         workers=workers,
-                        engine=engine,
                     ),
                 }
             )
@@ -125,7 +124,6 @@ def _run(
                     campaign=spec.name,
                     campaign_digest=spec.digest(),
                     workers=workers,
-                    engine=engine,
                 ),
             }
             payload.update(recorder.to_dict())
@@ -154,8 +152,6 @@ def main(argv=None) -> int:
     run.add_argument("--spec", default=None, help="run a CampaignSpec JSON file instead")
     run.add_argument("--out", required=True, help="checkpoint/report directory")
     run.add_argument("--workers", type=int, default=1, help="process count (<=1: serial)")
-    run.add_argument("--engine", choices=("auto", "batched", "device"), default="auto",
-                     help="fleet engine for every cell (see repro.fleet)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already checkpointed under --out")
     run.add_argument("--shard-cells", type=int, default=None, metavar="N",
@@ -199,7 +195,7 @@ def main(argv=None) -> int:
             spec = _build_spec(args)
             plan = FaultPlan.from_json(args.chaos) if args.chaos else None
             return _run(spec, args.out, args.workers, args.resume, args.report_json,
-                        engine=args.engine, trace_out=args.trace_out,
+                        trace_out=args.trace_out,
                         metrics_out=args.metrics_out,
                         chaos_plan=plan, retry=build_retry_policy(args),
                         shard_devices=args.shard_cells)

@@ -38,7 +38,7 @@ class CampaignResult:
         """``cell_payloads`` maps cell key -> checkpointed payload dict."""
         self.spec = spec
         self.cells = []
-        #: cell key -> ``{"wall_s", "engine", "workers", "parallel"}`` for
+        #: cell key -> ``{"wall_s", "workers", "parallel"}`` for
         #: cells whose payload carried a ``"timing"`` key.  Timing is
         #: stripped *before* aggregation so ``report.json`` stays free of
         #: wall-clock content (the resume byte-identity contract); it only
@@ -181,21 +181,17 @@ class CampaignResult:
         )
         lines.append(
             f"  {'cell':<42} {'acc':>6} {'IEpmJ':>7} {'depth':>6} "
-            f"{'consumed mJ':>12} {'missed':>7} {'wall s':>8} {'engine':>8}"
+            f"{'consumed mJ':>12} {'missed':>7} {'wall s':>8}"
         )
         for payload in self.cells:
             fleet = payload["fleet"]
             timing = self.cell_timing.get(payload["key"])
-            if timing is None:
-                wall, engine = f"{'-':>8}", f"{'-':>8}"
-            else:
-                wall = f"{timing['wall_s']:8.2f}"
-                engine = f"{timing.get('engine', '-'):>8}"
+            wall = f"{'-':>8}" if timing is None else f"{timing['wall_s']:8.2f}"
             lines.append(
                 f"  {payload['key']:<42} {fleet['average_accuracy']:6.3f} "
                 f"{fleet['fleet_iepmj']:7.3f} {fleet['mean_exit_depth']:6.3f} "
                 f"{fleet['total_consumed_mj']:12.2f} {fleet['missed']:7d} "
-                f"{wall} {engine}"
+                f"{wall}"
             )
         marginals = self.marginals()
         for label, per_controller in marginals.items():

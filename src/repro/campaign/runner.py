@@ -46,7 +46,7 @@ def build_cell_fleet(cell: CampaignCell) -> FleetSpec:
     return replace(fleet, devices=devices, name=cell.key)
 
 
-def _run_cell_sharded(cell, fleet_spec, engine, retry, shard_devices, shard_root):
+def _run_cell_sharded(cell, fleet_spec, retry, shard_devices, shard_root):
     """Route one large cell through the durable shard ledger.
 
     The ledger lives under ``<store>/shard-ledgers/<cell.key>``, so a
@@ -70,7 +70,6 @@ def _run_cell_sharded(cell, fleet_spec, engine, retry, shard_devices, shard_root
         FleetShardSource(fleet_spec),
         ledger_dir,
         shard_width=int(shard_devices),
-        engine=engine,
         retry=retry,
         resume=True,
     )
@@ -80,7 +79,6 @@ def run_cell(
     cell: CampaignCell,
     workers: int = 1,
     pool=None,
-    engine: str = "auto",
     retry: Optional[RetryPolicy] = None,
     shard_devices: Optional[int] = None,
     shard_root: Optional[str] = None,
@@ -88,9 +86,8 @@ def run_cell(
     """Execute one cell and summarize it as a JSON-safe checkpoint payload.
 
     Everything outside the ``"timing"`` key is deterministic in the cell
-    alone — no wall-clock, no worker count, no engine choice (the batched
-    engine is bit-identical to the per-device path), no shard routing
-    (sharded aggregation is bit-identical by construction) — which is
+    alone — no wall-clock, no worker count, no shard routing (sharded
+    aggregation is bit-identical by construction) — which is
     what lets resumed runs mix checkpointed and freshly-executed cells
     into one byte-identical report:
     :class:`~repro.campaign.report.CampaignResult` strips ``"timing"``
@@ -109,7 +106,7 @@ def run_cell(
             and fleet_spec.num_devices > int(shard_devices)
         ):
             sharded = _run_cell_sharded(
-                cell, fleet_spec, engine, retry, shard_devices, shard_root
+                cell, fleet_spec, retry, shard_devices, shard_root
             )
             return {
                 "key": cell.key,
@@ -123,13 +120,12 @@ def run_cell(
                 "fleet": sharded.aggregate(),
                 "timing": {
                     "wall_s": sharded.wall_s,
-                    "engine": engine,
                     "workers": sharded.workers,
                     "parallel": False,
                     "shards": sharded.num_shards,
                 },
             }
-        runner = FleetRunner(fleet_spec, workers=workers, engine=engine, retry=retry)
+        runner = FleetRunner(fleet_spec, workers=workers, retry=retry)
         result = runner.run(pool=pool)
     payload = {
         "key": cell.key,
@@ -143,7 +139,6 @@ def run_cell(
         "fleet": result.aggregate(),
         "timing": {
             "wall_s": result.wall_s,
-            "engine": engine,
             "workers": result.workers,
             "parallel": bool(runner.last_run_parallel),
         },
@@ -164,7 +159,6 @@ class CampaignRunner:
         store: Optional[CampaignStore] = None,
         workers: int = 1,
         resume: bool = False,
-        engine: str = "auto",
         retry: Optional[RetryPolicy] = None,
         shard_devices: Optional[int] = None,
     ):
@@ -182,7 +176,6 @@ class CampaignRunner:
         self.store = store
         self.workers = int(workers)
         self.resume = bool(resume)
-        self.engine = engine
         self.retry = retry
         #: Cells with more devices than this route through a durable
         #: shard ledger (``<store>/shard-ledgers/<cell-key>``) instead of
@@ -231,7 +224,6 @@ class CampaignRunner:
                 campaign=self.spec.name,
                 campaign_digest=self.spec.digest(),
                 workers=self.workers,
-                engine=self.engine,
                 resume=self.resume,
             )
             if self.resume:
@@ -260,7 +252,6 @@ class CampaignRunner:
                     cell,
                     workers=self.workers,
                     pool=pool,
-                    engine=self.engine,
                     retry=self.retry,
                     shard_devices=self.shard_devices,
                     shard_root=(
@@ -295,7 +286,6 @@ def run_campaign(
     workers: int = 1,
     resume: bool = False,
     progress=None,
-    engine: str = "auto",
     retry: Optional[RetryPolicy] = None,
     shard_devices: Optional[int] = None,
 ) -> CampaignResult:
@@ -306,7 +296,6 @@ def run_campaign(
         store=store,
         workers=workers,
         resume=resume,
-        engine=engine,
         retry=retry,
         shard_devices=shard_devices,
     ).run(progress=progress)

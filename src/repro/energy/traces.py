@@ -16,6 +16,7 @@ and exact cumulative-energy queries used by the simulator.
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 import numpy as np
@@ -171,8 +172,12 @@ def trace_from_csv(
     """Load a trace from CSV.
 
     Accepts one column (power mW, requires ``dt``) or two columns
-    (time s, power mW on a uniform grid).
+    (time s, power mW on a uniform grid).  A missing file or a directory
+    is a :class:`ConfigError` naming the path.
     """
+    if not os.path.isfile(path):
+        problem = "is a directory" if os.path.isdir(path) else "does not exist"
+        raise ConfigError(f"csv trace {path!r} {problem}")
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:

@@ -29,10 +29,9 @@ class RetryPolicy:
     ``max_retries``
         Retries per chunk *before* escalation (so a chunk runs at most
         ``max_retries + 1`` times at each ladder stage).  The ladder
-        after exhaustion: a multi-device chunk splits into per-device
-        jobs (batched → per-device degradation); a single device gets
-        one last in-parent serial attempt; only then is it quarantined
-        as a ``DeviceFailure``.
+        after exhaustion: a multi-device chunk splits into
+        single-device chunks; a single device gets one last in-parent
+        attempt; only then is it quarantined as a ``DeviceFailure``.
     ``worker_timeout``
         Seconds a pooled chunk attempt may run before the straggler
         watchdog gives up on it and re-dispatches (``None``: no

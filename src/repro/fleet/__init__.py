@@ -10,12 +10,12 @@ package layers that on top of :mod:`repro.sim`:
 * :mod:`repro.fleet.scenarios` — the :data:`SCENARIOS` registry of named,
   parameterized fleets (``solar-farm-100``, ``indoor-rf-swarm``,
   ``mixed-harvester-city``, ``dev-smoke``);
-* :mod:`repro.fleet.runner` — :class:`FleetRunner`, which executes devices
-  through the lockstep batched engine (:mod:`repro.sim.batch`) or the
-  per-device simulator (``engine="auto"|"batched"|"device"``, all
-  bit-identical), serially or over ``multiprocessing`` in device batches,
-  with deterministic per-device seeding (worker count never changes
-  results) and a serial fallback whenever pool dispatch cannot win;
+* :mod:`repro.fleet.runner` — :class:`FleetRunner`, which executes every
+  fleet on the lockstep batched engine (:mod:`repro.sim.batch`), serially
+  or over ``multiprocessing`` in device chunks, with deterministic
+  per-device seeding (worker count never changes results) and a serial
+  fallback whenever pool dispatch cannot win; :func:`run_device` is the
+  per-device scalar oracle the engine is tested against;
 * :mod:`repro.fleet.results` — :class:`DeviceResult` / :class:`FleetResult`
   aggregation (fleet IEpmJ, miss-reason breakdowns, percentile spreads);
 * :mod:`repro.fleet.shards` — crash-safe scale-out: split a fleet into
@@ -37,7 +37,6 @@ from repro.fleet.results import (
 from repro.fleet.runner import (
     FleetRunner,
     run_device,
-    run_device_batch,
     run_fleet,
     worker_pool,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ShardLedger",
     "ShardPlan",
     "run_device",
-    "run_device_batch",
     "run_fleet",
     "run_sharded",
     "worker_pool",

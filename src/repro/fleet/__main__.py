@@ -28,11 +28,11 @@ Observability (all off by default, and guaranteed not to change results):
 ``--trace-out`` streams span records as JSON lines (first line: the run's
 provenance manifest), ``--metrics-out`` writes the collected metrics
 summary (+ phase profile with ``--profile``), and ``--explain`` prints
-the engine-selection table — which devices the lockstep engine takes and
-why the rest fall back — without simulating anything.  Combining
-``--explain`` with ``--chaos PLAN.json`` additionally validates the plan
-(unknown sites fail loudly) and prints the armed sites, still without
-simulating.
+one line per device (execution model, trace family, controller kind) and
+the dispatch the run would use — serial, or W workers x C engine chunks
+— without simulating anything.  Combining ``--explain`` with ``--chaos
+PLAN.json`` additionally validates the plan (unknown sites fail loudly)
+and prints the armed sites, still without simulating.
 """
 
 from __future__ import annotations
@@ -99,40 +99,20 @@ def _build_spec(args) -> FleetSpec:
     return SCENARIOS.build(args.scenario, **overrides)
 
 
-def _print_explain(spec: FleetSpec, engine: str) -> None:
-    """Per-device engine-selection table: lockstep or fallback, and why."""
-    from repro.sim.batch import _ineligibility
-    from repro.utils.kernelmode import KERNEL_ENV, resolve_kernel_mode
-
-    print(
-        f"fleet {spec.name!r}: engine selection for --engine {engine} "
-        f"({spec.num_devices} devices)"
-    )
-    if engine != "device":
-        mode, detail = resolve_kernel_mode()
-        print(f"  batched kernel: {mode} ({KERNEL_ENV}: {detail})")
-    fallbacks = 0
+def _print_explain(runner: FleetRunner) -> None:
+    """One line per device, then the dispatch ``runner.run()`` would use."""
+    spec = runner.spec
+    print(f"fleet {spec.name!r}: {spec.num_devices} devices on the batched engine")
     for device in spec.devices:
-        found = None if engine == "device" else _ineligibility(device)
-        if engine == "device":
-            verdict = "per-device (forced by --engine device)"
-        elif found is None:
-            verdict = "batched lockstep"
-        else:
-            code, reason = found
-            verdict = f"per-device fallback [{code}]: {reason}"
-            fallbacks += 1
-        print(f"  {device.name:<18} {verdict}")
-    if engine == "batched" and fallbacks:
         print(
-            f"  note: --engine batched would refuse this fleet "
-            f"({fallbacks} ineligible device(s))"
+            f"  {device.name:<18} {device.execution:<13} "
+            f"{device.trace['family']:<9} {device.controller['kind']}"
         )
-    elif engine != "device":
-        print(
-            f"  {spec.num_devices - fallbacks} device(s) batched, "
-            f"{fallbacks} per-device fallback(s)"
-        )
+    workers, chunks = runner.dispatch_plan()
+    if workers == 1 and chunks == 1:
+        print("  dispatch: serial, in-process")
+    else:
+        print(f"  dispatch: {workers} worker(s) x {chunks} chunk(s)")
 
 
 def _run_manifest(spec: FleetSpec, args) -> dict:
@@ -141,7 +121,6 @@ def _run_manifest(spec: FleetSpec, args) -> dict:
         devices=spec.num_devices,
         seed=spec.seed,
         scenario_digest=spec.digest(),
-        engine=args.engine,
         workers=args.workers,
     )
 
@@ -220,14 +199,12 @@ def _run_sharded_cli(args, plan) -> int:
                     devices=source.num_devices,
                     seed=source.seed,
                     scenario_digest=source.source_digest(),
-                    engine=args.engine,
                     workers=args.shard_workers,
                 ),
             })
     kwargs = dict(
         shards=args.shards,
         shard_width=args.shard_width,
-        engine=args.engine,
         workers=args.shard_workers,
         resume=args.resume,
         retry=build_retry_policy(args),
@@ -281,7 +258,6 @@ def _run_sharded_cli(args, plan) -> int:
                     devices=source.num_devices,
                     seed=source.seed,
                     scenario_digest=source.source_digest(),
-                    engine=args.engine,
                     workers=args.shard_workers,
                 ),
             }
@@ -314,8 +290,6 @@ def main(argv=None) -> int:
     run.add_argument("--spec", default=None, help="run a FleetSpec JSON file instead")
     run.add_argument("--workers", type=int, default=1, help="process count (<=1: serial)")
     run.add_argument("--chunksize", type=int, default=None, help="devices per pool chunk")
-    run.add_argument("--engine", choices=("auto", "batched", "device"), default="auto",
-                     help="simulation engine (auto: lockstep-batch eligible devices)")
     run.add_argument("--devices", type=int, default=None, help="override device count")
     run.add_argument("--seed", type=int, default=None, help="override fleet seed")
     run.add_argument("--duration", type=float, default=None, help="override trace duration (s)")
@@ -349,8 +323,9 @@ def main(argv=None) -> int:
                      help="include wall-clock timing in the JSON report")
     run.add_argument("--quiet", action="store_true", help="suppress the per-device table")
     run.add_argument("--explain", action="store_true",
-                     help="print per-device engine selection (and fallback "
-                          "reasons) instead of running")
+                     help="print each device's execution model, trace family "
+                          "and controller kind, plus the dispatch plan "
+                          "(serial, or workers x chunks), instead of running")
     run.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write tracing spans as JSON lines (first line: "
                           "the run manifest)")
@@ -385,8 +360,11 @@ def main(argv=None) -> int:
         # site must fail loudly here, not 20 minutes into a campaign.
         plan = FaultPlan.from_json(args.chaos) if args.chaos else None
         if args.explain:
-            spec = _build_spec(args)
-            _print_explain(spec, args.engine)
+            _print_explain(
+                FleetRunner(
+                    _build_spec(args), workers=args.workers, chunksize=args.chunksize
+                )
+            )
             if plan is not None:
                 sites = sorted(plan.sites())
                 print(
@@ -407,7 +385,6 @@ def main(argv=None) -> int:
             spec,
             workers=args.workers,
             chunksize=args.chunksize,
-            engine=args.engine,
             retry=build_retry_policy(args),
         )
         recorder = None

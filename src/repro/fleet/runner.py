@@ -1,30 +1,29 @@
-"""Parallel fleet execution.
+"""Fleet execution on the lockstep batched engine.
 
-:func:`run_device` is the module-level (pickle-safe) worker entry: it
-materializes one :class:`~repro.fleet.spec.DeviceSpec` into live trace /
-storage / MCU / profile / controller objects, replays its episodes through
-the event-driven simulator, and returns a compact
-:class:`~repro.fleet.results.DeviceResult`.  :func:`run_device_batch` is
-its many-device twin: it routes batch-eligible devices through the
-lockstep :class:`~repro.sim.batch.BatchedFleetEngine` (one numpy step per
-event index for the whole subset) and falls back to :func:`run_device`
-per device for the rest — see the ``engine`` knob on :class:`FleetRunner`.
+Every fleet runs through :class:`~repro.sim.batch.BatchedFleetEngine`:
+one engine over the whole fleet when serial, one engine per *chunk* of
+devices when a worker pool maps chunks (packed-array wire form for the
+results) instead of one IPC round-trip per device.  A parallel request
+falls back to serial outright when the fleet is too small — or the
+machine too narrow — for process parallelism to pay for its dispatch: the
+measured regression this replaces had a 32-device pool running ~0.7x
+serial speed.
 
-Parallel dispatch maps *chunks* of devices (one :func:`run_device_batch`
-call per chunk, packed-array wire form for the results) instead of one
-IPC round-trip per device, and falls back to serial outright when the
-fleet is too small — or the machine too narrow — for process parallelism
-to pay for its dispatch: the measured regression this replaces had a
-32-device pool running ~0.7x serial speed.
+:func:`run_device` is the scalar oracle: it materializes one
+:class:`~repro.fleet.spec.DeviceSpec` into live trace / storage / MCU /
+profile / controller objects, replays its episodes through the
+event-driven :class:`~repro.sim.simulator.Simulator`, and returns a
+compact :class:`~repro.fleet.results.DeviceResult`.  No fleet executes
+through it; the tests hold the engine to its results bit for bit.
 
 Determinism: every device derives its random streams from
 ``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — exactly the
 child that ``SeedSequence(fleet_seed).spawn(n)[index]`` would produce, but
-computable independently inside any worker.  The batched engine consumes
-those same streams in the same per-device order (bit-identity is enforced
-against ``tests/golden/``), so results do not depend on the engine, the
-worker count, dispatch order, or chunking — which is what makes
-``--workers 4`` bit-identical to the serial fallback.
+computable independently inside any worker.  The engine consumes those
+streams in the oracle's per-device order (bit-identity is enforced
+against ``tests/golden/``), so results do not depend on the worker count,
+dispatch order, or chunking — which is what makes ``--workers 4``
+bit-identical to the serial fallback.
 """
 
 from __future__ import annotations
@@ -70,12 +69,10 @@ from repro.intermittent.mcu import MSP432
 from repro.obs.recorder import Recorder, get_recorder, set_recorder
 from repro.obs.tracing import span
 from repro.runtime.controller import make_controller
+from repro.sim.batch import BatchedFleetEngine
 from repro.sim.profiles import InferenceProfile
 from repro.sim.results import percentile_dict
 from repro.sim.simulator import Simulator, SimulatorConfig
-
-#: Engines a :class:`FleetRunner` can route devices through.
-ENGINES = ("auto", "batched", "device")
 
 #: Below this many devices a parallel run falls back to serial: per-device
 #: work is a few milliseconds, so pool dispatch + result pickling swamps
@@ -239,11 +236,11 @@ def build_controller(controller_spec: dict, profile, storage, seed: int):
 
 
 def run_device(task) -> DeviceResult:
-    """Simulate one device: ``task`` is ``(index, DeviceSpec, fleet_seed)``.
+    """Simulate one device through the scalar oracle.
 
-    Module-level so ``multiprocessing`` can pickle it by reference; also
-    the serial entry point used by the debugging fallback and by callers
-    that want a single device out of a fleet.
+    ``task`` is ``(index, DeviceSpec, fleet_seed)``.  One
+    :class:`~repro.sim.simulator.Simulator` replays every episode; the
+    batched engine must reproduce the result bit for bit.
     """
     index, spec, fleet_seed = task
     t0 = time.perf_counter()
@@ -287,47 +284,6 @@ def run_device(task) -> DeviceResult:
         episodes=spec.episodes,
         wall_s=time.perf_counter() - t0,
     )
-
-
-def run_device_batch(tasks, engine: str = "auto") -> list:
-    """Simulate many devices in one process; returns DeviceResults in task order.
-
-    Batch-eligible devices (profile-mode single-cycle or intermittent
-    execution, non-csv trace, batchable controller/continue rule — see
-    :func:`repro.sim.batch.batch_eligible`) run in lockstep through one
-    :class:`~repro.sim.batch.BatchedFleetEngine`; the rest run one at a
-    time through :func:`run_device`.  With ``engine="batched"`` an
-    ineligible device is a :class:`ConfigError` naming each offender and
-    *why* it cannot batch (execution mode vs trace family vs controller)
-    instead of a fallback; ``engine="device"`` skips the lockstep engine
-    entirely.  All three produce bit-identical results.
-    """
-    from repro.sim.batch import BatchedFleetEngine, batch_eligible, batch_ineligibility
-
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "device":
-        return [run_device(t) for t in tasks]
-    eligible = [t for t in tasks if batch_eligible(t[1])]
-    if engine == "batched" and len(eligible) != len(tasks):
-        reasons = "; ".join(
-            f"{t[1].name}: {batch_ineligibility(t[1])}"
-            for t in tasks
-            if not batch_eligible(t[1])
-        )
-        raise ConfigError(
-            f"engine='batched' but devices are not batch-eligible: {reasons}"
-        )
-    by_index = {}
-    if eligible:
-        for result in BatchedFleetEngine(eligible).run():
-            by_index[result.index] = result
-    if len(eligible) != len(tasks):
-        batched = {t[0] for t in eligible}
-        for task in tasks:
-            if task[0] not in batched:
-                by_index[task[0]] = run_device(task)
-    return [by_index[t[0]] for t in tasks]
 
 
 def _apply_worker_faults(ops, in_worker: bool) -> None:
@@ -387,18 +343,18 @@ def _run_chunk_packed(args) -> dict:
     content digest *before* corruption directives run, so an injected (or
     real) wire corruption is caught by ``verify_payload`` parent-side.
     """
-    tasks, engine, obs, ops = args
+    tasks, obs, ops = args
     if ops:
         _apply_worker_faults(ops, in_worker=True)
     if obs is None:
-        payload = seal_payload(pack_device_results(run_device_batch(tasks, engine)))
+        payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
         if ops:
             _corrupt_packed_payload(payload, ops)
         return payload
     recorder = Recorder(metrics=True, profile=bool(obs.get("profile")))
     previous = set_recorder(recorder)
     try:
-        payload = seal_payload(pack_device_results(run_device_batch(tasks, engine)))
+        payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
     finally:
         set_recorder(previous)
         recorder.close()
@@ -411,20 +367,20 @@ def _run_chunk_packed(args) -> dict:
     return payload
 
 
-def _run_chunk_inline(tasks, engine: str, ops) -> list:
+def _run_chunk_inline(tasks, ops) -> list:
     """Run one chunk in the calling process under fault directives.
 
-    The production serial path never comes here (it calls
-    :func:`run_device_batch` directly, paying nothing); this is the
-    chaos-armed serial dispatch and the dispatcher's last-resort
-    in-parent attempt.  With directives present the chunk goes through
-    the same pack → seal → (corrupt) → verify wire cycle a pooled chunk
-    would, so payload-corruption faults are exercisable serially too.
+    The production serial path never comes here (it runs the engine
+    directly, paying nothing); this is the chaos-armed serial dispatch
+    and the dispatcher's last-resort in-parent attempt.  With directives
+    present the chunk goes through the same pack → seal → (corrupt) →
+    verify wire cycle a pooled chunk would, so payload-corruption faults
+    are exercisable serially too.
     """
     if not ops:
-        return run_device_batch(tasks, engine)
+        return BatchedFleetEngine(tasks).run()
     _apply_worker_faults(ops, in_worker=False)
-    payload = seal_payload(pack_device_results(run_device_batch(tasks, engine)))
+    payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
     _corrupt_packed_payload(payload, ops)
     verify_payload(payload)
     return unpack_device_results(payload)
@@ -447,12 +403,11 @@ def _merge_worker_obs(rec, payloads) -> None:
 class _ChunkJob:
     """One unit of fault-tolerant dispatch: a chunk at a ladder stage."""
 
-    __slots__ = ("order", "tasks", "engine", "attempts", "stage", "not_before")
+    __slots__ = ("order", "tasks", "attempts", "stage", "not_before")
 
-    def __init__(self, order, tasks, engine, stage="chunk"):
+    def __init__(self, order, tasks, stage="chunk"):
         self.order = order  # tuple; sorts to original submission order
         self.tasks = tasks
-        self.engine = engine
         self.attempts = 0  # completed (failed) attempts at this stage
         self.stage = stage  # "chunk" | "device" (post-split) | "serial"
         self.not_before = 0.0  # monotonic deadline gating the next attempt
@@ -462,15 +417,14 @@ class _ChunkJob:
 
 
 class _FaultTolerantDispatch:
-    """Executes chunk jobs with retries, a straggler watchdog, engine
-    degradation, and per-device quarantine.
+    """Executes chunk jobs with retries, a straggler watchdog, chunk
+    splitting, and per-device quarantine.
 
     The recovery ladder per job: up to ``max_retries`` retries with
     exponential backoff at the current stage; an exhausted multi-device
-    chunk splits into per-device jobs on the degraded ``"device"``
-    engine (a faulting batched chunk never takes its neighbours down);
-    an exhausted single device gets one last serial attempt in the
-    parent process; only then is it quarantined as a
+    chunk splits into single-device chunks (a faulting chunk never takes
+    its neighbours down); an exhausted single device gets one last
+    attempt in the parent process; only then is it quarantined as a
     :class:`~repro.fleet.results.DeviceFailure`.  Spec problems
     (:class:`ConfigError`) are never retried — they would fail
     identically forever and belong to the caller.
@@ -484,8 +438,7 @@ class _FaultTolerantDispatch:
 
     POLL_S = 0.005
 
-    def __init__(self, engine: str, policy: RetryPolicy, pool=None):
-        self.engine = engine
+    def __init__(self, policy: RetryPolicy, pool=None):
         self.policy = policy
         self.pool = pool
         self.injector = get_fault_injector()
@@ -502,9 +455,7 @@ class _FaultTolerantDispatch:
     # ------------------------------------------------------------------ #
     def run(self, chunks) -> tuple:
         """Execute ``chunks``; returns (results-by-index, failures)."""
-        jobs = deque(
-            _ChunkJob((i,), chunk, self.engine) for i, chunk in enumerate(chunks)
-        )
+        jobs = deque(_ChunkJob((i,), chunk) for i, chunk in enumerate(chunks))
         if self.pool is None:
             self._run_serial(jobs)
         else:
@@ -536,7 +487,7 @@ class _FaultTolerantDispatch:
                 time.sleep(delay)
             ops = self._poll_ops()
             try:
-                accepted = _run_chunk_inline(job.tasks, job.engine, ops)
+                accepted = _run_chunk_inline(job.tasks, ops)
             except ConfigError:
                 raise
             except Exception as exc:
@@ -563,7 +514,7 @@ class _FaultTolerantDispatch:
                     continue
                 ops = self._poll_ops()
                 handle = self.pool.apply_async(
-                    _run_chunk_packed, ((job.tasks, job.engine, obs, ops),)
+                    _run_chunk_packed, ((job.tasks, obs, ops),)
                 )
                 deadline = None if timeout is None else now + timeout
                 live.append([job, handle, deadline])
@@ -628,13 +579,11 @@ class _FaultTolerantDispatch:
             jobs.append(job)
             return
         if len(job.tasks) > 1:
-            # Batched → per-device degradation: re-run each device alone
-            # so one faulting device cannot poison the whole chunk.
+            # Split into single-device chunks so one faulting device
+            # cannot poison the whole chunk.
             self._inc("fleet.retry.splits")
             for position, task in enumerate(job.tasks):
-                jobs.append(
-                    _ChunkJob(job.order + (position,), [task], "device", "device")
-                )
+                jobs.append(_ChunkJob(job.order + (position,), [task], "device"))
             return
         if job.stage != "serial":
             self._final_serial_attempt(job, jobs)
@@ -652,7 +601,7 @@ class _FaultTolerantDispatch:
         self._inc("fleet.retry.serial_attempts")
         ops = self._poll_ops()
         try:
-            accepted = _run_chunk_inline(job.tasks, "device", ops)
+            accepted = _run_chunk_inline(job.tasks, ops)
         except ConfigError:
             raise
         except Exception as exc:
@@ -707,8 +656,8 @@ class _FaultTolerantDispatch:
                 continue
             expected = self._accepted_digests.get(job.indices())
             if expected is None:
-                # The re-execution went down the degraded per-device
-                # path; there is no whole-chunk digest to compare.
+                # The re-execution was split into single-device
+                # chunks; there is no whole-chunk digest to compare.
                 self._inc("fleet.straggler.unmatched")
             elif payload.get("digest") == expected:
                 self._inc("fleet.straggler.verified")
@@ -850,19 +799,8 @@ def worker_pool(workers: int):
 
 
 class FleetRunner:
-    """Executes a :class:`FleetSpec`, serially or via a process pool.
-
-    ``engine`` selects the per-device simulation form:
-
-    * ``"auto"`` (default) — the lockstep batched engine for every
-      batch-eligible device (profile-mode single-cycle *and* intermittent
-      execution, continue rules included), with a per-device fallback for
-      the rest (dataset mode, csv traces, unbatchable controllers);
-    * ``"batched"`` — like auto, but an ineligible device raises (naming
-      each device and why) instead of falling back;
-    * ``"device"`` — the original one-simulator-per-device path.
-
-    All engines produce bit-identical results (see ``tests/golden/``).
+    """Executes a :class:`FleetSpec` on the batched engine, serially or
+    via a process pool.
 
     ``workers <= 1`` runs serially in-process (debuggable with plain
     pdb/profilers); larger values fan *chunks* of devices out over a
@@ -881,7 +819,6 @@ class FleetRunner:
         spec: FleetSpec,
         workers: int = 1,
         chunksize: Optional[int] = None,
-        engine: str = "auto",
         parallel_threshold: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
     ):
@@ -891,8 +828,6 @@ class FleetRunner:
             raise ConfigError(f"workers must be >= 0, got {workers}")
         if chunksize is not None and chunksize < 1:
             raise ConfigError(f"chunksize must be >= 1, got {chunksize}")
-        if engine not in ENGINES:
-            raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
         if parallel_threshold is not None and parallel_threshold < 1:
             raise ConfigError(
                 f"parallel_threshold must be >= 1, got {parallel_threshold}"
@@ -902,7 +837,6 @@ class FleetRunner:
         self.spec = spec
         self.workers = int(workers)
         self.chunksize = chunksize
-        self.engine = engine
         self.parallel_threshold = parallel_threshold
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         #: After :meth:`run`: did the last run actually use a pool?
@@ -934,24 +868,30 @@ class FleetRunner:
         return num_tasks >= MIN_PARALLEL_DEVICES and usable_cpus() > 1
 
     def _batch_chunks(self, tasks, fanout: int) -> list:
-        """Contiguous task chunks for one run_device_batch call each.
-
-        The batched engine gets one chunk per worker (maximum lockstep
-        width); the per-device engine gets ~4 chunks per worker so the
-        pool can load-balance uneven simulation lengths.
-        """
-        if self.chunksize:
-            size = self.chunksize
-        elif self.engine == "device":
-            size = max(1, math.ceil(len(tasks) / (fanout * 4)))
-        else:
-            size = max(1, math.ceil(len(tasks) / fanout))
+        """Contiguous task chunks, one engine each: one chunk per worker
+        (maximum lockstep width) unless ``chunksize`` pins the size."""
+        size = self.chunksize or max(1, math.ceil(len(tasks) / fanout))
         return [tasks[i:i + size] for i in range(0, len(tasks), size)]
+
+    def dispatch_plan(self) -> tuple:
+        """``(workers, chunks)`` that :meth:`run` (with its own pool)
+        dispatches.
+
+        ``(1, 1)`` is a serial in-process run: one engine over the whole
+        fleet.  Otherwise the pool fan-out and how many engine chunks it
+        maps.  Decided by the same methods :meth:`run` calls, without
+        simulating anything (``--explain`` prints it).
+        """
+        tasks = self._tasks()
+        if not self._should_parallelize(len(tasks), None):
+            return 1, 1
+        fanout = self._pool_fanout(None)
+        return fanout, len(self._batch_chunks(tasks, fanout))
 
     def _dispatch(self, tasks, pool) -> tuple:
         """Run chunks through the fault-tolerant dispatcher."""
         fanout = self._pool_fanout(pool) if pool is not None else 1
-        dispatch = _FaultTolerantDispatch(self.engine, self.retry, pool)
+        dispatch = _FaultTolerantDispatch(self.retry, pool)
         results, failures = dispatch.run(self._batch_chunks(tasks, fanout))
         return [results[i] for i in sorted(results)], failures
 
@@ -966,11 +906,11 @@ class FleetRunner:
 
         Dispatch is fault-tolerant: failed chunk attempts are retried
         with backoff per ``self.retry``, timed-out workers are
-        re-dispatched, exhausted batched chunks degrade to per-device
-        then in-parent serial execution, and devices that still fail are
-        quarantined on ``FleetResult.failures`` instead of aborting the
-        fleet.  The serial chaos-off path skips all of it — one injector
-        attribute read, then straight into the engine.
+        re-dispatched, exhausted chunks split into single-device chunks
+        and then get one in-parent attempt, and devices that still fail
+        are quarantined on ``FleetResult.failures`` instead of aborting
+        the fleet.  The serial chaos-off path skips all of it — one
+        injector attribute read, then straight into the engine.
         """
         t0 = time.perf_counter()
         tasks = self._tasks()
@@ -981,12 +921,11 @@ class FleetRunner:
             "fleet.run",
             fleet=self.spec.name,
             devices=len(tasks),
-            engine=self.engine,
             parallel=self.last_run_parallel,
         ):
             if not self.last_run_parallel:
                 if not get_fault_injector().enabled:
-                    device_results = run_device_batch(tasks, self.engine)
+                    device_results = BatchedFleetEngine(tasks).run()
                 else:
                     device_results, failures = self._dispatch(tasks, None)
             elif pool is not None:
@@ -1015,12 +954,8 @@ class FleetRunner:
         identical outcome registries regardless of worker count or
         chunking.  (Engine internals — ``batch.*`` counters and profiler
         phases — are recorded where the engine runs and are
-        chunking-granular by nature.)  Includes the engine-selection
-        telemetry: one ``fleet.fallback.<code>`` counter per device that
-        the lockstep engine would refuse.
+        chunking-granular by nature.)
         """
-        from repro.sim.batch import batch_ineligibility_code
-
         metrics.inc("fleet.runs")
         metrics.inc("fleet.devices", result.num_devices)
         metrics.inc("fleet.events", result.num_events)
@@ -1031,29 +966,14 @@ class FleetRunner:
             "fleet.device.iepmj", [d.iepmj for d in result.devices]
         )
         metrics.observe("fleet.run.wall_s", result.wall_s)
-        metrics.set_gauge("fleet.engine", self.engine)
         metrics.set_gauge("fleet.workers", result.workers)
         metrics.set_gauge("fleet.parallel", bool(self.last_run_parallel))
-        if self.engine != "device":
-            from repro.utils.kernelmode import resolve_kernel_mode
-
-            metrics.set_gauge("fleet.kernel", resolve_kernel_mode()[0])
-        if self.engine != "device":
-            fallbacks = 0
-            for device in self.spec.devices:
-                code = batch_ineligibility_code(device)
-                if code is not None:
-                    fallbacks += 1
-                    metrics.inc(f"fleet.fallback.{code}")
-            metrics.inc("fleet.devices.batched", result.num_devices - fallbacks)
-            metrics.inc("fleet.devices.fallback", fallbacks)
 
 
 def run_fleet(
     spec: FleetSpec,
     workers: int = 1,
     chunksize: Optional[int] = None,
-    engine: str = "auto",
     parallel_threshold: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> FleetResult:
@@ -1062,7 +982,6 @@ def run_fleet(
         spec,
         workers=workers,
         chunksize=chunksize,
-        engine=engine,
         parallel_threshold=parallel_threshold,
         retry=retry,
     ).run()

@@ -298,8 +298,8 @@ def city_block(num_devices: int = 1000, seed: int = 31, duration: float = 3600.0
                 "mean_mw": float(gen.uniform(0.005, 0.015)),
             }
         if i % 8 == 7:
-            # Intermittent baseline nodes keep the per-device fallback
-            # path honest inside the batched engine's full-scale workload.
+            # Intermittent baseline nodes put the multi-cycle kernel
+            # inside the batched engine's full-scale workload.
             profile, controller, execution = (
                 "sonic-single-exit",
                 {"kind": "fixed", "exit_index": 0},
@@ -333,8 +333,8 @@ def city_block(num_devices: int = 1000, seed: int = 31, duration: float = 3600.0
     "RF links and shaded solar with undersized capacitors, so devices "
     "power-cycle constantly.  Every other node is a SONIC-style "
     "intermittent baseline; the single-cycle half mixes Q-learning and "
-    "greedy runtimes with threshold/learned continue rules — the full "
-    "PR-5 batched-engine eligibility surface in one fleet.",
+    "greedy runtimes with threshold/learned continue rules — every "
+    "device class the batched engine vectorizes, in one fleet.",
 )
 def brownout_grid(num_devices: int = 256, seed: int = 47, duration: float = 1800.0) -> FleetSpec:
     gen = _layout_rng(seed)

@@ -78,12 +78,12 @@ from repro.fleet.results import (
     pack_device_results,
     packed_to_jsonable,
 )
-from repro.fleet.runner import ENGINES, run_device_batch
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import FleetSpec
 from repro.obs.profiler import memory_snapshot
 from repro.obs.recorder import get_recorder, set_recorder
 from repro.obs.tracing import span
+from repro.sim.batch import BatchedFleetEngine
 
 #: Default lease time-to-live.  There is no lease renewal: the TTL must
 #: exceed one shard's runtime, so size shards for minutes, not hours.
@@ -605,7 +605,6 @@ class _ShardExecutor:
         source,
         plan: ShardPlan,
         ledger: ShardLedger,
-        engine: str = "auto",
         retry: Optional[RetryPolicy] = None,
         max_rss_mb: Optional[float] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
@@ -613,7 +612,6 @@ class _ShardExecutor:
         self.source = source
         self.plan = plan
         self.ledger = ledger
-        self.engine = engine
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         self.max_rss_mb = max_rss_mb
         self.lease_ttl_s = float(lease_ttl_s)
@@ -730,7 +728,7 @@ class _ShardExecutor:
         attempts = 0
         while True:
             try:
-                return run_device_batch(batch, self.engine)
+                return BatchedFleetEngine(batch).run()
             except ConfigError:
                 raise  # a spec problem fails identically forever
             except Exception:
@@ -741,7 +739,7 @@ class _ShardExecutor:
                 time.sleep(self.retry.backoff(attempts - 1))
 
 
-def _drain_worker(source, ledger_dir, plan_dict, engine, retry, max_rss_mb,
+def _drain_worker(source, ledger_dir, plan_dict, retry, max_rss_mb,
                   lease_ttl_s, poll_s) -> None:
     """Child-process entry: drain the ledger and exit.
 
@@ -754,7 +752,6 @@ def _drain_worker(source, ledger_dir, plan_dict, engine, retry, max_rss_mb,
         source,
         ShardPlan.from_dict(plan_dict),
         ShardLedger(ledger_dir),
-        engine=engine,
         retry=retry,
         max_rss_mb=max_rss_mb,
         lease_ttl_s=lease_ttl_s,
@@ -837,15 +834,14 @@ def _merge_ledger(source, plan: ShardPlan, ledger: ShardLedger) -> tuple:
 
 
 def _record_outcome_metrics(metrics, agg: ShardAggregator, aggregate: dict,
-                            plan: ShardPlan, workers: int, engine: str,
+                            plan: ShardPlan, workers: int,
                             wall_s: float) -> None:
     """Parent-side outcome metrics from the merged columns — the same
     names, values, and recording order as ``FleetRunner`` over the same
     devices, so sharded and unsharded registries agree on every
     chunking-invariant metric.  (Engine internals — ``batch.*`` counters
     — are recorded where each shard executes and are sub-batch-granular
-    by nature; engine-selection telemetry likewise stays with the
-    executing process.)"""
+    by nature.)"""
     metrics.inc("fleet.runs")
     metrics.inc("fleet.devices", aggregate["devices"])
     metrics.inc("fleet.events", aggregate["events"])
@@ -856,7 +852,6 @@ def _record_outcome_metrics(metrics, agg: ShardAggregator, aggregate: dict,
         "fleet.device.iepmj", [float(v) for v in agg._column("iepmj")]
     )
     metrics.observe("fleet.run.wall_s", wall_s)
-    metrics.set_gauge("fleet.engine", engine)
     metrics.set_gauge("fleet.workers", workers)
     metrics.set_gauge("fleet.shards", plan.num_shards)
 
@@ -868,7 +863,6 @@ def run_sharded(
     shards: Optional[int] = None,
     shard_width: Optional[int] = None,
     plan: Optional[ShardPlan] = None,
-    engine: str = "auto",
     workers: int = 1,
     resume: bool = False,
     retry: Optional[RetryPolicy] = None,
@@ -890,8 +884,6 @@ def run_sharded(
     unfinished shards, producing a byte-identical aggregate.
     """
     t0 = time.perf_counter()
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     ledger = ShardLedger(ledger_dir)
@@ -925,7 +917,6 @@ def run_sharded(
         source,
         plan,
         ledger,
-        engine=engine,
         retry=retry,
         max_rss_mb=max_rss_mb,
         lease_ttl_s=lease_ttl_s,
@@ -941,7 +932,7 @@ def run_sharded(
             proc = multiprocessing.Process(
                 target=_drain_worker,
                 args=(
-                    source, ledger.root, plan.to_dict(), engine,
+                    source, ledger.root, plan.to_dict(),
                     executor.retry, max_rss_mb, lease_ttl_s, poll_s,
                 ),
             )
@@ -991,7 +982,7 @@ def run_sharded(
     metrics = get_recorder().metrics
     if metrics is not None:
         _record_outcome_metrics(
-            metrics, agg, aggregate, plan, workers, engine, result.wall_s
+            metrics, agg, aggregate, plan, workers, result.wall_s
         )
         if resumed:
             metrics.inc("fleet.shard.resumed", resumed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.runtime.controller import CONTROLLER_KINDS
-from repro.runtime.incremental import CONTINUE_RULE_KINDS, ContinueRule
+from repro.runtime.incremental import CONTINUE_RULE_KINDS
 
 #: Trace families the runner can build (see repro.energy.traces).
 TRACE_FAMILIES = ("solar", "kinetic", "rf", "wind", "piezo", "constant", "csv")
@@ -74,13 +74,17 @@ class DeviceSpec:
                 f"{CONTROLLER_KINDS}, got {kind!r}"
             )
         rule = controller.get("continue_rule")
-        if rule is not None and not isinstance(rule, ContinueRule):
-            # Live ContinueRule instances are accepted for in-process use
-            # (they ran through make_controller before declarative rules
-            # existed, and still route to the per-device engine); anything
-            # else must be a declarative {"kind": ...} dict.
-            rule_kind = dict(rule).get("kind") if isinstance(rule, dict) else None
-            if rule_kind not in CONTINUE_RULE_KINDS:
+        if rule is not None:
+            # Only declarative {"kind": ...} dicts: a live rule object
+            # carries mutable state (one instance shared across devices
+            # couples their runs) and has no JSON form for the digest.
+            if not isinstance(rule, dict):
+                raise ConfigError(
+                    f"device {self.name!r}: continue_rule must be a "
+                    f"declarative {{'kind': ...}} dict, got "
+                    f"{type(rule).__name__}"
+                )
+            if rule.get("kind") not in CONTINUE_RULE_KINDS:
                 raise ConfigError(
                     f"device {self.name!r}: continue_rule kind must be one "
                     f"of {CONTINUE_RULE_KINDS}, got {rule!r}"

@@ -20,29 +20,11 @@ internals (Q-tables, RNG pools) at all.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError, GatewayError
+from repro.errors import GatewayError
 from repro.fleet.results import FleetResult
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import DeviceSpec, FleetSpec
-from repro.sim.batch import (
-    BatchedFleetEngine,
-    batch_eligible,
-    batch_ineligibility,
-)
-
-
-def _require_eligible(devices, start_index: int) -> None:
-    """ConfigError naming every batch-ineligible device (gateway twins
-    run the lockstep engine only; there is no per-device fallback)."""
-    reasons = [
-        f"{spec.name}[{start_index + i}]: {batch_ineligibility(spec)}"
-        for i, spec in enumerate(devices)
-        if not batch_eligible(spec)
-    ]
-    if reasons:
-        raise ConfigError(
-            "gateway fleets must be batch-eligible: " + "; ".join(reasons)
-        )
+from repro.sim.batch import BatchedFleetEngine
 
 
 class _Cohort:
@@ -126,9 +108,7 @@ class FleetTwin:
         devices = [DeviceSpec.from_dict(d) for d in device_dicts]
         if not devices:
             raise GatewayError("submit needs at least one device")
-        start = self.num_devices
-        _require_eligible(devices, start)
-        self.cohorts.append(_Cohort(start, devices, self.seed))
+        self.cohorts.append(_Cohort(self.num_devices, devices, self.seed))
         if journal:
             self.journal.append(
                 {"op": "submit", "devices": [dict(d) for d in device_dicts]}

@@ -26,12 +26,6 @@ that loop's arithmetic:
   (``np.cumsum`` over float64 is a strict sequential left fold, so the
   fused prefix reproduces ``t += dt`` / ``level += stored`` exactly).
 
-Setting ``REPRO_KERNEL=compiled`` (see :mod:`repro.utils.kernelmode`)
-swaps the chain construction for numba-compiled per-device scalar loops
-(:mod:`repro.intermittent.compiled`) with the same stop conditions and an
-unbounded horizon; the pure-numpy chains above remain the always-available
-fallback and both forms are bit-identical to the scalar reference.
-
 Determinism contract
 --------------------
 The batched form is **bit-identical** to :func:`run_job_scalar` driven by
@@ -67,8 +61,7 @@ _WORK_EPS = 1e-12
 #: power transitions and saturated compute runs go longer still; 128 is
 #: the empirical sweet spot on the profiled city-block shape (64 pays
 #: too many passes, 256+ too much wasted tail past a run's first
-#: violation).  The compiled form ignores this (it stops exactly at the
-#: first violation, horizon-free).
+#: violation).
 FUSE_HORIZON = 128
 
 
@@ -168,13 +161,10 @@ class IntermittentFleetKernel:
     state columns in place and returning packed per-event records.
     """
 
-    def __init__(self, rows, devices, mode: str = "numpy"):
+    def __init__(self, rows, devices):
         """``rows`` are engine rows; ``devices`` the matching materialized
         device objects (``trace`` / ``mcu`` / ``storage`` / ``profile`` /
-        ``exit_energy`` / ``exit_acc`` attributes, one per row).  ``mode``
-        picks the fused-run implementation: ``"numpy"`` (cumsum chains,
-        always available) or ``"compiled"`` (numba scalar loops; silently
-        degrades to numpy when numba cannot be imported)."""
+        ``exit_energy`` / ``exit_acc`` attributes, one per row)."""
         self.rows = np.asarray(rows, dtype=np.int64)
         k = len(devices)
         if k != len(self.rows):
@@ -209,17 +199,6 @@ class IntermittentFleetKernel:
         )
         self._job_acc = np.array([d.exit_acc[-1] for d in devices], dtype=np.float64)
         self._no_leak = bool((self._leakage == 0.0).all())
-        self._mode = "numpy"
-        self._compiled = None
-        if mode == "compiled":
-            try:
-                from repro.intermittent import compiled as _compiled
-
-                if _compiled.HAVE_NUMBA:
-                    self._mode = "compiled"
-                    self._compiled = _compiled
-            except Exception:
-                pass  # numba missing/broken: keep the numpy lanes
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -441,7 +420,7 @@ class IntermittentFleetKernel:
                             # deadline, then take the stopping step (wake /
                             # clamp handling) through the one-step form.
                             j_off = self._advance_recharge(
-                                off, level, t, charged, leaked, wasted
+                                off, level, t, charged, leaked
                             )
                             if prof is not None:
                                 n_rech += int(j_off.sum())
@@ -548,27 +527,16 @@ class IntermittentFleetKernel:
     # runs through the verified one-step form, which guarantees progress
     # even when a run fuses zero steps.
     # ------------------------------------------------------------------ #
-    def _advance_recharge(
-        self, off, level, t, charged, leaked, wasted
-    ) -> np.ndarray:
+    def _advance_recharge(self, off, level, t, charged, leaked) -> np.ndarray:
         """Commit each powered-off lane's boring recharge prefix.
 
-        Mutates ``level`` / ``t`` / ``charged`` / ``leaked`` (and, on the
-        compiled path only, ``wasted``) in place and returns the per-lane
-        number of committed micro-steps (int64).  The numpy lanes stop at
-        any capacity clamp so an unclamped committed step banks
-        everything and never touches ``wasted``; the compiled loop folds
-        the clamp arithmetic inline and keeps going.  ``drawn`` /
-        ``overhead`` are untouched either way: recharge draws nothing
-        until the wake step, which always runs through the one-step form.
+        Mutates ``level`` / ``t`` / ``charged`` / ``leaked`` in place and
+        returns the per-lane number of committed micro-steps (int64).  A
+        run stops at any capacity clamp, so a committed step banks
+        everything and never touches ``wasted``.  ``drawn`` /
+        ``overhead`` are untouched too: recharge draws nothing until the
+        wake step, which always runs through the one-step form.
         """
-        if self._mode == "compiled":
-            return self._compiled.recharge_runs(
-                off, t, level, charged, leaked, wasted, self._samples,
-                self._cum, self._n, self._dt, self._duration,
-                self._cum_total, self._capacity, self._efficiency,
-                self._leakage, self._wakeup,
-            )
         horizon = FUSE_HORIZON
         n = off.size
         dt = self._dt[off]
@@ -639,14 +607,6 @@ class IntermittentFleetKernel:
         fresh = comp[cycles[comp] == 0]
         if fresh.size:
             cycles[fresh] = 1  # started on the initial charge, no restore
-        if self._mode == "compiled":
-            return self._compiled.compute_runs(
-                comp, t, level, drawn, work, consumed, charged, leaked,
-                wasted, self._samples, self._cum, self._n, self._dt,
-                self._duration, self._cum_total, self._capacity,
-                self._efficiency, self._leakage, self._shutdown,
-                self._active_power,
-            )
         horizon = FUSE_HORIZON
         n = comp.size
         step_work = self._active_power[comp] * self._dt[comp]

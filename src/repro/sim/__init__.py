@@ -1,13 +1,12 @@
 """Event-driven simulation of EH-powered intermittent inference."""
 
-from repro.sim.batch import BatchedFleetEngine, batch_eligible
+from repro.sim.batch import BatchedFleetEngine
 from repro.sim.profiles import InferenceProfile
 from repro.sim.results import EventRecord, SimulationResult
 from repro.sim.simulator import Simulator, SimulatorConfig
 
 __all__ = [
     "BatchedFleetEngine",
-    "batch_eligible",
     "InferenceProfile",
     "EventRecord",
     "SimulationResult",

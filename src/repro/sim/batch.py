@@ -1,20 +1,20 @@
 """Batched lockstep fleet engine: whole fleets as numpy device-arrays.
 
-:class:`BatchedFleetEngine` simulates the profile-mode devices of a fleet
-*inside one process*, holding every piece of mutable per-device state as a
-numpy column — storage level / capacity / ledger totals, ``busy_until``,
-the charge bookkeeping (``t_charged`` / ``cum_charged``), and per-device
-event counts — and advancing all still-active devices one event-index
-step at a time.  Decision-independent quantities are precomputed per
-device up front exactly as :class:`~repro.sim.simulator.Simulator` does
+:class:`BatchedFleetEngine` is how every fleet executes.  It simulates a
+fleet's devices *inside one process*, holding every piece of mutable
+per-device state as a numpy column — storage level / capacity / ledger
+totals, ``busy_until``, the charge bookkeeping (``t_charged`` /
+``cum_charged``), and per-device event counts — and advancing all
+still-active devices one event-index step at a time.
+Decision-independent quantities are precomputed per device up front
+exactly as :class:`~repro.sim.simulator.Simulator` does
 (cumulative harvested energy at event times via ``PowerTrace._cum_bulk``,
 windowed observed charge power via ``PowerTrace.mean_power``); the inner
 step then applies controller decisions across the device axis with fancy
 indexing through the batched controller groups of
 :mod:`repro.runtime.batched`.
 
-Three device classes vectorize (everything a fleet spec can express short
-of csv traces):
+Three device classes vectorize (everything a fleet spec can express):
 
 * **single-cycle, incremental inference off** — the original lockstep
   form: one exit decision per event, records written in bulk;
@@ -32,14 +32,14 @@ of csv traces):
 
 Determinism contract
 --------------------
-The engine is **bit-identical** to the per-device path
-(:func:`repro.fleet.runner.run_device` looped over the same devices), and
-``tests/golden/`` enforces it:
+The engine is **bit-identical** to the scalar oracle
+(:func:`repro.fleet.runner.run_device`, one
+:class:`~repro.sim.simulator.Simulator` per device), and ``tests/golden/``
+enforces it:
 
 * every device's random streams stay pinned to
   ``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — the same four
-  child seeds (trace, events, simulator, controller) the per-device worker
-  derives;
+  child seeds (trace, events, simulator, controller) the oracle derives;
 * pooled variates are consumed through :class:`~repro.utils.rng.DrawBatch`
   — per-device 256-wide pools refilled with the exact sampler calls
   :class:`~repro.utils.rng.PooledDraws` makes, in each device's own call
@@ -68,17 +68,11 @@ invisible to the arithmetic: ``advance(k)`` called any number of times
 produces **bit-identical** results to one uninterrupted :meth:`run` —
 the property the gateway service (:mod:`repro.gateway`) serves
 interactive traffic on, enforced against the same goldens.
-
-Eligibility: dataset mode (per-event forward passes through a live
-network) and csv traces (file-backed, deliberately uncached) fall back to
-the per-device path — see :func:`batch_ineligibility` and the ``engine``
-knob on :class:`~repro.fleet.runner.FleetRunner`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -86,84 +80,14 @@ from repro.errors import ConfigError, SimulationError
 from repro.intermittent.kernel import IntermittentFleetKernel
 from repro.obs.recorder import get_recorder
 from repro.runtime.batched import batch_continue_rules, batch_controllers, batchable
-from repro.runtime.controller import CONTROLLER_KINDS
-from repro.runtime.incremental import CONTINUE_RULE_KINDS
 from repro.runtime.state import RuntimeStateBatch
 from repro.sim.results import RecordColumns, SimulationResult, percentile_dict
-from repro.utils.kernelmode import resolve_kernel_mode
 from repro.utils.rng import DrawBatch, as_generator
 
 #: miss_reason codes used in the packed record buffers (shared with
 #: repro.intermittent.kernel's REASON_* codes).
 _REASONS = ("", "busy", "energy")
 _MISS_NONE, _MISS_BUSY, _MISS_ENERGY = 0, 1, 2
-
-#: Execution models the lockstep engine can express.
-_BATCHED_EXECUTIONS = ("single-cycle", "intermittent")
-
-
-def _ineligibility(spec) -> Optional[tuple]:
-    """``(code, reason)`` for an ineligible spec, or ``None`` when it can
-    run under lockstep.
-
-    Checks, in order: execution mode, trace family, controller family,
-    continue rule.  (Duck-typed on the spec fields rather than importing
-    the fleet layer — this module sits below it.)  ``code`` is a short
-    stable slug used as a metrics-counter suffix
-    (``fleet.fallback.<code>``); ``reason`` is the human sentence.
-    """
-    if spec.execution not in _BATCHED_EXECUTIONS:
-        return (
-            "execution",
-            f"execution mode {spec.execution!r} has no lockstep form "
-            f"(batched: {_BATCHED_EXECUTIONS})",
-        )
-    family = dict(spec.trace).get("family")
-    if family == "csv":
-        return (
-            "trace-csv",
-            "trace family 'csv' (file-backed, deliberately uncached; "
-            "per-device under every REPRO_KERNEL mode)",
-        )
-    controller = dict(spec.controller)
-    kind = controller.get("kind")
-    if kind not in CONTROLLER_KINDS:
-        return (
-            "controller",
-            f"controller kind {kind!r} has no batched twin "
-            f"(batched: {CONTROLLER_KINDS})",
-        )
-    rule = controller.get("continue_rule")
-    if rule is not None:
-        rule_kind = dict(rule).get("kind") if isinstance(rule, dict) else None
-        if rule_kind not in CONTINUE_RULE_KINDS:
-            return (
-                "continue-rule",
-                f"controller continue_rule {rule!r} has no batched twin "
-                f"(batched kinds: {CONTINUE_RULE_KINDS})",
-            )
-    return None
-
-
-def batch_ineligibility(spec) -> Optional[str]:
-    """Why this :class:`~repro.fleet.spec.DeviceSpec` cannot run under
-    lockstep — or ``None`` when it can."""
-    found = _ineligibility(spec)
-    return None if found is None else found[1]
-
-
-def batch_ineligibility_code(spec) -> Optional[str]:
-    """Short stable slug for the first lockstep blocker (``None`` when
-    eligible): ``execution`` / ``trace-csv`` / ``controller`` /
-    ``continue-rule`` — the engine-selection telemetry key."""
-    found = _ineligibility(spec)
-    return None if found is None else found[0]
-
-
-def batch_eligible(spec) -> bool:
-    """Can this :class:`~repro.fleet.spec.DeviceSpec` run under lockstep?"""
-    return batch_ineligibility(spec) is None
-
 
 class _Device:
     """Materialized per-device objects + precomputed event-time queries."""
@@ -284,7 +208,7 @@ class _RunState:
 
 
 class BatchedFleetEngine:
-    """Runs a list of eligible ``(index, DeviceSpec, fleet_seed)`` tasks.
+    """Runs a list of ``(index, DeviceSpec, fleet_seed)`` tasks.
 
     Construction materializes every device (traces, profiles, controllers,
     per-event precomputations); :meth:`run` plays all episodes in lockstep
@@ -299,32 +223,6 @@ class BatchedFleetEngine:
             raise ConfigError("BatchedFleetEngine needs at least one device")
         prof = get_recorder().profiler
         t_build = time.perf_counter() if prof is not None else 0.0
-        # REPRO_KERNEL selection, resolved once per engine: "compiled"
-        # falls back to the numpy lanes (with the reason in
-        # ``kernel_detail``) when numba is missing, so the engine is
-        # always runnable and its results never depend on the mode.
-        self._kernel_mode, self._kernel_detail = resolve_kernel_mode()
-        self._sim_compiled = None
-        if self._kernel_mode == "compiled":
-            try:
-                from repro.sim import compiled as _sim_compiled
-
-                if _sim_compiled.HAVE_NUMBA:
-                    self._sim_compiled = _sim_compiled
-                else:  # pragma: no cover - resolve() already probed numba
-                    self._kernel_mode = "numpy"
-            except Exception as exc:  # pragma: no cover - broken install
-                self._kernel_mode = "numpy"
-                self._kernel_detail = (
-                    f"compiled requested but import failed ({exc!r}); "
-                    "using numpy"
-                )
-        for _, spec, _ in tasks:
-            reason = batch_ineligibility(spec)
-            if reason is not None:
-                raise ConfigError(
-                    f"device {spec.name!r} is not batch-eligible: {reason}"
-                )
         self.devices = [_Device(i, spec, seed) for i, spec, seed in tasks]
         for dev in self.devices:
             if not dev.intermittent and not batchable(dev.controller):
@@ -395,8 +293,7 @@ class BatchedFleetEngine:
             int_rows = np.nonzero(self._exec_int)[0]
             self._int_rows = int_rows
             self._int_kernel = IntermittentFleetKernel(
-                int_rows, [self.devices[r] for r in int_rows],
-                mode=self._kernel_mode,
+                int_rows, [self.devices[r] for r in int_rows]
             )
             self._int_events = np.ascontiguousarray(self._events[:, int_rows])
             self._int_cum = np.ascontiguousarray(self._cum_at_event[:, int_rows])
@@ -474,7 +371,6 @@ class BatchedFleetEngine:
             rec.metrics.inc(
                 "batch.engine.devices.intermittent", int(self._exec_int.sum())
             )
-            rec.metrics.inc(f"batch.kernel.{self._kernel_mode}")
         rs = _RunState()
         rs.prof = rec.profiler
         rs.t0 = time.perf_counter()
@@ -748,19 +644,7 @@ class BatchedFleetEngine:
         # Storage charging up to the event (precomputed increment).
         cum_j = self._cum_at_event[j]
         charging = proc & (te > t_charged)
-        if self._sim_compiled is not None:
-            # REPRO_KERNEL=compiled: row loop with the identical
-            # op sequence (non-charging rows only ever receive
-            # exact +0.0 identities on the numpy branches, so
-            # skipping them leaves the same bits).
-            ch_rows = np.nonzero(charging)[0]
-            if ch_rows.size:
-                self._sim_compiled.charge_rows(
-                    ch_rows, te, cum_j, t_charged, cum_charged,
-                    level, self._efficiency, self._capacity,
-                    self._leakage, no_leak,
-                )
-        elif full and charging.all():
+        if full and charging.all():
             inc = np.maximum(cum_j - cum_charged, 0.0)
             banked = inc * self._efficiency
             stored = np.minimum(banked, self._capacity - level)

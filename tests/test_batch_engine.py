@@ -1,11 +1,12 @@
 """Batched lockstep engine equivalence tests (the PR-4 contract).
 
-The batched engine promises **bit-identical** results to the per-device
-simulator path for every eligible device: same per-device random streams
-(`SeedSequence(fleet_seed, spawn_key=(i,))` consumed in the same order),
-same ledger arithmetic, same records.  These tests pin that promise over
-every registered scenario, every controller preset, the pooled dispatch
-path, and (via hypothesis) randomly composed small fleets.
+Every fleet executes on the batched engine, and the engine promises
+**bit-identical** results to the scalar oracle (``run_device``: one
+per-device simulator, see ``tests/conftest.py``): same per-device random
+streams (`SeedSequence(fleet_seed, spawn_key=(i,))` consumed in the same
+order), same ledger arithmetic, same records.  These tests pin that
+promise over every registered scenario, every controller preset, the
+pooled dispatch path, and (via hypothesis) randomly composed small fleets.
 """
 
 import json
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.fleet import SCENARIOS, DeviceSpec, FleetRunner, FleetSpec
 from repro.fleet.results import pack_device_results, unpack_device_results
-from repro.fleet.runner import run_device, run_device_batch
+from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
-from repro.sim.batch import BatchedFleetEngine, batch_eligible, batch_ineligibility
+from repro.sim.batch import BatchedFleetEngine
 
 #: Small overrides that keep every scenario in the seconds range.
 SCENARIO_CASES = [(name, {"num_devices": 4}) for name in SCENARIOS.names()]
@@ -32,27 +33,20 @@ def _payload(result) -> str:
 class TestScenarioEquivalence:
     @pytest.mark.parametrize("name,overrides", SCENARIO_CASES,
                              ids=[c[0] for c in SCENARIO_CASES])
-    def test_batched_equals_device_equals_pooled(self, name, overrides):
+    def test_batched_equals_device_equals_pooled(self, name, overrides, oracle):
         spec = SCENARIOS.build(name, **overrides)
-        auto = FleetRunner(spec, workers=1, engine="auto").run()
-        device = FleetRunner(spec, workers=1, engine="device").run()
-        pooled = FleetRunner(
-            spec, workers=2, engine="auto", parallel_threshold=1
-        ).run()
-        assert _payload(auto) == _payload(device)
-        assert _payload(auto) == _payload(pooled)
+        serial = FleetRunner(spec, workers=1).run()
+        pooled = FleetRunner(spec, workers=2, parallel_threshold=1).run()
+        assert _payload(serial) == _payload(oracle(spec))
+        assert _payload(serial) == _payload(pooled)
 
-    def test_every_registered_scenario_is_fully_batch_eligible(self):
-        """The PR-5 acceptance bar: no registered device class falls back
-        to the per-device path under engine="auto" anymore."""
+    def test_every_registered_scenario_builds_one_engine(self):
+        """Every device of every registered scenario builds into one
+        engine: nothing a scenario expresses is refused."""
         for name in SCENARIOS.names():
             spec = SCENARIOS.build(name, num_devices=8)
-            offenders = {
-                d.name: batch_ineligibility(d)
-                for d in spec.devices
-                if not batch_eligible(d)
-            }
-            assert not offenders, f"{name}: {offenders}"
+            tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+            assert len(BatchedFleetEngine(tasks).devices) == 8
 
 
 class TestContinueRuleEquivalence:
@@ -85,17 +79,16 @@ class TestContinueRuleEquivalence:
         {"kind": "learned", "epsilon": 0.3, "epsilon_decay": 0.95},
     ], ids=["threshold", "learned", "learned-tuned"])
     @pytest.mark.parametrize("kind", ["qlearning", "greedy"])
-    def test_rule_fleets_bit_identical(self, rule, kind):
+    def test_rule_fleets_bit_identical(self, rule, kind, oracle):
         spec = self._fleet(rule, controller_kind=kind)
-        batched = FleetRunner(spec, workers=1, engine="batched").run()
-        device = FleetRunner(spec, workers=1, engine="device").run()
-        assert _payload(batched) == _payload(device)
+        batched = FleetRunner(spec, workers=1).run()
+        assert _payload(batched) == _payload(oracle(spec))
 
     def test_continuations_actually_happen(self):
         """Guard against the continue loop silently never firing (which
         would make the equivalence tests vacuous)."""
         spec = self._fleet({"kind": "threshold", "entropy_threshold": 0.1})
-        result = FleetRunner(spec, workers=1, engine="batched").run()
+        result = FleetRunner(spec, workers=1).run()
         agg = result.aggregate()
         assert agg["mean_exit_depth"] > 0.0
         assert agg["processed"] > 0
@@ -122,48 +115,48 @@ class TestIntermittentEquivalence:
 
     @pytest.mark.parametrize("mean_mw", [0.003, 0.01, 0.05],
                              ids=["starved", "weak", "comfortable"])
-    def test_all_intermittent_fleet_bit_identical(self, mean_mw):
+    def test_all_intermittent_fleet_bit_identical(self, mean_mw, oracle):
         spec = self._fleet(mean_mw)
-        batched = FleetRunner(spec, workers=1, engine="batched").run()
-        device = FleetRunner(spec, workers=1, engine="device").run()
-        assert _payload(batched) == _payload(device)
+        batched = FleetRunner(spec, workers=1).run()
+        assert _payload(batched) == _payload(oracle(spec))
 
     def test_starved_fleet_reaches_deadline_misses(self):
         """The starved regime must actually exercise the incomplete-run
         branch (deadline miss with latency + power-cycle counts)."""
-        result = FleetRunner(
-            self._fleet(0.003), workers=1, engine="batched"
-        ).run()
+        result = FleetRunner(self._fleet(0.003), workers=1).run()
         assert result.aggregate()["miss_counts"].get("energy", 0) > 0
 
     def test_multi_cycle_runs_happen(self):
-        result = FleetRunner(
-            self._fleet(0.01), workers=1, engine="batched"
-        ).run()
+        result = FleetRunner(self._fleet(0.01), workers=1).run()
         processed = result.aggregate()["processed"]
         assert processed > 0
 
 
 class TestPresetEquivalence:
     @pytest.mark.parametrize("preset", sorted(CONTROLLER_PRESETS))
-    def test_every_preset_is_bit_identical(self, preset):
+    def test_every_preset_is_bit_identical(self, preset, oracle):
         base = SCENARIOS.build("dev-smoke", num_devices=4)
         devices = [
             DeviceSpec(**{**d.to_dict(), "controller": controller_preset(preset)})
             for d in base.devices
         ]
         spec = FleetSpec(name=f"preset-{preset}", seed=11, devices=devices)
-        batched = FleetRunner(spec, workers=1, engine="batched").run()
-        device = FleetRunner(spec, workers=1, engine="device").run()
-        assert _payload(batched) == _payload(device)
+        batched = FleetRunner(spec, workers=1).run()
+        assert _payload(batched) == _payload(oracle(spec))
 
 
 class TestEligibility:
+    """What a device spec may carry into the engine: declarative continue
+    rules run batched; live rule objects are refused at the spec."""
+
     def test_intermittent_is_now_eligible(self):
-        """The PR-5 tentpole: the SONIC baseline class batches too."""
+        """SONIC baseline devices run in the same engine as single-cycle
+        devices, through its multi-cycle kernel."""
         spec = SCENARIOS.build("mixed-harvester-city", num_devices=12)
-        flags = {d.execution: batch_eligible(d) for d in spec.devices}
-        assert flags == {"single-cycle": True, "intermittent": True}
+        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+        intermittent = [d for d in spec.devices if d.execution == "intermittent"]
+        assert 0 < len(intermittent) < len(spec.devices)
+        assert len(BatchedFleetEngine(tasks)._int_kernel) == len(intermittent)
 
     def test_continue_rule_devices_are_eligible(self):
         for rule in (
@@ -175,139 +168,45 @@ class TestEligibility:
                 trace={"family": "constant", "power_mw": 0.02, "duration": 100.0},
                 controller={"kind": "qlearning", "continue_rule": rule},
             )
-            assert batch_eligible(d)
-            assert batch_ineligibility(d) is None
+            engine = BatchedFleetEngine([(0, d, 7)])
+            assert len(engine._rule_groups) == 1
+            assert len(engine.run()) == 1
 
-    def test_instance_continue_rule_still_accepted_and_falls_back(self):
-        """A live ContinueRule object in a controller dict predates the
-        declarative rule specs and must keep working end-to-end — it just
-        routes to the per-device path instead of the lockstep engine."""
+    def test_instance_continue_rule_rejected(self):
+        """A live ContinueRule in a controller dict is mutable state the
+        spec cannot serialize or digest, and one instance shared across
+        devices couples their runs: the spec refuses it, naming the
+        device."""
         from repro.runtime.incremental import ThresholdContinue
 
-        d = DeviceSpec(
-            name="instance-rule",
-            trace={"family": "constant", "power_mw": 0.05, "duration": 200.0},
-            controller={
-                "kind": "greedy",
-                "reserve_fraction": 0.1,
-                "continue_rule": ThresholdContinue(0.5),
-            },
-            events={"kind": "uniform", "count": 10},
-        )
-        assert not batch_eligible(d)
-        assert "continue_rule" in batch_ineligibility(d)
-        result = FleetRunner(
-            FleetSpec(name="inst", seed=3, devices=[d]), workers=1
-        ).run()
-        assert result.num_devices == 1
-
-    def test_csv_trace_is_ineligible_with_reason(self):
-        d = DeviceSpec(
-            name="csv-dev",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        assert not batch_eligible(d)
-        assert "csv" in batch_ineligibility(d)
-
-    def test_engine_batched_error_names_device_and_reason(self):
-        """The error must say *why* each device cannot batch, not just
-        which ones (execution mode vs trace family vs controller)."""
-        spec = SCENARIOS.build("dev-smoke", num_devices=2)
-        bad = DeviceSpec(
-            name="csv-straggler",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        mixed = FleetSpec(
-            name="mixed", seed=3, devices=list(spec.devices) + [bad]
-        )
-        with pytest.raises(ConfigError) as err:
-            run_device_batch(
-                [(i, d, mixed.seed) for i, d in enumerate(mixed.devices)],
-                engine="batched",
+        with pytest.raises(ConfigError, match="instance-rule") as err:
+            DeviceSpec(
+                name="instance-rule",
+                trace={"family": "constant", "power_mw": 0.05, "duration": 200.0},
+                controller={
+                    "kind": "greedy",
+                    "reserve_fraction": 0.1,
+                    "continue_rule": ThresholdContinue(0.5),
+                },
+                events={"kind": "uniform", "count": 10},
             )
-        message = str(err.value)
-        assert "csv-straggler" in message
-        assert "csv" in message  # the reason, not just the name
-
-    def test_engine_batched_error_names_every_offender(self):
-        """Two ineligible devices with *different* blockers: the error
-        must carry both names, each paired with its own reason — one
-        offender must not shadow the next."""
-        spec = SCENARIOS.build("dev-smoke", num_devices=1)
-        csv_dev = DeviceSpec(
-            name="csv-straggler",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        from repro.runtime.incremental import ThresholdContinue
-
-        rule_dev = DeviceSpec(
-            name="rule-straggler",
-            trace={"family": "constant", "power_mw": 0.05, "duration": 50.0},
-            controller={
-                "kind": "greedy",
-                "reserve_fraction": 0.1,
-                "continue_rule": ThresholdContinue(0.5),
-            },
-        )
-        mixed = FleetSpec(
-            name="mixed2", seed=3,
-            devices=list(spec.devices) + [csv_dev, rule_dev],
-        )
-        with pytest.raises(ConfigError) as err:
-            run_device_batch(
-                [(i, d, mixed.seed) for i, d in enumerate(mixed.devices)],
-                engine="batched",
-            )
-        message = str(err.value)
-        assert "csv-straggler" in message and "csv" in message
-        assert "rule-straggler" in message and "continue_rule" in message
+        assert "declarative" in str(err.value)
+        data = SCENARIOS.build("dev-smoke", num_devices=1).devices[0].to_dict()
+        data["controller"] = {"kind": "qlearning", "continue_rule": "threshold"}
+        with pytest.raises(ConfigError, match="continue_rule"):
+            DeviceSpec.from_dict(data)
 
     def test_engine_auto_splits_and_merges_in_index_order(self):
         spec = SCENARIOS.build("mixed-harvester-city", num_devices=12)
-        result = FleetRunner(spec, workers=1, engine="auto").run()
+        result = FleetRunner(spec, workers=1).run()
         assert [d.index for d in result.devices] == list(range(12))
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            FleetRunner(SCENARIOS.build("dev-smoke"), engine="warp")
-        with pytest.raises(ConfigError, match="engine"):
-            run_device_batch([], engine="warp")
-
-    def test_engine_ctor_raises_on_ineligible_task(self):
-        bad = DeviceSpec(
-            name="csv-dev",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        with pytest.raises(ConfigError, match="batch-eligible"):
-            BatchedFleetEngine([(0, bad, 7)])
-
-
-class TestRunDeviceBatch:
-    def test_matches_per_device_loop(self):
-        spec = SCENARIOS.build("dev-smoke", num_devices=5)
-        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-        batch = run_device_batch(tasks, engine="auto")
-        loop = [run_device(t) for t in tasks]
-        assert json.dumps([r.to_dict() for r in batch], sort_keys=True) == \
-            json.dumps([r.to_dict() for r in loop], sort_keys=True)
-
-    def test_engine_device_bypasses_lockstep(self):
-        spec = SCENARIOS.build("dev-smoke", num_devices=3)
-        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-        assert json.dumps(
-            [r.to_dict() for r in run_device_batch(tasks, engine="device")],
-            sort_keys=True,
-        ) == json.dumps(
-            [r.to_dict() for r in run_device_batch(tasks, engine="batched")],
-            sort_keys=True,
-        )
 
 
 class TestPackedWireForm:
     def test_round_trip_is_exact(self):
         spec = SCENARIOS.build("mixed-harvester-city", num_devices=12)
         tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-        results = run_device_batch(tasks)
+        results = BatchedFleetEngine(tasks).run()
         clones = unpack_device_results(pack_device_results(results))
         assert json.dumps(
             [r.to_dict(include_timing=True) for r in results], sort_keys=True
@@ -327,7 +226,7 @@ class TestPackedWireForm:
 
         spec = SCENARIOS.build("solar-farm-100", num_devices=16)
         tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-        results = run_device_batch(tasks)
+        results = BatchedFleetEngine(tasks).run()
         packed = len(pickle.dumps(pack_device_results(results)))
         plain = len(pickle.dumps(results))
         assert packed < plain
@@ -351,6 +250,16 @@ class TestParallelFallback:
     def test_threshold_validation(self):
         with pytest.raises(ConfigError, match="parallel_threshold"):
             FleetRunner(SCENARIOS.build("dev-smoke"), parallel_threshold=0)
+
+    def test_dispatch_plan_is_what_run_does(self):
+        spec = SCENARIOS.build("dev-smoke", num_devices=5)
+        assert FleetRunner(spec, workers=4).dispatch_plan() == (1, 1)
+        runner = FleetRunner(spec, workers=2, parallel_threshold=1, chunksize=2)
+        assert runner.dispatch_plan() == (2, 3)
+        with recording(Recorder(metrics=True)) as rec:
+            result = runner.run()
+        assert runner.last_run_parallel and result.workers == 2
+        assert rec.metrics.counter_value("batch.engine.runs") == 3
 
 
 #: Trace families with cheap synthesis for the property test.
@@ -424,10 +333,9 @@ def tiny_fleets(draw):
 class TestPropertyEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(spec=tiny_fleets())
-    def test_random_small_fleets_agree(self, spec):
-        batched = FleetRunner(spec, workers=1, engine="batched").run()
-        device = FleetRunner(spec, workers=1, engine="device").run()
-        assert _payload(batched) == _payload(device)
+    def test_random_small_fleets_agree(self, spec, oracle):
+        batched = FleetRunner(spec, workers=1).run()
+        assert _payload(batched) == _payload(oracle(spec))
 
 
 @pytest.mark.fleet_heavy
@@ -435,35 +343,26 @@ class TestFullScaleBatch:
     def test_city_block_1k_batched_serial_and_parallel_agree(self):
         spec = SCENARIOS.build("city-block-1k")
         assert spec.num_devices == 1000
-        # Strict engine="batched": since PR 5 every city-block device
-        # (including the intermittent baselines) is batch-eligible.
-        serial = FleetRunner(spec, workers=1, engine="batched").run()
-        parallel = FleetRunner(
-            spec, workers=4, engine="auto", parallel_threshold=1
-        ).run()
+        serial = FleetRunner(spec, workers=1).run()
+        parallel = FleetRunner(spec, workers=4, parallel_threshold=1).run()
         assert serial.num_devices == 1000
         assert _payload(serial) == _payload(parallel)
 
-    def test_city_block_1k_batched_equals_device_sample(self):
-        """Spot-check the engines against each other at real scale on a
-        slice (full 1000-device double-run would double the lane's cost)."""
+    def test_city_block_1k_batched_equals_device_sample(self, oracle):
+        """Spot-check the engine against the oracle at real scale on a
+        slice (a full 1000-device oracle run would double the lane's cost)."""
         spec = SCENARIOS.build("city-block-1k", num_devices=64)
-        assert _payload(FleetRunner(spec, engine="auto").run()) == _payload(
-            FleetRunner(spec, engine="device").run()
-        )
+        assert _payload(FleetRunner(spec).run()) == _payload(oracle(spec))
 
     @pytest.mark.parametrize(
         "name", ["brownout-grid-256", "duty-cycle-farm-512"]
     )
-    def test_intermittency_heavy_scenarios_full_scale(self, name):
-        """The PR-5 scenarios at their registered size: strict batched
-        run, serial == parallel, and an engine cross-check on a slice."""
+    def test_intermittency_heavy_scenarios_full_scale(self, name, oracle):
+        """The intermittency-heavy scenarios at their registered size:
+        serial == parallel, and an oracle cross-check on a slice."""
         spec = SCENARIOS.build(name)
-        serial = FleetRunner(spec, workers=1, engine="batched").run()
-        parallel = FleetRunner(
-            spec, workers=4, engine="auto", parallel_threshold=1
-        ).run()
+        serial = FleetRunner(spec, workers=1).run()
+        parallel = FleetRunner(spec, workers=4, parallel_threshold=1).run()
         assert _payload(serial) == _payload(parallel)
         small = SCENARIOS.build(name, num_devices=32)
-        assert _payload(FleetRunner(small, engine="batched").run()) == \
-            _payload(FleetRunner(small, engine="device").run())
+        assert _payload(FleetRunner(small).run()) == _payload(oracle(small))

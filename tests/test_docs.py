@@ -28,8 +28,8 @@ def test_protocol_doctests_execute():
 def test_github_slugification():
     assert check_docs.github_slug("Framing and envelopes") == \
         "framing-and-envelopes"
-    assert check_docs.github_slug("Kernel lanes (`REPRO_KERNEL`)") == \
-        "kernel-lanes-repro_kernel"
+    assert check_docs.github_slug("Fleet runner (`run_fleet`)") == \
+        "fleet-runner-run_fleet"
 
 
 def test_checker_catches_broken_link(tmp_path):

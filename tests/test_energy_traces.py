@@ -271,6 +271,14 @@ class TestCSV:
         with pytest.raises(ConfigError, match="malformed"):
             trace_from_csv(str(path))
 
+    def test_missing_file_or_directory_is_a_config_error(self, tmp_path):
+        missing = tmp_path / "nope.csv"
+        with pytest.raises(ConfigError, match="does not exist") as err:
+            trace_from_csv(str(missing), dt=1.0)
+        assert str(missing) in str(err.value)
+        with pytest.raises(ConfigError, match="is a directory"):
+            trace_from_csv(str(tmp_path), dt=1.0)
+
     def test_negative_power_rejected(self, tmp_path):
         path = tmp_path / "negative.csv"
         np.savetxt(

@@ -31,8 +31,9 @@ from repro.fleet.results import (
     seal_payload,
     verify_payload,
 )
-from repro.fleet.runner import LazyPool, run_device_batch
+from repro.fleet.runner import LazyPool
 from repro.obs import Recorder, recording
+from repro.sim.batch import BatchedFleetEngine
 
 
 def tiny_device(name: str) -> DeviceSpec:
@@ -73,12 +74,12 @@ FAST = RetryPolicy(max_retries=3, backoff_s=0.0)
 class TestPayloadIntegrity:
     def test_seal_and_verify_roundtrip(self):
         tasks = [(i, d, 7) for i, d in enumerate(tiny_fleet(2).devices)]
-        payload = seal_payload(pack_device_results(run_device_batch(tasks)))
+        payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
         verify_payload(payload)  # must not raise
 
     def test_digest_ignores_volatile_keys(self):
         tasks = [(i, d, 7) for i, d in enumerate(tiny_fleet(2).devices)]
-        payload = pack_device_results(run_device_batch(tasks))
+        payload = pack_device_results(BatchedFleetEngine(tasks).run())
         base = payload_digest(payload)
         payload["obs"] = {"metrics": {"anything": 1}}
         payload["wall_s"] = 123.4
@@ -86,14 +87,14 @@ class TestPayloadIntegrity:
 
     def test_corruption_detected(self):
         tasks = [(i, d, 7) for i, d in enumerate(tiny_fleet(2).devices)]
-        payload = seal_payload(pack_device_results(run_device_batch(tasks)))
+        payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
         payload["iepmj"].view("u8")[0] ^= 0xFF
         with pytest.raises(IntegrityError, match="digest"):
             verify_payload(payload)
 
     def test_missing_digest_detected(self):
         tasks = [(i, d, 7) for i, d in enumerate(tiny_fleet(2).devices)]
-        payload = pack_device_results(run_device_batch(tasks))
+        payload = pack_device_results(BatchedFleetEngine(tasks).run())
         with pytest.raises(IntegrityError, match="without a content digest"):
             verify_payload(payload)
 

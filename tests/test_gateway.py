@@ -137,17 +137,6 @@ def test_query_before_finished_is_an_error():
         twin.query("nonsense")
 
 
-def test_ineligible_devices_are_named():
-    """Gateway twins are lockstep-only: csv traces must fail loudly."""
-    spec = SCENARIOS.build("dev-smoke")
-    devices = [d.to_dict() for d in spec.devices]
-    devices[0]["trace"] = {"family": "csv", "path": "does-not-matter.csv"}
-    with pytest.raises(ConfigError, match=devices[0]["name"]):
-        FleetTwin.from_spec(
-            {"name": "bad", "seed": 1, "devices": devices}
-        )
-
-
 def test_advance_rejects_negative_steps():
     twin = FleetTwin.from_scenario("dev-smoke")
     with pytest.raises(ConfigError):

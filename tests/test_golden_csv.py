@@ -7,7 +7,7 @@ mixes every controller preset, threshold and learned continue rules,
 single-cycle and intermittent execution, and one- and two-episode
 devices.  Its aggregate was recorded through the per-device simulator,
 so every fleet path below must reproduce numbers the scalar oracle
-produced.
+produced.  A csv path that names no file is a spec error on every path.
 
 Trace paths in the golden spec are relative to the repository root;
 :func:`_golden` resolves them, so the tests run from any directory.  If
@@ -21,8 +21,10 @@ import os
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.fleet import FleetRunner, FleetShardSource, FleetSpec, run_sharded
 from repro.fleet.__main__ import main as fleet_main
+from repro.gateway import FleetTwin, load_checkpoint, save_checkpoint
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(TESTS_DIR)
@@ -85,8 +87,9 @@ def test_pooled_matches_golden():
 @pytest.mark.parametrize("shards", [1, 3])
 def test_sharded_matches_golden(tmp_path, shards):
     spec, aggregate = _golden()
-    result = run_sharded(FleetShardSource(spec), str(tmp_path / "ledger"), shards=shards)
-    assert json.loads(json.dumps(result.aggregate())) == aggregate
+    ledger = str(tmp_path / "ledger")
+    result = run_sharded(FleetShardSource(spec), ledger, shards=shards)
+    assert _aggregate(result) == aggregate
 
 
 def test_cli_serial_and_pooled_reports_are_identical(tmp_path, capsys):
@@ -102,3 +105,49 @@ def test_cli_serial_and_pooled_reports_are_identical(tmp_path, capsys):
     capsys.readouterr()
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["aggregate"] == aggregate
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_gateway_twin_matches_golden(tmp_path, k):
+    spec, aggregate = _golden()
+    twin = FleetTwin.from_spec(spec.to_dict())
+    twin.advance(k)
+    checkpoint = tmp_path / "csv-twin.ck.json"
+    save_checkpoint(twin, str(checkpoint))
+    restored = load_checkpoint(str(checkpoint))
+    for live in (twin, restored):
+        while not live.finished:
+            assert live.advance(k)["executed"] > 0
+        assert json.loads(json.dumps(live.query("aggregate"))) == aggregate
+
+
+def _with_missing_csv(target):
+    spec, _ = _golden()
+    data = spec.to_dict()
+    data["devices"][5]["trace"]["path"] = str(target)
+    return FleetSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+def test_missing_csv_path_is_a_config_error(tmp_path, pooled):
+    missing = tmp_path / "gone.csv"
+    spec = _with_missing_csv(missing)
+    runner = FleetRunner(spec, workers=2 if pooled else 1, parallel_threshold=1)
+    with pytest.raises(ConfigError, match="does not exist") as err:
+        runner.run()
+    assert runner.last_run_parallel == pooled
+    assert str(missing) in str(err.value)
+    directory = _with_missing_csv(tmp_path)
+    with pytest.raises(ConfigError, match="is a directory"):
+        FleetRunner(directory, workers=1).run()
+
+
+def test_cli_reports_missing_csv_path(tmp_path, capsys):
+    missing = tmp_path / "gone.csv"
+    spec_path = tmp_path / "spec.json"
+    _with_missing_csv(missing).to_json(str(spec_path))
+    for workers in ("1", "2"):
+        argv = ["run", "--spec", str(spec_path), "--workers", workers, "--quiet"]
+        assert fleet_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err

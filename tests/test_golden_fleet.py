@@ -68,23 +68,20 @@ def test_serial_aggregate_matches_golden(path):
 
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=_case_id)
 @pytest.mark.parametrize("engine", ["batched", "device"])
-def test_engine_choice_matches_golden(path, engine):
-    """The lockstep batched engine must reproduce the same bits as the
-    per-device path on every golden (the PR-4 determinism contract)."""
+def test_engine_choice_matches_golden(path, engine, oracle):
+    """Both simulation forms reproduce every golden (the determinism
+    contract): ``batched`` is the lockstep engine every fleet runs on,
+    ``device`` the per-device scalar oracle it is held to."""
     golden = _load(path)
     spec = SCENARIOS.build(golden["scenario"], **golden["overrides"])
-    # Every registered scenario is fully batch-eligible since PR 5
-    # (intermittent execution and continue rules batch too), so the
-    # strict "batched" engine must reproduce every golden directly.
-    result = FleetRunner(spec, workers=1, engine=engine).run()
+    if engine == "batched":
+        result = FleetRunner(spec, workers=1).run()
+    else:
+        result = oracle(spec)
     assert json.loads(json.dumps(result.aggregate())) == golden["aggregate"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in GOLDEN_FILES if "dev-smoke" in p or "mixed" in p],
-    ids=_case_id,
-)
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=_case_id)
 def test_parallel_aggregate_matches_golden(path):
     """Worker processes must reproduce the same bits as the serial run.
 

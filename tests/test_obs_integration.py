@@ -4,7 +4,8 @@ The repro.obs contract has two halves, both locked in here against real
 fleet/campaign runs:
 
 * **bit-identity** — with tracing, metrics, and the phase profiler all
-  on, every engine reproduces the committed goldens exactly, campaign
+  on, the engine and the scalar oracle reproduce the committed goldens
+  exactly, campaign
   reports stay byte-identical, and the checkpointed ``"timing"`` block
   never leaks into ``report.json``;
 * **observation correctness** — the recorded counters/spans/profiles
@@ -52,15 +53,25 @@ def _golden_id(path):
 
 
 @pytest.mark.parametrize("path", OBS_GOLDENS, ids=_golden_id)
-@pytest.mark.parametrize("engine", ["auto", "batched", "device"])
-def test_goldens_bit_identical_with_obs_on(path, engine, tmp_path):
+@pytest.mark.parametrize("engine", ["batched", "device"])
+def test_goldens_bit_identical_with_obs_on(path, engine, tmp_path, oracle):
+    """Both simulation forms — the batched engine behind FleetRunner and
+    the per-device scalar oracle — reproduce the goldens with tracing,
+    metrics and the phase profiler all on."""
     golden = _load_golden(path)
     spec = SCENARIOS.build(golden["scenario"], **golden["overrides"])
     trace_path = tmp_path / "trace.jsonl"
     with recording(trace_path=trace_path, profile=True) as rec:
-        result = FleetRunner(spec, workers=1, engine=engine).run()
+        if engine == "batched":
+            result = FleetRunner(spec, workers=1).run()
+        else:
+            result = oracle(spec)
     assert json.loads(json.dumps(result.aggregate())) == golden["aggregate"]
     # And the sinks actually observed the run.
+    if engine == "device":
+        episodes = sum(d.episodes for d in spec.devices)
+        assert rec.metrics.counter_value("sim.runs") == episodes
+        return
     assert rec.metrics.counter_value("fleet.runs") == 1
     assert rec.metrics.counter_value("fleet.devices") == spec.num_devices
     spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
@@ -98,12 +109,8 @@ def test_fleet_outcome_metrics_describe_the_run():
     assert m.counter_value("fleet.events.missed") == agg["missed"]
     assert m.histogram("fleet.device.iepmj").count == agg["devices"]
     assert m.histogram("span.fleet.run.s").count == 1
-    assert m.gauge_value("fleet.engine") == "auto"
     assert m.gauge_value("fleet.parallel") is False
-    # Engine-selection telemetry: every registered scenario has been
-    # fully batch-eligible since PR 5.
-    assert m.counter_value("fleet.devices.batched") == agg["devices"]
-    assert m.counter_value("fleet.devices.fallback") == 0
+    assert m.counter_value("batch.engine.devices") == agg["devices"]
 
 
 def test_parent_outcome_metrics_identical_serial_vs_pool():
@@ -129,10 +136,10 @@ def test_parent_outcome_metrics_identical_serial_vs_pool():
     ) == pool_rec.metrics.counter_value("batch.engine.devices")
 
 
-def test_device_engine_counts_simulator_runs():
+def test_device_engine_counts_simulator_runs(oracle):
     spec = SCENARIOS.build("dev-smoke")
     with recording() as rec:
-        FleetRunner(spec, workers=1, engine="device").run()
+        oracle(spec)
     episodes = sum(d.episodes for d in spec.devices)
     assert rec.metrics.counter_value("sim.runs") == episodes
     assert rec.metrics.counter_value("batch.engine.runs") == 0
@@ -141,8 +148,7 @@ def test_device_engine_counts_simulator_runs():
 def test_intermittent_profiler_tallies():
     """The brownout grid (every other device intermittent) exercises the
     kernel; its phase profile must attribute kernel work (micro-step
-    passes, power-state transitions) — the counters the PROFILE_p6
-    artifact is built from."""
+    passes, power-state transitions)."""
     spec = SCENARIOS.build("brownout-grid-256", num_devices=4)
     with recording(profile=True) as rec:
         FleetRunner(spec, workers=1).run()
@@ -152,6 +158,22 @@ def test_intermittent_profiler_tallies():
     assert "batch.intermittent" in rec.profiler.phase_wall
     assert "batch.lockstep" in rec.profiler.phase_wall
     assert rec.profiler.memory.get("batch.run", {}).get("peak_rss_mb", 0) > 0
+
+
+def test_event_batching_collapses_kernel_passes():
+    """The profiled city-block-128 shape: logical micro-steps stay at the
+    scalar-equivalent count, while physical kernel passes collapse by at
+    least 2x — the whole point of fusing micro-steps that cannot cross a
+    power boundary.  (The measured collapse is ~28x; 2x is the
+    regression floor.)"""
+    spec = SCENARIOS.build("city-block-1k", num_devices=128)
+    with recording(profile=True) as rec:
+        FleetRunner(spec, workers=1).run()
+    counts = rec.profiler.counts
+    micro = counts["intermittent.micro_passes"]
+    physical = counts["intermittent.kernel_passes"]
+    assert micro > 0 and physical > 0
+    assert physical * 2 <= micro
 
 
 # --------------------------------------------------------------------- #
@@ -190,13 +212,24 @@ def test_fleet_cli_trace_metrics_profile(tmp_path, capsys):
     assert "wrote trace to" in out and "wrote metrics to" in out
 
 
-def test_fleet_cli_explain(capsys):
+def test_fleet_cli_explain(capsys, monkeypatch):
+    """One line per device plus the dispatch plan, and nothing simulated:
+    an engine that refuses to build must not be reached."""
+
+    def no_engine(tasks):
+        raise AssertionError("--explain must not simulate")
+
+    monkeypatch.setattr("repro.fleet.runner.BatchedFleetEngine", no_engine)
+    spec = SCENARIOS.build("dev-smoke")
     code = fleet_main(["run", "dev-smoke", "--explain"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "engine selection" in out
-    assert "batched lockstep" in out
-    assert "0 per-device fallback(s)" in out
+    for device in spec.devices:
+        line = next(x for x in out.splitlines() if device.name in x)
+        assert device.execution in line
+        assert device.trace["family"] in line
+        assert device.controller["kind"] in line
+    assert "dispatch: serial, in-process" in out
 
 
 def test_fleet_cli_obs_off_writes_nothing(tmp_path, capsys):
@@ -242,7 +275,6 @@ def test_cell_timing_checkpointed_but_stripped_from_report(tmp_path):
     for cell in spec.cells():
         timing = store.load_cell(cell.key)["timing"]
         assert timing["wall_s"] > 0
-        assert timing["engine"] in ("auto", "batched", "device")
         assert timing["workers"] >= 1
     # The aggregated report never carries wall-clock content (the resume
     # byte-identity contract) ...
@@ -250,7 +282,7 @@ def test_cell_timing_checkpointed_but_stripped_from_report(tmp_path):
     assert all("timing" not in payload for payload in result.cells)
     # ... but the text rendering surfaces the per-cell columns.
     text = result.render_text()
-    assert "wall s" in text and "engine" in text
+    assert "wall s" in text
     for cell in spec.cells():
         assert result.cell_timing[cell.key]["wall_s"] > 0
 
@@ -267,7 +299,10 @@ def test_report_from_store_tolerates_missing_timing(tmp_path):
     store.save_cell(first.key, payload)
     result = report_from_store(store)
     assert first.key not in result.cell_timing
-    assert result.render_text().count(" - ") >= 1
+    row = next(
+        line for line in result.render_text().splitlines() if first.key in line
+    )
+    assert row.endswith(" -")
 
 
 def test_campaign_resume_report_identical_with_obs_on(tmp_path):
