@@ -26,66 +26,66 @@ The package provides, from the bottom up:
 * :mod:`repro.experiment` — the canonical evaluation setup (Section V-A).
 """
 
-from repro.experiment import PAPER, PaperExperiment
-from repro.compress import CompressedModel, CompressionSpec, Compressor, LayerCompression
-from repro.data import Dataset, DatasetSplits, SyntheticConfig, make_cifar_like
-from repro.energy import EnergyStorage, PowerTrace, solar_trace, uniform_random_events
-from repro.fleet import (
-    SCENARIOS,
-    DeviceSpec,
-    FleetResult,
-    FleetRunner,
-    FleetSpec,
-    run_fleet,
-)
-from repro.intermittent import MCUSpec, MSP432
-from repro.models import (
-    make_lenet_cifar,
-    make_multi_exit_lenet,
-    make_sonic_net,
-    make_sparse_net,
-)
-from repro.nn import MultiExitNetwork, profile_network
-from repro.runtime import QLearningController, StaticController, StaticLUTPolicy
-from repro.sim import InferenceProfile, SimulationResult, Simulator, SimulatorConfig
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PAPER",
-    "PaperExperiment",
-    "CompressedModel",
-    "CompressionSpec",
-    "Compressor",
-    "LayerCompression",
-    "Dataset",
-    "DatasetSplits",
-    "SyntheticConfig",
-    "make_cifar_like",
-    "EnergyStorage",
-    "PowerTrace",
-    "solar_trace",
-    "uniform_random_events",
-    "SCENARIOS",
-    "DeviceSpec",
-    "FleetResult",
-    "FleetRunner",
-    "FleetSpec",
-    "run_fleet",
-    "MCUSpec",
-    "MSP432",
-    "make_lenet_cifar",
-    "make_multi_exit_lenet",
-    "make_sonic_net",
-    "make_sparse_net",
-    "MultiExitNetwork",
-    "profile_network",
-    "QLearningController",
-    "StaticController",
-    "StaticLUTPolicy",
-    "InferenceProfile",
-    "SimulationResult",
-    "Simulator",
-    "SimulatorConfig",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Nothing is imported here:
+#: each name (and each subpackage, ``repro.nn`` and friends) loads on
+#: first access (PEP 562), so a fleet, shard or gateway process pays only
+#: for the modules it runs — NumPy, not the training substrate and the
+#: SciPy behind ``repro.data``.
+_EXPORTS = {
+    "PAPER": "repro.experiment",
+    "PaperExperiment": "repro.experiment",
+    "CompressedModel": "repro.compress",
+    "CompressionSpec": "repro.compress",
+    "Compressor": "repro.compress",
+    "LayerCompression": "repro.compress",
+    "Dataset": "repro.data",
+    "DatasetSplits": "repro.data",
+    "SyntheticConfig": "repro.data",
+    "make_cifar_like": "repro.data",
+    "EnergyStorage": "repro.energy",
+    "PowerTrace": "repro.energy",
+    "solar_trace": "repro.energy",
+    "uniform_random_events": "repro.energy",
+    "SCENARIOS": "repro.fleet",
+    "DeviceSpec": "repro.fleet",
+    "FleetResult": "repro.fleet",
+    "FleetRunner": "repro.fleet",
+    "FleetSpec": "repro.fleet",
+    "run_fleet": "repro.fleet",
+    "MCUSpec": "repro.intermittent",
+    "MSP432": "repro.intermittent",
+    "make_lenet_cifar": "repro.models",
+    "make_multi_exit_lenet": "repro.models",
+    "make_sonic_net": "repro.models",
+    "make_sparse_net": "repro.models",
+    "MultiExitNetwork": "repro.nn",
+    "profile_network": "repro.nn",
+    "QLearningController": "repro.runtime",
+    "StaticController": "repro.runtime",
+    "StaticLUTPolicy": "repro.runtime",
+    "InferenceProfile": "repro.sim",
+    "SimulationResult": "repro.sim",
+    "Simulator": "repro.sim",
+    "SimulatorConfig": "repro.sim",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+        globals()[name] = value
+        return value
+    # A subpackage not yet imported; importing binds it on this module.
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -50,7 +50,11 @@ class DeviceResult:
     total_consumed_mj: float
     duration_s: float
     episodes: int = 1
-    wall_s: float = 0.0  # measurement only; never part of aggregate()
+    #: Seconds this device took, measured only by the per-device
+    #: :func:`~repro.fleet.runner.run_device` oracle.  The batched engine
+    #: simulates devices together and leaves it 0.0.  Never part of
+    #: ``aggregate()`` or payload digests.
+    wall_s: float = 0.0
 
     @classmethod
     def from_simulation(

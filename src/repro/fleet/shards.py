@@ -68,7 +68,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.campaign.store import atomic_write_json, cell_checksum
 from repro.errors import ConfigError, CorruptShardError, IntegrityError
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -84,6 +83,7 @@ from repro.obs.profiler import memory_snapshot
 from repro.obs.recorder import get_recorder, set_recorder
 from repro.obs.tracing import span
 from repro.sim.batch import BatchedFleetEngine
+from repro.store import apply_save_faults, atomic_write_json, cell_checksum
 
 #: Default lease time-to-live.  There is no lease renewal: the TTL must
 #: exceed one shard's runtime, so size shards for minutes, not hours.
@@ -445,9 +445,7 @@ class ShardLedger:
                         f.directive() for f in injector.poll("fleet.shard.save")
                     ]
                     if ops:
-                        from repro.campaign.store import _apply_save_faults
-
-                        _apply_save_faults(path, ops)
+                        apply_save_faults(path, ops)
                 return "published"
             try:
                 _, incumbent_digest = self._read_shard(key, poll_chaos=False)

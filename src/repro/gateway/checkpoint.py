@@ -2,9 +2,9 @@
 
 A checkpoint is *not* a dump of engine internals — it is the twin's
 replayable op journal (create/submit/advance with exact executed step
-counts) plus a sha256 seal, reusing the campaign store's atomic-write
-and checksum machinery.  Restore replays the journal through the same
-deterministic engines, so the restored twin's numpy state is
+counts) plus a sha256 seal, written with the atomic-write and checksum
+helpers of :mod:`repro.store`.  Restore replays the journal through the
+same deterministic engines, so the restored twin's numpy state is
 bit-identical to the one that was checkpointed (enforced against the
 goldens in ``tests/test_gateway.py``).  The on-disk format is documented
 in ``docs/PROTOCOL.md``.
@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import os
 
-from repro.campaign.store import atomic_write_json, cell_checksum
 from repro.errors import CorruptCellError, GatewayError
 from repro.gateway.twin import FleetTwin
+from repro.store import atomic_write_json, cell_checksum
 
 #: Stamped into every checkpoint; readers reject other formats.
 CHECKPOINT_FORMAT = "repro-gateway-checkpoint"

@@ -468,16 +468,8 @@ class BatchedFleetEngine:
             )
         if rs.out is not None:
             return rs.out
-        wall = time.perf_counter() - rs.t0
         prof = rs.prof
-        if prof is not None:
-            prof.add_wall("batch.run", wall)
-            prof.tally("batch.lockstep.passes", rs.n_passes)
-            prof.tally("batch.lockstep.full_passes", rs.n_full)
-            prof.tally("batch.lockstep.lanes", rs.n_lanes)
-            prof.tally("batch.lockstep.busy_misses", rs.n_busy)
-            prof.tally("batch.lockstep.energy_misses", rs.n_emiss)
-            prof.memory_probe("batch.run")
+        t_finalize = time.perf_counter() if prof is not None else 0.0
         out = []
         grid_cache: dict = {}
         for i, d in enumerate(self.devices):
@@ -495,10 +487,21 @@ class BatchedFleetEngine:
                     d.profile,
                     harvest_percentiles=harvest,
                     episodes=d.spec.episodes,
-                    wall_s=wall / self._m,
                 )
             )
         rs.out = out
+        if prof is not None:
+            # batch.run spans begin() to here, so it encloses the lockstep,
+            # intermittent and finalize phases.
+            t_end = time.perf_counter()
+            prof.add_wall("batch.finalize", t_end - t_finalize)
+            prof.add_wall("batch.run", t_end - rs.t0)
+            prof.tally("batch.lockstep.passes", rs.n_passes)
+            prof.tally("batch.lockstep.full_passes", rs.n_full)
+            prof.tally("batch.lockstep.lanes", rs.n_lanes)
+            prof.tally("batch.lockstep.busy_misses", rs.n_busy)
+            prof.tally("batch.lockstep.energy_misses", rs.n_emiss)
+            prof.memory_probe("batch.run")
         return out
 
     # ------------------------------------------------------------------ #

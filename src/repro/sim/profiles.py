@@ -12,13 +12,17 @@ in its inner loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.compress.compressor import CompressedModel
-from repro.compress.evaluator import ExitEvaluation
 from repro.errors import ConfigError
 from repro.intermittent.mcu import MCUSpec
-from repro.nn.flops import incremental_flops, profile_network
-from repro.nn.network import MultiExitNetwork
+
+if TYPE_CHECKING:
+    # The training substrate (and SciPy behind it) loads only when a
+    # profile is built from a live network; fleets never do.
+    from repro.compress.compressor import CompressedModel
+    from repro.compress.evaluator import ExitEvaluation
+    from repro.nn.network import MultiExitNetwork
 
 
 @dataclass
@@ -87,6 +91,8 @@ class InferenceProfile:
         attach_net: bool = True,
     ) -> "InferenceProfile":
         """Profile an uncompressed network from its static FLOPs."""
+        from repro.nn.flops import incremental_flops, profile_network
+
         prof = profile_network(net, input_shape)
         if len(accuracies) != len(prof.exits):
             raise ConfigError("need one accuracy per exit")

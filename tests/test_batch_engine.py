@@ -48,6 +48,14 @@ class TestScenarioEquivalence:
             tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
             assert len(BatchedFleetEngine(tasks).devices) == 8
 
+    def test_only_the_oracle_measures_device_wall_time(self, oracle):
+        """The engine simulates its devices together, so it has no
+        per-device wall time to report: it leaves ``wall_s`` at 0.0."""
+        spec = SCENARIOS.build("dev-smoke")
+        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+        assert all(r.wall_s == 0.0 for r in BatchedFleetEngine(tasks).run())
+        assert all(d.wall_s > 0.0 for d in oracle(spec).devices)
+
 
 class TestContinueRuleEquivalence:
     """Bit-identity of the batched incremental-inference path."""

@@ -22,8 +22,8 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import runner as campaign_runner
-from repro.campaign.store import atomic_write_json
 from repro.errors import ConfigError
+from repro.store import atomic_write_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -16,10 +16,10 @@ import os
 import pytest
 
 from repro.campaign import CAMPAIGNS, CampaignRunner, CampaignStore, run_campaign
-from repro.campaign.store import cell_checksum
 from repro.errors import ConfigError, CorruptCellError
 from repro.faults import Fault, FaultPlan, chaos
 from repro.obs import Recorder, recording
+from repro.store import cell_checksum
 
 
 def smoke_spec():

@@ -160,6 +160,19 @@ def test_intermittent_profiler_tallies():
     assert rec.profiler.memory.get("batch.run", {}).get("peak_rss_mb", 0) > 0
 
 
+def test_engine_phases_nest_inside_batch_run():
+    """``batch.run`` spans the whole stepper, per-device finalize
+    included, so the lockstep, intermittent and finalize phases it
+    encloses never add up to more than it."""
+    spec = SCENARIOS.build("brownout-grid-256", num_devices=4)
+    with recording(profile=True) as rec:
+        FleetRunner(spec, workers=1).run()
+    wall = rec.profiler.phase_wall
+    assert rec.profiler.phase_calls["batch.finalize"] == 1
+    inner = wall["batch.lockstep"] + wall["batch.intermittent"] + wall["batch.finalize"]
+    assert 0.0 < inner <= wall["batch.run"]
+
+
 def test_event_batching_collapses_kernel_passes():
     """The profiled city-block-128 shape: logical micro-steps stay at the
     scalar-equivalent count, while physical kernel passes collapse by at
