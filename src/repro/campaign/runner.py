@@ -29,7 +29,7 @@ from typing import Optional
 from repro.campaign.report import CampaignResult
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import CampaignStore
-from repro.errors import ConfigError, CorruptCellError
+from repro.errors import ConfigError, CorruptArtifactError
 from repro.faults.retry import RetryPolicy
 from repro.fleet.runner import FleetRunner, worker_pool
 from repro.obs.recorder import get_recorder
@@ -200,7 +200,7 @@ class CampaignRunner:
         """
         try:
             return self.store.load_cell(cell.key)
-        except CorruptCellError:
+        except CorruptArtifactError:
             self.store.quarantine_cell(cell.key)
             self.quarantined += 1
             if progress is not None:

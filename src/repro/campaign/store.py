@@ -17,8 +17,9 @@ and resumed campaign byte-identical to an uninterrupted one.
 Atomicity protects against torn *writes*; it cannot protect a finished
 artifact against what happens to it afterwards (bad disks, bit rot, a
 stray editor).  Every cell is therefore sealed with a content checksum
-on write and verified on load: :meth:`CampaignStore.load_cell` raises
-:class:`~repro.errors.CorruptCellError` — naming the offending path —
+on write and verified on load (:mod:`repro.store`):
+:meth:`CampaignStore.load_cell` raises
+:class:`~repro.errors.CorruptArtifactError` — naming the offending path —
 for zero-byte files, torn/invalid JSON, and checksum mismatches, and the
 campaign runner responds by quarantining the artifact and re-running
 just that cell (see :meth:`CampaignStore.quarantine_cell`).
@@ -30,9 +31,9 @@ import json
 import os
 
 from repro.campaign.spec import CampaignSpec
-from repro.errors import ConfigError, CorruptCellError
-from repro.faults.injector import get_fault_injector
-from repro.store import apply_save_faults, atomic_write_json, cell_checksum
+from repro.errors import ConfigError, CorruptArtifactError
+from repro.obs.recorder import get_recorder
+from repro.store import atomic_write_json, quarantine, read_sealed, write_sealed
 
 
 class CampaignStore:
@@ -129,103 +130,40 @@ class CampaignStore:
     def save_cell(self, key: str, payload: dict) -> None:
         """Checkpoint one completed cell, sealed with a content checksum.
 
-        The seal lives alongside the payload under an ``"integrity"`` key
-        (stripped again on load), so the artifact stays a plain readable
-        JSON file.  When chaos is armed, ``campaign.cell.save``
-        directives damage the artifact *after* the atomic write — the
-        injected stand-in for bit rot and torn disks.
+        When chaos is armed, ``campaign.cell.save`` directives damage the
+        artifact *after* the atomic write — the injected stand-in for bit
+        rot and torn disks.
         """
-        body = dict(payload)
-        body["integrity"] = {"algo": "sha256", "digest": cell_checksum(payload)}
-        path = self.cell_path(key)
-        atomic_write_json(path, body)
-        injector = get_fault_injector()
-        if injector.enabled:
-            ops = [f.directive() for f in injector.poll("campaign.cell.save")]
-            if ops:
-                apply_save_faults(path, ops)
-
-    #: Attempts per cell read — tolerates up to three transient OSErrors,
-    #: one more than the dispatch retry default, so a fault plan that is
-    #: recoverable for the fleet layer is recoverable here too.
-    LOAD_ATTEMPTS = 4
+        write_sealed(self.cell_path(key), payload, chaos_site="campaign.cell.save")
 
     def load_cell(self, key: str) -> dict:
         """Load and *verify* one checkpointed cell.
 
-        Raises :class:`CorruptCellError` (naming the offending path) for
-        a zero-byte file, torn or invalid JSON, or a checksum mismatch;
-        the campaign runner quarantines such cells and re-runs them.
-        Artifacts written before checksums existed (no ``"integrity"``
-        key) load without verification.  Transient ``OSError`` reads are
-        retried a couple of times before giving up.
+        Raises :class:`CorruptArtifactError` (naming the offending path)
+        for any damaged artifact; the campaign runner quarantines such
+        cells and re-runs them.  Transient ``OSError`` reads (and injected
+        ``campaign.cell.load`` ones) are retried.  Artifacts written
+        before checksums existed (no ``"integrity"`` key) load without
+        verification, and are counted.
         """
-        path = self.cell_path(key)
-        injector = get_fault_injector()
-        last_os_error = None
-        for _ in range(self.LOAD_ATTEMPTS):
-            try:
-                if injector.enabled:
-                    for fault in injector.poll("campaign.cell.load"):
-                        if fault.op == "oserror":
-                            raise OSError("injected transient read failure")
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-            except OSError as exc:
-                last_os_error = exc
-                continue
-            if not raw.strip():
-                raise CorruptCellError(
-                    f"corrupt cell artifact {path!r}: zero-byte file "
-                    "(torn or interrupted write)"
-                )
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CorruptCellError(
-                    f"corrupt cell artifact {path!r}: invalid JSON ({exc})"
-                ) from exc
-            if not isinstance(body, dict):
-                raise CorruptCellError(
-                    f"corrupt cell artifact {path!r}: expected a JSON object, "
-                    f"got {type(body).__name__}"
-                )
-            integrity = body.pop("integrity", None)
-            if integrity is not None:
-                expected = integrity.get("digest")
-                actual = cell_checksum(body)
-                if actual != expected:
-                    raise CorruptCellError(
-                        f"corrupt cell artifact {path!r}: checksum mismatch "
-                        f"(stored {str(expected)[:12]}…, computed "
-                        f"{actual[:12]}…)"
-                    )
-            else:
-                # Pre-checksum artifact: accepted, but never silently.
-                self.legacy_unverified += 1
-                from repro.obs.recorder import get_recorder
-
-                metrics = get_recorder().metrics
-                if metrics is not None:
-                    metrics.inc("campaign.cells.legacy_unverified")
-            return body
-        raise ConfigError(
-            f"cannot load cell artifact {path!r}: {last_os_error}"
-        ) from last_os_error
+        body, digest = read_sealed(
+            self.cell_path(key), chaos_site="campaign.cell.load", unsealed_ok=True
+        )
+        if digest is None:
+            # Pre-checksum artifact: accepted, but never silently.
+            self.legacy_unverified += 1
+            metrics = get_recorder().metrics
+            if metrics is not None:
+                metrics.inc("campaign.cells.legacy_unverified")
+        return body
 
     def quarantine_cell(self, key: str) -> str:
         """Move a corrupt cell artifact aside (``quarantine/<key>.json``).
 
-        The artifact is preserved for post-mortem rather than deleted,
-        and the cells directory no longer lists the key — so the resume
-        loop re-executes exactly that cell.
+        The cells directory no longer lists the key, so the resume loop
+        re-executes exactly that cell.
         """
-        src = self.cell_path(key)
-        quarantine_dir = os.path.join(self.root, "quarantine")
-        os.makedirs(quarantine_dir, exist_ok=True)
-        dst = os.path.join(quarantine_dir, f"{key}.json")
-        os.replace(src, dst)
-        return dst
+        return quarantine(self.cell_path(key))
 
     # ------------------------------------------------------------------ #
     # Run manifest (provenance of the latest run; never read by resume)
@@ -268,7 +206,7 @@ class CampaignStore:
                 f"cannot load campaign report {path!r}: {exc}"
             ) from exc
         if not raw.strip():
-            raise CorruptCellError(
+            raise CorruptArtifactError(
                 f"corrupt campaign report {path!r}: zero-byte file "
                 "(torn or interrupted write)"
             )

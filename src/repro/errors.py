@@ -27,19 +27,15 @@ class IntegrityError(ReproError):
     violation)."""
 
 
-class CorruptCellError(ConfigError):
-    """A campaign cell artifact is corrupt (zero-byte, truncated, torn
-    JSON, or checksum mismatch).  Subclasses :class:`ConfigError` so
-    existing callers keep working; the campaign runner catches it
-    specifically to quarantine the cell and re-execute instead of
-    aborting a ``--resume``."""
-
-
-class CorruptShardError(ConfigError):
-    """A shard-ledger artifact is corrupt (zero-byte, truncated, torn
-    JSON, or checksum mismatch).  Mirrors :class:`CorruptCellError` one
-    layer down: the sharded fleet runner quarantines the artifact and
-    re-executes just that shard instead of aborting the run."""
+class CorruptArtifactError(ConfigError):
+    """A sealed on-disk artifact (campaign cell, shard-ledger artifact or
+    gateway checkpoint) failed verification: zero-byte, undecodable or
+    torn JSON, not a JSON object, a missing or malformed seal, or a
+    checksum mismatch.  The message names the path and the cause.
+    Subclasses :class:`ConfigError` so existing callers keep working; the
+    campaign runner and the sharded merge catch it specifically to
+    quarantine the artifact and re-execute its work instead of
+    aborting."""
 
 
 class InjectedFault(ReproError):

@@ -538,7 +538,6 @@ class ShardAggregator:
         self.fleet_name = fleet_name
         self.seed = int(seed)
         self.num_devices = 0
-        self.failures: list = []  # dicts, device-index order across shards
         self._cols: dict = {
             attr: [] for attr in self._INT_COLS + self._FLOAT_COLS
         }
@@ -585,7 +584,7 @@ class ShardAggregator:
         total_energy = float(self._column("total_env_energy_mj").sum())
         counts = [int(c) for c in self._exit_totals]
         total_exits = sum(counts)
-        out = {
+        return {
             "fleet": self.fleet_name,
             "seed": self.seed,
             "devices": self.num_devices,
@@ -610,6 +609,3 @@ class ShardAggregator:
             "total_env_energy_mj": total_energy,
             "total_consumed_mj": float(self._column("total_consumed_mj").sum()),
         }
-        if self.failures:
-            out["failures"] = [dict(f) for f in self.failures]
-        return out

@@ -20,27 +20,27 @@ Layout under the ledger root::
 Three mechanisms, in order of load-bearing-ness:
 
 * **Publish-once artifacts** are the correctness mechanism.  A completed
-  shard is written to a temp file and published with ``os.link`` — an
-  atomic operation that exactly one process can win.  A loser (late
-  straggler, stolen-lease victim that finished anyway) verifies its
-  payload digest against the winner's: a match is counted
-  (``fleet.shard.straggler_verified``, the PR-7 idiom one layer up), a
-  mismatch is a determinism violation and raises
+  shard is published with :func:`repro.store.publish_once` (``os.link``
+  of a sealed temp file) — an atomic operation that exactly one process
+  can win.  A loser (late straggler, stolen-lease victim that finished
+  anyway) verifies its payload digest against the winner's: a match is
+  counted (``fleet.shard.straggler_verified``, the PR-7 idiom one layer
+  up), a mismatch is a determinism violation and raises
   :class:`~repro.errors.IntegrityError`.
 * **Leases** are an efficiency mechanism only.  A worker claims a shard
-  by creating ``leases/<key>.lease`` with ``O_CREAT | O_EXCL``; a
-  process that dies mid-shard simply stops refreshing nothing — after
-  the lease TTL any other worker *steals* it (atomic ``os.rename`` to a
-  reap token picks exactly one thief) and re-executes.  Correctness
-  never depends on a lease: double execution is resolved by
-  publish-once + digest verification.
+  by creating ``leases/<key>.lease`` with ``O_CREAT | O_EXCL``.  Leases
+  are never renewed, so a process that dies mid-shard just leaves its
+  lease behind — after the lease TTL any other worker *steals* it
+  (atomic ``os.rename`` to a reap token picks exactly one thief) and
+  re-executes.  Correctness never depends on a lease: double execution
+  is resolved by publish-once + digest verification.
 * **The merge** loads shard artifacts in plan order, verifies each
   checksum, and folds the packed device columns through
   :class:`~repro.fleet.results.ShardAggregator` — concatenating columns
   before reduction so the aggregate is bit-identical to
-  ``FleetResult.aggregate()``.  A corrupt artifact is quarantined and
-  its shard re-executed (bounded heal rounds), mirroring the campaign
-  store's :class:`~repro.errors.CorruptCellError` path.
+  ``FleetResult.aggregate()``.  A corrupt artifact
+  (:class:`~repro.errors.CorruptArtifactError`, as for campaign cells)
+  is quarantined and its shard re-executed (bounded heal rounds).
 
 Memory stays bounded: a worker holds one shard's device results at a
 time (released after the artifact is published), and a ``max_rss_mb``
@@ -61,14 +61,13 @@ import json
 import multiprocessing
 import os
 import socket
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigError, CorruptShardError, IntegrityError
+from repro.errors import ConfigError, CorruptArtifactError
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.fleet.results import (
@@ -83,7 +82,13 @@ from repro.obs.profiler import memory_snapshot
 from repro.obs.recorder import get_recorder, set_recorder
 from repro.obs.tracing import span
 from repro.sim.batch import BatchedFleetEngine
-from repro.store import apply_save_faults, atomic_write_json, cell_checksum
+from repro.store import (
+    QUARANTINE_DIR,
+    atomic_write_json,
+    publish_once,
+    quarantine,
+    read_sealed,
+)
 
 #: Default lease time-to-live.  There is no lease renewal: the TTL must
 #: exceed one shard's runtime, so size shards for minutes, not hours.
@@ -296,11 +301,6 @@ class ShardLedger:
     REPORT_FILE = "report.json"
     SHARDS_DIR = "shards"
     LEASES_DIR = "leases"
-    QUARANTINE_DIR = "quarantine"
-
-    #: Attempts per shard read — same transient-OSError budget as the
-    #: campaign store, so a plan recoverable there is recoverable here.
-    LOAD_ATTEMPTS = 4
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
@@ -313,7 +313,7 @@ class ShardLedger:
     # ------------------------------ paths ----------------------------- #
     @property
     def ledger_path(self) -> str:
-        """The sealed plan file at the ledger root."""
+        """The fleet identity + shard plan file at the ledger root."""
         return os.path.join(self.root, self.LEDGER_FILE)
 
     @property
@@ -334,7 +334,7 @@ class ShardLedger:
     @property
     def quarantine_dir(self) -> str:
         """Directory damaged artifacts are moved into before re-execution."""
-        return os.path.join(self.root, self.QUARANTINE_DIR)
+        return os.path.join(self.root, QUARANTINE_DIR)
 
     def shard_path(self, key: str) -> str:
         """The artifact path for one shard key."""
@@ -409,122 +409,22 @@ class ShardLedger:
         """Publish one completed shard; returns ``"published"`` or
         ``"verified"``.
 
-        Exactly one writer wins the atomic ``os.link`` publish.  A loser
-        compares content digests against the incumbent: equal means a
-        re-execution (stolen lease, straggler) reproduced the accepted
-        artifact bit-for-bit; different raises
-        :class:`~repro.errors.IntegrityError` — sharded work is
-        deterministic by construction and this is where that is asserted.
-        A corrupt incumbent is quarantined and the publish retried (our
-        copy is known-good).
+        Exactly one writer wins the publish; a loser's digest must equal
+        the incumbent's or :class:`~repro.errors.IntegrityError` is
+        raised — sharded work is deterministic by construction and this
+        is where that is asserted (see :func:`repro.store.publish_once`).
         """
-        body = dict(payload)
-        body.pop("integrity", None)
-        digest = cell_checksum(body)
-        body["integrity"] = {"algo": "sha256", "digest": digest}
-        path = self.shard_path(key)
-        os.makedirs(self.shards_dir, exist_ok=True)
-        injector = get_fault_injector()
-        for _ in range(2):  # second pass only after quarantining a corrupt winner
-            fd, tmp = tempfile.mkstemp(dir=self.shards_dir, suffix=".tmp")
-            published = False
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(body, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                try:
-                    os.link(tmp, path)
-                    published = True
-                except FileExistsError:
-                    pass
-            finally:
-                os.unlink(tmp)
-            if published:
-                if injector.enabled:
-                    ops = [
-                        f.directive() for f in injector.poll("fleet.shard.save")
-                    ]
-                    if ops:
-                        apply_save_faults(path, ops)
-                return "published"
-            try:
-                _, incumbent_digest = self._read_shard(key, poll_chaos=False)
-            except CorruptShardError:
-                self.quarantine_shard(key)
-                continue
-            if incumbent_digest == digest:
-                return "verified"
-            raise IntegrityError(
-                f"shard {key} re-execution diverged from the published "
-                f"artifact (ours {digest[:12]}…, published "
-                f"{incumbent_digest[:12]}…): a re-run shard must be "
-                "bit-identical (determinism violation)"
-            )
-        raise CorruptShardError(  # pragma: no cover - needs a racing corruptor
-            f"shard {key}: could not publish over a persistently corrupt "
-            f"artifact at {path!r}"
+        return publish_once(
+            self.shard_path(key), payload, chaos_site="fleet.shard.save"
         )
-
-    def _read_shard(self, key: str, poll_chaos: bool) -> tuple:
-        """Read + verify one artifact; returns ``(body, digest)``.
-
-        Transient OSErrors (and injected ``fleet.shard.merge`` ones) are
-        retried; zero-byte files, torn JSON, and checksum mismatches
-        raise :class:`CorruptShardError` naming the path.
-        """
-        path = self.shard_path(key)
-        injector = get_fault_injector()
-        last_os_error = None
-        for _ in range(self.LOAD_ATTEMPTS):
-            try:
-                if poll_chaos and injector.enabled:
-                    for fault in injector.poll("fleet.shard.merge"):
-                        if fault.op == "oserror":
-                            raise OSError("injected transient shard read failure")
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-            except OSError as exc:
-                last_os_error = exc
-                continue
-            if not raw.strip():
-                raise CorruptShardError(
-                    f"corrupt shard artifact {path!r}: zero-byte file "
-                    "(torn or interrupted write)"
-                )
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CorruptShardError(
-                    f"corrupt shard artifact {path!r}: invalid JSON ({exc})"
-                ) from exc
-            if not isinstance(body, dict):
-                raise CorruptShardError(
-                    f"corrupt shard artifact {path!r}: expected a JSON "
-                    f"object, got {type(body).__name__}"
-                )
-            integrity = body.pop("integrity", None)
-            expected = (integrity or {}).get("digest")
-            actual = cell_checksum(body)
-            if expected != actual:
-                raise CorruptShardError(
-                    f"corrupt shard artifact {path!r}: checksum mismatch "
-                    f"(stored {str(expected)[:12]}…, computed {actual[:12]}…)"
-                )
-            return body, actual
-        raise ConfigError(
-            f"cannot load shard artifact {path!r}: {last_os_error}"
-        ) from last_os_error
 
     def load_shard(self, key: str) -> dict:
         """Load + verify one artifact for the merge path."""
-        return self._read_shard(key, poll_chaos=True)[0]
+        return read_sealed(self.shard_path(key), chaos_site="fleet.shard.merge")[0]
 
     def quarantine_shard(self, key: str) -> str:
         """Move a corrupt artifact aside; the shard becomes re-executable."""
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        dst = os.path.join(self.quarantine_dir, f"{key}.json")
-        os.replace(self.shard_path(key), dst)
-        return dst
+        return quarantine(self.shard_path(key))
 
     # ---------------------------- leases ------------------------------ #
     def _try_lease(self, path: str, ttl_s: float) -> bool:
@@ -815,14 +715,11 @@ def _merge_ledger(source, plan: ShardPlan, ledger: ShardLedger) -> tuple:
         key = shard_key(start, end)
         try:
             body = ledger.load_shard(key)
-            if (body.get("start"), body.get("end")) != (start, end):
-                raise CorruptShardError(
-                    f"shard artifact {key} covers devices "
-                    f"[{body.get('start')}, {body.get('end')}), expected "
-                    f"[{start}, {end})"
-                )
-        except CorruptShardError:
+        except CorruptArtifactError:
             corrupt.append(key)
+            continue
+        if (body.get("start"), body.get("end")) != (start, end):
+            corrupt.append(key)  # content does not cover the range its key names
             continue
         if not corrupt:
             agg.add_packed(jsonable_to_packed(body["devices"]))
@@ -948,7 +845,7 @@ def run_sharded(
                     ledger.quarantine_shard(key)
                     executor._inc("fleet.shard.quarantined")
             if agg is None:
-                raise CorruptShardError(
+                raise CorruptArtifactError(
                     f"shard artifact(s) {corrupt} still failed verification "
                     f"after {MAX_HEAL_ROUNDS} quarantine-and-re-run round(s)"
                 )

@@ -1,13 +1,15 @@
-"""Sealed JSON artifacts: the write and checksum primitives every durable
-writer shares.
+"""Sealed JSON artifacts: the one module that knows their format.
 
 Campaign cells (:mod:`repro.campaign.store`), shard-ledger artifacts
 (:mod:`repro.fleet.shards`) and gateway checkpoints
-(:mod:`repro.gateway.checkpoint`) are all canonical JSON files sealed with
-a sha256 content digest and written all-or-nothing.  This module sits
-below every package that writes them, so none of those layers has to
-import another to share the format; it imports the standard library
-only.
+(:mod:`repro.gateway.checkpoint`) are canonical JSON objects sealed with
+a sha256 content digest under an ``"integrity"`` key.  This module owns
+that format and how its failures are handled — the sealed atomic write
+(:func:`write_sealed`), the publish-once write (:func:`publish_once`),
+the verified read (:func:`read_sealed`) and the quarantine move
+(:func:`quarantine`) — so callers only map their keys to paths and name
+their chaos sites.  It sits below every package that writes artifacts
+and loads only :mod:`repro.errors` and the fault injector.
 """
 
 from __future__ import annotations
@@ -16,22 +18,43 @@ import hashlib
 import json
 import os
 import tempfile
+from typing import Optional
+
+from repro.errors import ConfigError, CorruptArtifactError, IntegrityError
+from repro.faults.injector import get_fault_injector
+
+#: Attempts per artifact read — tolerates up to three transient OSErrors,
+#: one more than the dispatch retry default, so a fault plan that is
+#: recoverable for the fleet layer is recoverable here too.
+LOAD_ATTEMPTS = 4
+
+#: Where :func:`quarantine` moves damaged artifacts, beside the directory
+#: that holds them (``cells/x.json`` → ``quarantine/x.json``).
+QUARANTINE_DIR = "quarantine"
 
 
-def atomic_write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` as canonical JSON via rename (all-or-nothing)."""
-    directory = os.path.dirname(os.path.abspath(path))
+def _dump_temp(directory: str, payload: dict) -> str:
+    """Write ``payload`` as canonical JSON to a new temp file; its path."""
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)
     except BaseException:
         # Includes KeyboardInterrupt: never leave a half-written temp file
         # that a later directory scan could mistake for an artifact.
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def atomic_write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as canonical JSON via rename (all-or-nothing)."""
+    tmp = _dump_temp(os.path.dirname(os.path.abspath(path)), payload)
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
         raise
 
 
@@ -41,24 +64,161 @@ def cell_checksum(payload: dict) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def apply_save_faults(path: str, ops) -> None:
-    """Damage a just-written artifact per injected save directives
-    (``campaign.cell.save``, ``fleet.shard.save``) — the chaos stand-in
-    for bit rot, torn disks, and truncated writes that the load-side
-    verification must catch."""
-    for op in ops:
-        kind = op["op"]
+def _seal(payload: dict) -> tuple:
+    """``(body, digest)``: a copy of ``payload`` carrying its seal."""
+    body = dict(payload)
+    body.pop("integrity", None)
+    digest = cell_checksum(body)
+    body["integrity"] = {"algo": "sha256", "digest": digest}
+    return body, digest
+
+
+def _apply_save_faults(path: str, site: Optional[str]) -> None:
+    """Damage a just-written artifact per the directives injected at
+    ``site`` — the chaos stand-in for bit rot, torn disks, and truncated
+    writes that :func:`read_sealed` must catch."""
+    injector = get_fault_injector()
+    if site is None or not injector.enabled:
+        return
+    for fault in injector.poll(site):
         size = os.path.getsize(path)
-        if kind == "empty":
+        if size == 0:
+            continue  # an emptied artifact is already damaged
+        if fault.op == "empty":
             with open(path, "w"):
                 pass
-        elif kind == "truncate":
-            keep = int(size * float(op.get("keep_frac", 0.5)))
+        elif fault.op == "truncate":
+            keep = int(size * float(fault.params.get("keep_frac", 0.5)))
             os.truncate(path, keep)
-        elif kind == "bitflip":
-            offset = min(int(size * float(op.get("offset_frac", 0.5))), size - 1)
+        elif fault.op == "bitflip":
+            frac = float(fault.params.get("offset_frac", 0.5))
+            offset = min(int(size * frac), size - 1)
             with open(path, "r+b") as fh:
                 fh.seek(max(offset, 0))
                 byte = fh.read(1)
                 fh.seek(max(offset, 0))
                 fh.write(bytes([byte[0] ^ 0xFF]))
+
+
+def write_sealed(path: str, payload: dict, chaos_site: Optional[str] = None) -> str:
+    """Seal ``payload`` and write it atomically; returns its digest.
+
+    ``chaos_site`` names the fault site whose save directives damage the
+    file after the write.
+    """
+    body, digest = _seal(payload)
+    atomic_write_json(path, body)
+    _apply_save_faults(path, chaos_site)
+    return digest
+
+
+def publish_once(path: str, payload: dict, chaos_site: Optional[str] = None) -> str:
+    """Seal and publish ``payload`` unless ``path`` already exists; returns
+    ``"published"`` or ``"verified"``.
+
+    Exactly one writer wins the atomic ``os.link``.  A loser compares
+    digests with the incumbent: equal means a re-execution reproduced it
+    bit-for-bit; different raises :class:`~repro.errors.IntegrityError`,
+    since only deterministic work is published this way.  A corrupt
+    incumbent is quarantined and the publish retried once (our copy is
+    known-good).  Only the winner polls ``chaos_site``.
+    """
+    body, digest = _seal(payload)
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    for _ in range(2):  # second pass only after quarantining a corrupt winner
+        tmp = _dump_temp(directory, body)
+        try:
+            os.link(tmp, path)
+            published = True
+        except FileExistsError:
+            published = False
+        finally:
+            os.unlink(tmp)
+        if published:
+            _apply_save_faults(path, chaos_site)
+            return "published"
+        try:
+            _, incumbent = read_sealed(path)
+        except CorruptArtifactError:
+            quarantine(path)
+            continue
+        if incumbent == digest:
+            return "verified"
+        raise IntegrityError(
+            f"re-execution diverged from the published artifact {path!r} "
+            f"(ours {digest[:12]}…, published {incumbent[:12]}…): re-run "
+            "work must be bit-identical (determinism violation)"
+        )
+    raise CorruptArtifactError(  # pragma: no cover - needs a racing corruptor
+        f"corrupt artifact {path!r}: could not publish over a persistently "
+        "corrupt incumbent"
+    )
+
+
+def read_sealed(
+    path: str, chaos_site: Optional[str] = None, unsealed_ok: bool = False
+) -> tuple:
+    """Read and verify one artifact; returns ``(body, digest)`` with the
+    seal stripped from ``body``.
+
+    Raises :class:`~repro.errors.CorruptArtifactError`, naming the path
+    and the cause, for a zero-byte file, undecodable or torn JSON, a
+    non-object, a missing or malformed seal, or a checksum mismatch.
+    Transient ``OSError`` reads (and ``oserror`` directives injected at
+    ``chaos_site``) are retried :data:`LOAD_ATTEMPTS` times in all before
+    a plain :class:`~repro.errors.ConfigError`.  ``unsealed_ok`` accepts
+    an artifact with no ``"integrity"`` key, with digest ``None``.
+    """
+    injector = get_fault_injector()
+    last_os_error = None
+    for _ in range(LOAD_ATTEMPTS):
+        try:
+            if chaos_site is not None and injector.enabled:
+                for fault in injector.poll(chaos_site):
+                    if fault.op == "oserror":
+                        raise OSError("injected transient read failure")
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            break
+        except OSError as exc:
+            last_os_error = exc
+    else:
+        raise ConfigError(
+            f"cannot load artifact {path!r}: {last_os_error}"
+        ) from last_os_error
+
+    def corrupt(cause: str) -> CorruptArtifactError:
+        return CorruptArtifactError(f"corrupt artifact {path!r}: {cause}")
+
+    if not raw.strip():
+        raise corrupt("zero-byte file (torn or interrupted write)")
+    try:
+        body = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise corrupt(f"invalid JSON ({exc})") from exc
+    if not isinstance(body, dict):
+        raise corrupt(f"expected a JSON object, got {type(body).__name__}")
+    if unsealed_ok and "integrity" not in body:
+        return body, None
+    seal = body.pop("integrity", None)
+    sealed = seal.get("digest") if isinstance(seal, dict) else None
+    if not isinstance(sealed, str) or seal.get("algo") != "sha256":
+        raise corrupt(f"missing or malformed sha256 seal {str(seal)[:40]!r}")
+    digest = cell_checksum(body)
+    if sealed != digest:
+        raise corrupt(
+            f"checksum mismatch (stored {sealed[:12]}…, computed {digest[:12]}…)"
+        )
+    return body, digest
+
+
+def quarantine(path: str) -> str:
+    """Move a damaged artifact into :data:`QUARANTINE_DIR` for post-mortem;
+    returns its new path.  Its own directory no longer lists it, so the
+    caller re-executes exactly that piece of work."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(path)))
+    os.makedirs(os.path.join(root, QUARANTINE_DIR), exist_ok=True)
+    dst = os.path.join(root, QUARANTINE_DIR, os.path.basename(path))
+    os.replace(path, dst)
+    return dst

@@ -70,7 +70,7 @@ class TestStore:
         store.initialize(smoke_spec())
         store.cell_path("bad")
         (tmp_path / "cells" / "bad.json").write_text("{notjson")
-        with pytest.raises(ConfigError, match="cell artifact"):
+        with pytest.raises(ConfigError, match=r"corrupt artifact .*bad\.json"):
             store.load_cell("bad")
 
 

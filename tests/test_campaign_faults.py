@@ -16,10 +16,10 @@ import os
 import pytest
 
 from repro.campaign import CAMPAIGNS, CampaignRunner, CampaignStore, run_campaign
-from repro.errors import ConfigError, CorruptCellError
+from repro.errors import ConfigError, CorruptArtifactError
 from repro.faults import Fault, FaultPlan, chaos
 from repro.obs import Recorder, recording
-from repro.store import cell_checksum
+from repro.store import LOAD_ATTEMPTS, cell_checksum
 
 
 def smoke_spec():
@@ -48,11 +48,20 @@ def corrupt_torn_json(path: str) -> None:
         fh.write('{"key": "torn-off-mid-')
 
 
+def corrupt_malformed_seal(path: str) -> None:
+    with open(path) as fh:
+        body = json.load(fh)
+    body["integrity"] = "sha256"  # a seal that is not an object
+    with open(path, "w") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+
+
 CORRUPTIONS = {
     "zero-byte": corrupt_zero_byte,
     "truncate": corrupt_truncate,
     "bitflip": corrupt_bitflip,
     "torn-json": corrupt_torn_json,
+    "malformed-seal": corrupt_malformed_seal,
 }
 
 
@@ -79,7 +88,7 @@ class TestCellChecksums:
         store.save_cell("a", {"key": "a", "value": list(range(50))})
         path = store.cell_path("a")
         CORRUPTIONS[kind](path)
-        with pytest.raises(CorruptCellError, match="a.json"):
+        with pytest.raises(CorruptArtifactError, match="a.json"):
             store.load_cell("a")
 
     def test_zero_byte_names_the_cause(self, tmp_path):
@@ -87,7 +96,7 @@ class TestCellChecksums:
         store.initialize(smoke_spec())
         store.save_cell("a", {"key": "a"})
         corrupt_zero_byte(store.cell_path("a"))
-        with pytest.raises(CorruptCellError, match="zero-byte"):
+        with pytest.raises(CorruptArtifactError, match="zero-byte"):
             store.load_cell("a")
 
     def test_corrupt_cell_is_still_a_config_error(self, tmp_path):
@@ -96,7 +105,7 @@ class TestCellChecksums:
         store.initialize(smoke_spec())
         store.save_cell("a", {"key": "a"})
         corrupt_bitflip(store.cell_path("a"))
-        with pytest.raises(ConfigError, match="cell artifact"):
+        with pytest.raises(ConfigError, match=r"corrupt artifact .*a\.json"):
             store.load_cell("a")
 
     def test_legacy_cell_without_integrity_loads(self, tmp_path):
@@ -132,7 +141,7 @@ class TestCellChecksums:
         store.save_cell("a", {"key": "a"})
         faults = [
             Fault("campaign.cell.load", i, "oserror")
-            for i in range(store.LOAD_ATTEMPTS)
+            for i in range(LOAD_ATTEMPTS)
         ]
         plan = FaultPlan(faults)
         with chaos(plan), pytest.raises(ConfigError, match="cannot load"):
@@ -143,7 +152,7 @@ class TestCellChecksums:
         store.initialize(smoke_spec())
         store.write_report({"cells": {}})
         corrupt_zero_byte(store.report_path)
-        with pytest.raises(CorruptCellError, match="zero-byte"):
+        with pytest.raises(CorruptArtifactError, match="zero-byte"):
             store.load_report()
 
 

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.errors import ConfigError, CorruptCellError, GatewayError
+from repro.errors import ConfigError, CorruptArtifactError, GatewayError
 from repro.fleet import SCENARIOS, FleetRunner
 from repro.gateway import FleetTwin, load_checkpoint, save_checkpoint
 
@@ -112,7 +112,18 @@ def test_corrupt_checkpoint_is_detected(tmp_path):
     raw = bytearray(ck.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     ck.write_bytes(bytes(raw))
-    with pytest.raises(CorruptCellError):
+    with pytest.raises(CorruptArtifactError):
+        load_checkpoint(str(ck))
+
+
+def test_malformed_seal_is_detected(tmp_path):
+    twin = FleetTwin.from_scenario("dev-smoke")
+    ck = tmp_path / "ck.json"
+    save_checkpoint(twin, str(ck))
+    body = json.loads(ck.read_text())
+    body["integrity"] = "sha256"  # a seal that is not an object
+    ck.write_text(json.dumps(body))
+    with pytest.raises(CorruptArtifactError, match="malformed"):
         load_checkpoint(str(ck))
 
 
@@ -121,7 +132,7 @@ def test_missing_and_empty_checkpoints(tmp_path):
         load_checkpoint(str(tmp_path / "nope.json"))
     empty = tmp_path / "empty.json"
     empty.write_text("")
-    with pytest.raises(CorruptCellError):
+    with pytest.raises(CorruptArtifactError):
         load_checkpoint(str(empty))
 
 

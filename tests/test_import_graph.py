@@ -32,7 +32,11 @@ LEAN_ENTRY_POINTS = (
     "repro.gateway.__main__",
     "repro.gateway.client",
 )
-ENTRY_POINTS = LEAN_ENTRY_POINTS + ("repro.campaign.__main__", "repro.campaign.store")
+ENTRY_POINTS = LEAN_ENTRY_POINTS + (
+    "repro.campaign.__main__",
+    "repro.campaign.store",
+    "repro.store",
+)
 #: Packages a lean process must not load.
 HEAVY = (
     "scipy",
@@ -78,6 +82,14 @@ def test_entry_point_imports_first(entry_point):
 @pytest.mark.parametrize("entry_point", LEAN_ENTRY_POINTS)
 def test_fleet_and_gateway_processes_load_only_numpy(entry_point):
     assert heavy(loaded_modules(f"import {entry_point}")) == []
+
+
+def test_store_sits_below_every_artifact_writer():
+    """The sealed-artifact layer loads none of the packages that use it."""
+    writers = ("repro.fleet", "repro.sim", "repro.campaign", "repro.gateway")
+    loaded = loaded_modules("import repro.store")
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in writers] == []
+    assert heavy(loaded) == []
 
 
 @pytest.mark.skipif(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CAMPAIGNS, CampaignRunner, CampaignStore, run_campaign
@@ -131,6 +131,9 @@ def clean_report(tmp_path) -> bytes:
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(plan_seed=st.integers(min_value=0, max_value=10_000))
+# Seed 435 puts ``empty`` then ``bitflip`` on one cell save: damage on an
+# already-emptied artifact must be a no-op, not an IndexError.
+@example(plan_seed=435)
 def test_campaign_report_byte_identical_under_any_fault_schedule(plan_seed, tmp_path):
     expected = clean_report(tmp_path)
     plan = FaultPlan.random(

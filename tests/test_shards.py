@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError, CorruptShardError, IntegrityError
+from repro.errors import ConfigError, CorruptArtifactError, IntegrityError
 from repro.faults import Fault, FaultPlan, chaos
 from repro.fleet.results import (
     ShardAggregator,
@@ -167,7 +167,9 @@ class TestShardLedger:
         with pytest.raises(IntegrityError, match="determinism"):
             ledger.save_shard(key, mutated)
 
-    @pytest.mark.parametrize("damage", ["empty", "truncate", "bitflip", "torn"])
+    @pytest.mark.parametrize(
+        "damage", ["empty", "truncate", "bitflip", "torn", "malformed-seal"]
+    )
     def test_corruption_detected_and_quarantined(self, tmp_path, damage):
         ledger = ShardLedger(str(tmp_path))
         key = "s0000000-0000002"
@@ -183,10 +185,16 @@ class TestShardLedger:
                 byte = fh.read(1)
                 fh.seek(-1, os.SEEK_CUR)
                 fh.write(bytes([byte[0] ^ 0xFF]))
-        else:
+        elif damage == "torn":
             with open(path, "w") as fh:
                 fh.write('{"key": "torn-off-mid-')
-        with pytest.raises(CorruptShardError, match="corrupt shard"):
+        else:
+            with open(path) as fh:
+                body = json.load(fh)
+            body["integrity"] = ["sha256"]  # a seal that is not an object
+            with open(path, "w") as fh:
+                json.dump(body, fh)
+        with pytest.raises(CorruptArtifactError, match=f"corrupt artifact .*{key}"):
             ledger.load_shard(key)
         ledger.quarantine_shard(key)
         assert not ledger.has_shard(key)
