@@ -269,6 +269,28 @@ class TestPooledChaos:
         assert aggregate_of(result) == clean
         assert rec.metrics.counter_value("fleet.retry.failures") >= 1
 
+    def test_rejected_and_straggling_attempts_keep_their_obs_out(self):
+        """Only accepted chunks merge their worker metrics: a corrupted
+        attempt and a verified straggler both ran the engine, but their
+        ``batch.*`` counters must not reach the parent registry."""
+        spec = tiny_fleet()
+        clean = run_clean(spec)
+        plan = FaultPlan(
+            [
+                Fault("fleet.chunk", 0, "corrupt_payload"),
+                Fault("fleet.chunk", 1, "hang", {"seconds": 1.0}),
+            ]
+        )
+        policy = RetryPolicy(
+            max_retries=2, worker_timeout=0.3, backoff_s=0.0, straggler_grace_s=3.0
+        )
+        with recording(Recorder(metrics=True)) as rec, chaos(plan):
+            result = FleetRunner(spec, retry=policy, **POOLED).run()
+        assert aggregate_of(result) == clean
+        assert rec.metrics.counter_value("batch.engine.devices") == spec.num_devices
+        assert rec.metrics.counter_value("fleet.straggler.verified") >= 1
+        assert rec.metrics.counter_value("fleet.retry.failures") >= 2
+
     def test_sigkill_a_pool_child_mid_run(self):
         """The integration test: a child process is SIGKILLed from outside
         mid-dispatch; the fleet must complete bit-identically with the

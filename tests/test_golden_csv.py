@@ -9,15 +9,23 @@ devices.  Its aggregate was recorded through the per-device simulator,
 so every fleet path below must reproduce numbers the scalar oracle
 produced.  A csv path that names no file is a spec error on every path.
 
+``tests/golden/csv_shards/`` holds the two sealed artifacts a 2-shard
+``run_sharded`` writes for the same fleet.  They pin the packed
+per-device columns the shard ledger stores (the ``raw`` shape for
+``miss_counts``, the ``keys`` shape for the percentile dicts, exit
+histograms of width 1 and 3) byte for byte.
+
 Trace paths in the golden spec are relative to the repository root;
 :func:`_golden` resolves them, so the tests run from any directory.  If
 the arithmetic changes on purpose, regenerate the aggregate with
-``FleetRunner(spec, workers=1).run().aggregate()`` and say why in the
-commit message.
+``FleetRunner(spec, workers=1).run().aggregate()`` (and the shard files
+with ``run_sharded(FleetShardSource(spec), ledger, shards=2)``) and say
+why in the commit message.
 """
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -29,6 +37,8 @@ from repro.gateway import FleetTwin, load_checkpoint, save_checkpoint
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(TESTS_DIR)
 GOLDEN_PATH = os.path.join(TESTS_DIR, "golden", "csv_fleet.json")
+SHARDS_DIR = os.path.join(TESTS_DIR, "golden", "csv_shards")
+SHARD_FILES = ("s0000000-0000008.json", "s0000008-0000016.json")
 
 
 def _golden():
@@ -89,6 +99,36 @@ def test_sharded_matches_golden(tmp_path, shards):
     spec, aggregate = _golden()
     ledger = str(tmp_path / "ledger")
     result = run_sharded(FleetShardSource(spec), ledger, shards=shards)
+    assert _aggregate(result) == aggregate
+
+
+def _golden_shard_bytes() -> dict:
+    out = {}
+    for name in SHARD_FILES:
+        with open(os.path.join(SHARDS_DIR, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def test_sharded_artifacts_match_golden_bytes(tmp_path):
+    spec, _ = _golden()
+    ledger = tmp_path / "ledger"
+    run_sharded(FleetShardSource(spec), str(ledger), shards=2)
+    written = {
+        name: (ledger / "shards" / name).read_bytes()
+        for name in sorted(os.listdir(ledger / "shards"))
+    }
+    assert written == _golden_shard_bytes()
+
+
+def test_golden_artifacts_merge_without_executing(tmp_path):
+    spec, aggregate = _golden()
+    shards = tmp_path / "ledger" / "shards"
+    shards.mkdir(parents=True)
+    for name in SHARD_FILES:
+        shutil.copy(os.path.join(SHARDS_DIR, name), shards / name)
+    result = run_sharded(FleetShardSource(spec), str(tmp_path / "ledger"), shards=2)
+    assert result.shards_executed == 0 and result.shards_resumed == 2
     assert _aggregate(result) == aggregate
 
 
