@@ -124,9 +124,6 @@ class CampaignStore:
             if name.endswith(".json")
         }
 
-    def has_cell(self, key: str) -> bool:
-        return os.path.exists(self.cell_path(key))
-
     def save_cell(self, key: str, payload: dict) -> None:
         """Checkpoint one completed cell, sealed with a content checksum.
 

@@ -29,10 +29,13 @@ Observability (all off by default, and guaranteed not to change results):
 provenance manifest), ``--metrics-out`` writes the collected metrics
 summary (+ phase profile with ``--profile``), and ``--explain`` prints
 one line per device (execution model, trace family, controller kind) and
-the dispatch the run would use — serial, or W workers x C engine chunks
-— without simulating anything.  Combining ``--explain`` with ``--chaos
-PLAN.json`` additionally validates the plan (unknown sites fail loudly)
-and prints the armed sites, still without simulating.
+the dispatch the run would use — serial, W workers x C engine chunks, or
+N shards x K shard workers through the ledger (the plan ``--resume``
+reads back from it included) — without simulating or writing anything.
+It rejects the flag combinations the run would reject.  Combining
+``--explain`` with ``--chaos PLAN.json`` additionally validates the plan
+(unknown sites fail loudly) and prints the armed sites, still without
+simulating.
 """
 
 from __future__ import annotations
@@ -99,20 +102,49 @@ def _build_spec(args) -> FleetSpec:
     return SCENARIOS.build(args.scenario, **overrides)
 
 
-def _print_explain(runner: FleetRunner) -> None:
-    """One line per device, then the dispatch ``runner.run()`` would use."""
-    spec = runner.spec
+def _check_sharded_flags(args) -> None:
+    """The flag combinations a sharded run rejects."""
+    if args.ledger is None:
+        raise ConfigError(
+            "sharded execution checkpoints into a durable ledger; pass "
+            "--ledger DIR alongside --shards/--shard-width/--resume"
+        )
+    if args.workers > 1:
+        raise ConfigError(
+            "--workers parallelizes an unsharded run; sharded runs "
+            "scale out with --shard-workers instead"
+        )
+
+
+def _explain_dispatch(args, spec: FleetSpec, sharded: bool) -> str:
+    """The dispatch ``run`` would use with the same flags (no disk writes)."""
+    if sharded:
+        from repro.fleet.shards import ShardLedger
+
+        _check_sharded_flags(args)
+        plan = ShardLedger(args.ledger).plan_for(spec, args.shards, args.shard_width)
+        return (
+            f"sharded, {plan.num_shards} shard(s) x {args.shard_workers} "
+            f"shard worker(s) via {args.ledger}"
+        )
+    runner = FleetRunner(spec, workers=args.workers, chunksize=args.chunksize)
+    workers, chunks = runner.dispatch_plan()
+    if workers == 1 and chunks == 1:
+        return "serial, in-process"
+    return f"{workers} worker(s) x {chunks} chunk(s)"
+
+
+def _print_explain(args, sharded: bool) -> None:
+    """One line per device, then the dispatch ``run`` would use."""
+    spec = _build_spec(args)
+    dispatch = _explain_dispatch(args, spec, sharded)
     print(f"fleet {spec.name!r}: {spec.num_devices} devices on the batched engine")
     for device in spec.devices:
         print(
             f"  {device.name:<18} {device.execution:<13} "
             f"{device.trace['family']:<9} {device.controller['kind']}"
         )
-    workers, chunks = runner.dispatch_plan()
-    if workers == 1 and chunks == 1:
-        print("  dispatch: serial, in-process")
-    else:
-        print(f"  dispatch: {workers} worker(s) x {chunks} chunk(s)")
+    print(f"  dispatch: {dispatch}")
 
 
 def _run_manifest(spec: FleetSpec, args) -> dict:
@@ -163,16 +195,7 @@ def _run_sharded_cli(args, plan) -> int:
         run_sharded,
     )
 
-    if args.ledger is None:
-        raise ConfigError(
-            "sharded execution checkpoints into a durable ledger; pass "
-            "--ledger DIR alongside --shards/--shard-width/--resume"
-        )
-    if args.workers > 1:
-        raise ConfigError(
-            "--workers parallelizes an unsharded run; sharded runs "
-            "scale out with --shard-workers instead"
-        )
+    _check_sharded_flags(args)
     if args.spec:
         source = FleetShardSource(_build_spec(args))
     else:
@@ -325,7 +348,9 @@ def main(argv=None) -> int:
     run.add_argument("--explain", action="store_true",
                      help="print each device's execution model, trace family "
                           "and controller kind, plus the dispatch plan "
-                          "(serial, or workers x chunks), instead of running")
+                          "(serial, workers x chunks, or shards x shard "
+                          "workers via the ledger), instead of running; "
+                          "writes nothing")
     run.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write tracing spans as JSON lines (first line: "
                           "the run manifest)")
@@ -359,12 +384,14 @@ def main(argv=None) -> int:
         # is the dry-run path for vetting a plan file, and an unknown
         # site must fail loudly here, not 20 minutes into a campaign.
         plan = FaultPlan.from_json(args.chaos) if args.chaos else None
+        sharded = (
+            args.shards is not None
+            or args.shard_width is not None
+            or args.ledger is not None
+            or args.resume
+        )
         if args.explain:
-            _print_explain(
-                FleetRunner(
-                    _build_spec(args), workers=args.workers, chunksize=args.chunksize
-                )
-            )
+            _print_explain(args, sharded)
             if plan is not None:
                 sites = sorted(plan.sites())
                 print(
@@ -372,12 +399,6 @@ def main(argv=None) -> int:
                     f"across site(s) {', '.join(sites) if sites else '(none)'}"
                 )
             return 0
-        sharded = (
-            args.shards is not None
-            or args.shard_width is not None
-            or args.ledger is not None
-            or args.resume
-        )
         if sharded:
             return _run_sharded_cli(args, plan)
         spec = _build_spec(args)

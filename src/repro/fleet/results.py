@@ -1,28 +1,35 @@
 """Fleet-level result aggregation.
 
-Workers return compact :class:`DeviceResult` summaries (counts, metrics,
-percentiles) instead of full per-event records — a 100-device fleet ships
-kilobytes across the process boundary, not megabytes.  The
-:class:`FleetResult` aggregator then reports fleet-level IEpmJ,
-miss-reason breakdowns, and cross-device percentile spreads.
+Every fleet path produces compact :class:`DeviceResult` summaries
+(counts, metrics, percentiles) instead of full per-event records — a
+100-device fleet ships kilobytes across the process boundary, not
+megabytes.  They have one packed form, one seal and one reduction:
 
-Everything in :meth:`FleetResult.aggregate` is computed in device-index
-order from per-device summaries, so the aggregate is bit-identical
-regardless of how many workers produced the parts — the property the CLI
-acceptance check (``--workers 4`` vs ``--workers 1``) relies on.
+* :func:`pack_device_results` turns a list of them into plain int/float
+  list columns.  Shard artifacts store that form and pool chunks ship
+  it, both sealed by :mod:`repro.store` (:func:`seal_payload` /
+  :func:`verify_payload` are the pool wire's two calls).
+* :class:`ShardAggregator` folds device results in device-index order —
+  live objects or packed columns — and reduces them to fleet-level
+  IEpmJ, miss-reason breakdowns, exit histograms and cross-device
+  percentile spreads.  :class:`FleetResult` reads its numbers from one,
+  so the aggregate is bit-identical however many workers or shards
+  produced the parts — the property the CLI acceptance check
+  (``--workers 4`` vs ``--workers 1``) relies on.
+* :func:`record_outcome_metrics` records the ``fleet.*`` outcome
+  metrics from that fold for serial, pooled and sharded runs alike.
+
 Wall-clock timing lives outside the deterministic payload.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import IntegrityError
 from repro.sim.results import percentile_dict
+from repro.store import seal, unseal
 
 
 @dataclass
@@ -52,8 +59,8 @@ class DeviceResult:
     episodes: int = 1
     #: Seconds this device took, measured only by the per-device
     #: :func:`~repro.fleet.runner.run_device` oracle.  The batched engine
-    #: simulates devices together and leaves it 0.0.  Never part of
-    #: ``aggregate()`` or payload digests.
+    #: simulates devices together and leaves it 0.0, so packed (and
+    #: sealed) engine results carry 0.0.  Never part of ``aggregate()``.
     wall_s: float = 0.0
 
     @classmethod
@@ -94,6 +101,7 @@ class DeviceResult:
         )
 
     def to_dict(self, include_timing: bool = False) -> dict:
+        """JSON-safe report row; ``include_timing`` adds ``wall_s``."""
         out = {
             "index": self.index,
             "name": self.name,
@@ -122,194 +130,93 @@ class DeviceResult:
         return out
 
 
-#: Scalar DeviceResult fields shipped as one numpy column each in the
-#: packed wire form, in (attribute, dtype) order.
+#: Scalar DeviceResult fields, one list column each in the packed form,
+#: in (attribute, type) order.
 _PACK_SCALARS = (
-    ("index", np.int64), ("num_events", np.int64), ("num_processed", np.int64),
-    ("num_missed", np.int64), ("num_correct", np.int64),
-    ("iepmj", np.float64), ("average_accuracy", np.float64),
-    ("processed_accuracy", np.float64), ("mean_latency_s", np.float64),
-    ("mean_inference_energy_mj", np.float64),
-    ("total_env_energy_mj", np.float64), ("total_consumed_mj", np.float64),
-    ("duration_s", np.float64), ("episodes", np.int64), ("wall_s", np.float64),
+    ("index", int), ("num_events", int), ("num_processed", int),
+    ("num_missed", int), ("num_correct", int),
+    ("iepmj", float), ("average_accuracy", float),
+    ("processed_accuracy", float), ("mean_latency_s", float),
+    ("mean_inference_energy_mj", float),
+    ("total_env_energy_mj", float), ("total_consumed_mj", float),
+    ("duration_s", float), ("episodes", int), ("wall_s", float),
 )
 
-#: Dict-valued DeviceResult fields packed as key-table + value matrix.
+#: Dict-valued DeviceResult fields, packed as key list + value rows.
 _PACK_DICTS = (
-    ("latency_percentiles", np.float64),
-    ("energy_percentiles", np.float64),
-    ("harvest_percentiles", np.float64),
-    ("miss_counts", np.int64),
+    ("latency_percentiles", float),
+    ("energy_percentiles", float),
+    ("harvest_percentiles", float),
+    ("miss_counts", int),
 )
 
 
-def _pack_dict_column(dicts, dtype):
-    """Pack per-device dicts; one (keys, matrix) table when keys align."""
+def _pack_dict_column(dicts, caster):
+    """Pack per-device dicts; one (keys, rows) table when keys align."""
     keys = list(dicts[0])
     if all(list(d) == keys for d in dicts):
-        values = np.array([[d[k] for k in keys] for d in dicts], dtype=dtype)
-        return {"keys": keys, "values": values}
+        return {"keys": keys, "values": [[caster(d[k]) for k in keys] for d in dicts]}
     return {"raw": [dict(d) for d in dicts]}
 
 
 def _unpack_dict_column(packed, i, caster):
     if "raw" in packed:
         return dict(packed["raw"][i])
-    row = packed["values"][i]
-    return {k: caster(v) for k, v in zip(packed["keys"], row)}
+    return {k: caster(v) for k, v in zip(packed["keys"], packed["values"][i])}
 
 
 def pack_device_results(results) -> dict:
-    """Struct-of-arrays wire form of a list of :class:`DeviceResult`.
+    """Column form of a list of :class:`DeviceResult`: plain int/float lists.
 
-    Worker processes return whole chunks of devices at once; pickling one
-    numpy column per field costs a fraction of pickling per-device
-    dataclasses full of Python dicts and floats.  Exact round-trip:
-    ``unpack_device_results(pack_device_results(rs))`` reproduces every
-    field bit-for-bit (plain Python types restored).
+    The one packed form of device results: shard artifacts store it and
+    pool chunks ship it, both sealed by :mod:`repro.store`.  Python's
+    ``json`` writes floats via ``repr``, which round-trips every float
+    bit-exactly, so ``unpack_device_results(pack_device_results(rs))``
+    reproduces every field bit-for-bit, through JSON or a pickle.
+    Exit histograms are zero-padded to the widest one, with the true
+    widths alongside.
     """
     out = {"n": len(results), "names": [r.name for r in results],
            "profiles": [r.profile for r in results]}
-    for attr, dtype in _PACK_SCALARS:
-        out[attr] = np.array([getattr(r, attr) for r in results], dtype=dtype)
-    for attr, dtype in _PACK_DICTS:
-        out[attr] = _pack_dict_column([getattr(r, attr) for r in results], dtype)
+    for attr, caster in _PACK_SCALARS:
+        out[attr] = [caster(getattr(r, attr)) for r in results]
+    for attr, caster in _PACK_DICTS:
+        out[attr] = _pack_dict_column([getattr(r, attr) for r in results], caster)
     counts = [r.exit_counts for r in results]
     width = max((len(c) for c in counts), default=0)
-    exit_matrix = np.zeros((len(results), width), dtype=np.int64)
-    for i, c in enumerate(counts):
-        exit_matrix[i, :len(c)] = c
-    out["exit_counts"] = exit_matrix
-    out["exit_widths"] = np.array([len(c) for c in counts], dtype=np.int64)
+    out["exit_counts"] = [[int(x) for x in c] + [0] * (width - len(c)) for c in counts]
+    out["exit_widths"] = [len(c) for c in counts]
     return out
 
 
 def unpack_device_results(packed: dict) -> list:
-    """Rebuild :class:`DeviceResult` objects from the packed wire form."""
+    """Rebuild :class:`DeviceResult` objects from the packed form."""
     results = []
     for i in range(packed["n"]):
         fields = {"name": packed["names"][i], "profile": packed["profiles"][i]}
-        for attr, dtype in _PACK_SCALARS:
-            value = packed[attr][i]
-            fields[attr] = int(value) if dtype is np.int64 else float(value)
-        for attr, dtype in _PACK_DICTS:
-            caster = int if dtype is np.int64 else float
+        for attr, caster in _PACK_SCALARS:
+            fields[attr] = caster(packed[attr][i])
+        for attr, caster in _PACK_DICTS:
             fields[attr] = _unpack_dict_column(packed[attr], i, caster)
-        width = int(packed["exit_widths"][i])
-        fields["exit_counts"] = [int(c) for c in packed["exit_counts"][i, :width]]
+        width = packed["exit_widths"][i]
+        fields["exit_counts"] = [int(c) for c in packed["exit_counts"][i][:width]]
         results.append(DeviceResult(**fields))
     return results
 
 
-def packed_to_jsonable(packed: dict) -> dict:
-    """JSON-safe form of a packed wire payload (numpy columns → lists).
-
-    This is what the shard ledger persists: Python's ``json`` writes
-    floats via ``repr``, which round-trips every ``float64`` bit-exactly,
-    so ``jsonable_to_packed(packed_to_jsonable(p))`` reproduces each
-    column with the same dtype and the same bits — the property that lets
-    a resumed run aggregate shard artifacts byte-identically to a fresh
-    execution.
-    """
-    out: dict = {"n": int(packed["n"]), "names": list(packed["names"]),
-                 "profiles": list(packed["profiles"])}
-    for attr, dtype in _PACK_SCALARS:
-        out[attr] = np.asarray(packed[attr], dtype=dtype).tolist()
-    for attr, _ in _PACK_DICTS:
-        column = packed[attr]
-        if "raw" in column:
-            out[attr] = {"raw": [dict(d) for d in column["raw"]]}
-        else:
-            out[attr] = {"keys": list(column["keys"]),
-                         "values": column["values"].tolist()}
-    out["exit_counts"] = packed["exit_counts"].tolist()
-    out["exit_widths"] = packed["exit_widths"].tolist()
-    return out
-
-
-def jsonable_to_packed(data: dict) -> dict:
-    """Rebuild the numpy wire form from :func:`packed_to_jsonable` output."""
-    n = int(data["n"])
-    out: dict = {"n": n, "names": list(data["names"]),
-                 "profiles": list(data["profiles"])}
-    for attr, dtype in _PACK_SCALARS:
-        out[attr] = np.asarray(data[attr], dtype=dtype)
-    for attr, dtype in _PACK_DICTS:
-        column = data[attr]
-        if "raw" in column:
-            out[attr] = {"raw": [dict(d) for d in column["raw"]]}
-        else:
-            keys = list(column["keys"])
-            values = np.asarray(column["values"], dtype=dtype).reshape(n, len(keys))
-            out[attr] = {"keys": keys, "values": values}
-    widths = np.asarray(data["exit_widths"], dtype=np.int64)
-    width = int(widths.max()) if n else 0
-    out["exit_counts"] = np.asarray(
-        data["exit_counts"], dtype=np.int64
-    ).reshape(n, width)
-    out["exit_widths"] = widths
-    return out
-
-
-#: Payload keys excluded from the content digest: ``digest`` is the seal
-#: itself, ``obs`` and ``wall_s`` carry wall-clock content that differs
-#: between bit-identical executions of the same chunk.
-_DIGEST_SKIP = ("digest", "obs", "wall_s")
-
-
-def _digest_value(h, value) -> None:
-    if isinstance(value, np.ndarray):
-        h.update(str(value.dtype).encode())
-        h.update(str(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, dict):
-        for key in sorted(value):
-            h.update(str(key).encode())
-            _digest_value(h, value[key])
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _digest_value(h, item)
-    else:
-        h.update(repr(value).encode())
-
-
-def payload_digest(packed: dict) -> str:
-    """Content digest of a packed chunk payload (deterministic fields only).
-
-    Wall-clock fields are excluded, so two bit-identical executions of
-    the same chunk — the guarantee per-device ``SeedSequence`` streams
-    make — produce the same digest even though their timings differ.
-    That is what lets the dispatcher detect a corrupted wire payload
-    *and* assert that a retried or straggling chunk reproduced the
-    accepted one exactly.
-    """
-    h = hashlib.sha256()
-    for key in sorted(packed):
-        if key in _DIGEST_SKIP:
-            continue
-        h.update(key.encode())
-        _digest_value(h, packed[key])
-    return h.hexdigest()
-
-
 def seal_payload(packed: dict) -> dict:
-    """Stamp ``packed`` with its content digest (in place); returns it."""
-    packed["digest"] = payload_digest(packed)
-    return packed
+    """The pool wire's seal: ``packed`` as a :func:`repro.store.seal` body."""
+    return seal(packed)[0]
 
 
-def verify_payload(packed: dict) -> dict:
-    """Check a sealed payload's digest; raises :class:`IntegrityError`."""
-    sealed = packed.get("digest")
-    if sealed is None:
-        raise IntegrityError("chunk payload arrived without a content digest")
-    actual = payload_digest(packed)
-    if actual != sealed:
-        raise IntegrityError(
-            f"chunk payload digest mismatch (sealed {sealed[:12]}…, got "
-            f"{actual[:12]}…): the wire payload was corrupted in transit"
-        )
-    return packed
+def verify_payload(body: dict) -> tuple:
+    """Check a pool wire body with :func:`repro.store.unseal`.
+
+    Returns ``(packed, digest)``; raises
+    :class:`~repro.errors.IntegrityError` (which the dispatcher retries)
+    for a missing or malformed seal or a checksum mismatch.
+    """
+    return unseal(body)
 
 
 @dataclass
@@ -329,6 +236,7 @@ class DeviceFailure:
     stage: str = "chunk"
 
     def to_dict(self) -> dict:
+        """JSON-safe form, as listed under the aggregate's ``failures``."""
         return {
             "index": self.index,
             "name": self.name,
@@ -340,7 +248,13 @@ class DeviceFailure:
 
 @dataclass
 class FleetResult:
-    """Aggregate outcome of one fleet run."""
+    """Aggregate outcome of one fleet run.
+
+    Every fleet-level number is read from one cached
+    :class:`ShardAggregator` over :attr:`devices` (folded on first read),
+    the same reduction a sharded merge runs, so serial, pooled and
+    sharded runs share one arithmetic.
+    """
 
     fleet_name: str
     seed: int
@@ -352,78 +266,70 @@ class FleetResult:
     def __post_init__(self):
         self.devices = sorted(self.devices, key=lambda d: d.index)
         self.failures = sorted(self.failures, key=lambda f: f.index)
-        self._column_cache: dict = {}
+        self._agg = None
 
-    def _column(self, attr: str, dtype) -> np.ndarray:
-        """Per-device field as a numpy column (cached).
+    def _aggregator(self) -> "ShardAggregator":
+        if self._agg is None:
+            self._agg = ShardAggregator(self.fleet_name, self.seed)
+            self._agg.add_devices(self.devices)
+        return self._agg
 
-        Fleet aggregation reduces these arrays instead of re-iterating the
-        DeviceResult dataclasses per metric.  Columns are built in device-
-        index order from the sorted list, so every reduction is the same
-        arithmetic regardless of worker count — the bit-identity the
-        serial-vs-parallel acceptance check relies on.
-        """
-        col = self._column_cache.get(attr)
-        if col is None:
-            col = np.array([getattr(d, attr) for d in self.devices], dtype=dtype)
-            self._column_cache[attr] = col
-        return col
+    def _summary(self) -> dict:
+        return self._aggregator().aggregate()
 
     # ---------------- counts ---------------- #
     @property
     def num_devices(self) -> int:
+        """Devices that completed (quarantined devices excluded)."""
         return len(self.devices)
 
     @property
     def num_failures(self) -> int:
+        """Devices quarantined after the retry ladder."""
         return len(self.failures)
 
     @property
     def num_events(self) -> int:
-        return int(self._column("num_events", np.int64).sum())
+        """Events offered across the fleet."""
+        return self._summary()["events"]
 
     @property
     def num_processed(self) -> int:
-        return int(self._column("num_processed", np.int64).sum())
+        """Events that ran an inference across the fleet."""
+        return self._summary()["processed"]
 
     @property
     def num_missed(self) -> int:
-        return int(self._column("num_missed", np.int64).sum())
+        """Events missed across the fleet (any reason)."""
+        return self._summary()["missed"]
 
     @property
     def num_correct(self) -> int:
-        return int(self._column("num_correct", np.int64).sum())
+        """Correctly classified events across the fleet."""
+        return self._summary()["correct"]
 
     # ---------------- fleet metrics ---------------- #
     @property
     def fleet_iepmj(self) -> float:
         """Fleet-level Eq. 1: all correct events over all offered energy."""
-        total_energy = float(self._column("total_env_energy_mj", np.float64).sum())
-        if total_energy <= 0:
-            return 0.0
-        return self.num_correct / total_energy
+        return self._summary()["fleet_iepmj"]
 
     @property
     def average_accuracy(self) -> float:
-        if self.num_events == 0:
-            return 0.0
-        return self.num_correct / self.num_events
+        """Correct events over offered events, fleet-wide."""
+        return self._summary()["average_accuracy"]
 
-    def device_iepmj_percentiles(self, qs=(10, 50, 90)) -> dict:
+    def device_iepmj_percentiles(self) -> dict:
         """Spread of per-device IEpmJ — how unevenly the fleet performs."""
-        return percentile_dict(self._column("iepmj", np.float64), qs)
+        return self._summary()["device_iepmj_percentiles"]
 
-    def device_latency_percentiles(self, qs=(10, 50, 90)) -> dict:
+    def device_latency_percentiles(self) -> dict:
         """Spread of per-device mean latency across the fleet."""
-        return percentile_dict(self._column("mean_latency_s", np.float64), qs)
+        return self._summary()["device_latency_percentiles"]
 
     def miss_counts(self) -> dict:
         """Missed events across the fleet, grouped by reason."""
-        out: dict = {}
-        for d in self.devices:
-            for reason, count in d.miss_counts.items():
-                out[reason] = out.get(reason, 0) + count
-        return out
+        return self._summary()["miss_counts"]
 
     def exit_counts(self) -> list:
         """Processed events per final exit, summed across devices.
@@ -433,12 +339,7 @@ class FleetResult:
         Campaign reports reduce this into the exit-depth comparisons the
         paper draws in Fig. 7(b).
         """
-        width = max((len(d.exit_counts) for d in self.devices), default=0)
-        totals = [0] * width
-        for d in self.devices:
-            for i, count in enumerate(d.exit_counts):
-                totals[i] += int(count)
-        return totals
+        return self._summary()["exit_counts"]
 
     @property
     def mean_exit_depth(self) -> float:
@@ -448,11 +349,7 @@ class FleetResult:
         this up; one that rations moves it down — the scalar the campaign
         layer uses for cross-controller exit-depth deltas.
         """
-        counts = self.exit_counts()
-        total = sum(counts)
-        if total == 0:
-            return 0.0
-        return sum(i * c for i, c in enumerate(counts)) / total
+        return self._summary()["mean_exit_depth"]
 
     @property
     def devices_per_second(self) -> float:
@@ -469,33 +366,14 @@ class FleetResult:
         so a fully-recovered faulted run aggregates byte-identically to
         a fault-free one (the repro.faults identity contract).
         """
-        out = {
-            "fleet": self.fleet_name,
-            "seed": self.seed,
-            "devices": self.num_devices,
-            "events": self.num_events,
-            "processed": self.num_processed,
-            "missed": self.num_missed,
-            "correct": self.num_correct,
-            "fleet_iepmj": self.fleet_iepmj,
-            "average_accuracy": self.average_accuracy,
-            "device_iepmj_percentiles": self.device_iepmj_percentiles(),
-            "device_latency_percentiles": self.device_latency_percentiles(),
-            "miss_counts": self.miss_counts(),
-            "exit_counts": self.exit_counts(),
-            "mean_exit_depth": self.mean_exit_depth,
-            "total_env_energy_mj": float(
-                self._column("total_env_energy_mj", np.float64).sum()
-            ),
-            "total_consumed_mj": float(
-                self._column("total_consumed_mj", np.float64).sum()
-            ),
-        }
+        out = self._summary()
         if self.failures:
             out["failures"] = [f.to_dict() for f in self.failures]
         return out
 
     def to_dict(self, include_timing: bool = False) -> dict:
+        """JSON-safe report: the aggregate plus one row per device;
+        ``include_timing`` adds the wall-clock section."""
         out = {
             "aggregate": self.aggregate(),
             "devices": [d.to_dict(include_timing) for d in self.devices],
@@ -509,6 +387,7 @@ class FleetResult:
         return out
 
     def to_json(self, path: str, include_timing: bool = False) -> None:
+        """Write :meth:`to_dict` as canonical JSON to ``path``."""
         import json
 
         with open(path, "w") as fh:
@@ -516,73 +395,83 @@ class FleetResult:
 
 
 class ShardAggregator:
-    """Deterministic shard-order reduction to the fleet aggregate.
+    """The one deterministic reduction of device results to the fleet
+    aggregate.
 
-    Feed the packed payload of every shard *in plan order* (global device
-    indices ascending) and :meth:`aggregate` produces a dict byte-identical
-    (as canonical JSON) to ``FleetResult.aggregate()`` over the same
-    devices.  The subtlety this class exists for: numpy's ``sum`` uses
-    pairwise summation, so adding up per-shard *partial sums* would not be
-    bit-identical to reducing the full column — shard columns are therefore
-    **concatenated** before any float reduction, while the miss/exit folds
-    (exact integer arithmetic) accumulate incrementally so per-device dicts
-    can be released with their shard.
+    Fold devices in global index order — :class:`DeviceResult` objects
+    with :meth:`add_devices`, packed columns (a shard artifact's
+    ``devices``) with :meth:`add_packed`, both through one per-device
+    fold — and :meth:`aggregate` reduces them.  :class:`FleetResult`
+    reads its numbers from one, so a serial run, a pooled run and a
+    sharded merge over the same devices aggregate byte-identically.  The
+    subtlety this class exists for: numpy's ``sum`` uses pairwise
+    summation, so adding up per-shard *partial sums* would not be
+    bit-identical to reducing the full column — float columns are
+    therefore kept whole and reduced once, while the miss/exit folds
+    (exact integer arithmetic) accumulate incrementally so per-device
+    dicts can be released with their shard.
     """
 
-    _INT_COLS = ("num_events", "num_processed", "num_missed", "num_correct")
-    _FLOAT_COLS = (
-        "iepmj", "mean_latency_s", "total_env_energy_mj", "total_consumed_mj",
-    )
+    #: Per-device columns the aggregate reduces, with their dtypes.
+    _COLUMNS = {
+        "num_events": np.int64, "num_processed": np.int64,
+        "num_missed": np.int64, "num_correct": np.int64,
+        "iepmj": np.float64, "mean_latency_s": np.float64,
+        "total_env_energy_mj": np.float64, "total_consumed_mj": np.float64,
+    }
 
     def __init__(self, fleet_name: str, seed: int):
         self.fleet_name = fleet_name
         self.seed = int(seed)
         self.num_devices = 0
-        self._cols: dict = {
-            attr: [] for attr in self._INT_COLS + self._FLOAT_COLS
-        }
+        self._cols: dict = {attr: [] for attr in self._COLUMNS}
         self._miss_counts: dict = {}
         self._exit_totals: list = []
 
+    def add_devices(self, devices) -> None:
+        """Fold :class:`DeviceResult` objects (device-index order)."""
+        for d in devices:
+            self._fold(
+                [getattr(d, attr) for attr in self._cols],
+                d.miss_counts,
+                d.exit_counts,
+            )
+
     def add_packed(self, packed: dict) -> None:
-        """Fold one shard's packed payload (device-index order within)."""
-        n = int(packed["n"])
-        self.num_devices += n
-        for attr in self._INT_COLS:
-            self._cols[attr].append(np.asarray(packed[attr], dtype=np.int64))
-        for attr in self._FLOAT_COLS:
-            self._cols[attr].append(np.asarray(packed[attr], dtype=np.float64))
-        miss_column = packed["miss_counts"]
-        for i in range(n):
-            for reason, count in _unpack_dict_column(miss_column, i, int).items():
-                self._miss_counts[reason] = self._miss_counts.get(reason, 0) + count
-        widths, matrix = packed["exit_widths"], packed["exit_counts"]
-        for i in range(n):
-            width = int(widths[i])
-            if width > len(self._exit_totals):
-                self._exit_totals.extend([0] * (width - len(self._exit_totals)))
-            for j in range(width):
-                self._exit_totals[j] += int(matrix[i][j])
+        """Fold one shard's packed columns (device-index order within)."""
+        columns = [packed[attr] for attr in self._cols]
+        misses, exits = packed["miss_counts"], packed["exit_counts"]
+        for i in range(packed["n"]):
+            self._fold(
+                [column[i] for column in columns],
+                _unpack_dict_column(misses, i, int),
+                exits[i][:packed["exit_widths"][i]],
+            )
+
+    def _fold(self, values, misses: dict, exits) -> None:
+        self.num_devices += 1
+        for column, value in zip(self._cols.values(), values):
+            column.append(value)
+        for reason, count in misses.items():
+            self._miss_counts[reason] = self._miss_counts.get(reason, 0) + int(count)
+        if len(exits) > len(self._exit_totals):
+            self._exit_totals.extend([0] * (len(exits) - len(self._exit_totals)))
+        for j, count in enumerate(exits):
+            self._exit_totals[j] += int(count)
 
     def _column(self, attr: str) -> np.ndarray:
-        parts = self._cols[attr]
-        dtype = np.int64 if attr in self._INT_COLS else np.float64
-        if not parts:
-            return np.array([], dtype=dtype)
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        return np.array(self._cols[attr], dtype=self._COLUMNS[attr])
 
     def aggregate(self) -> dict:
-        """The merged fleet summary — same arithmetic, same key set, same
-        values as ``FleetResult.aggregate()`` over the concatenated
-        devices (the sharded-identity contract)."""
+        """The fleet summary: same arithmetic, same key set and same values
+        for every way the devices were folded (the sharded-identity
+        contract)."""
         events = int(self._column("num_events").sum())
         processed = int(self._column("num_processed").sum())
         missed = int(self._column("num_missed").sum())
         correct = int(self._column("num_correct").sum())
         total_energy = float(self._column("total_env_energy_mj").sum())
-        counts = [int(c) for c in self._exit_totals]
+        counts = list(self._exit_totals)
         total_exits = sum(counts)
         return {
             "fleet": self.fleet_name,
@@ -609,3 +498,28 @@ class ShardAggregator:
             "total_env_energy_mj": total_energy,
             "total_consumed_mj": float(self._column("total_consumed_mj").sum()),
         }
+
+
+def record_outcome_metrics(metrics, agg: ShardAggregator, wall_s: float,
+                           gauges: dict) -> None:
+    """Record the ``fleet.*`` outcome metrics of a finished run.
+
+    Computed parent-side from the folded device results — serial, pooled
+    and sharded runs therefore record the same names, values and order
+    regardless of worker count, chunking or sharding.  ``gauges`` (the
+    worker count plus ``fleet.parallel`` or ``fleet.shards``) are set
+    last, in the given order.  (Engine internals — ``batch.*`` counters
+    and profiler phases — are recorded where the engine runs and are
+    chunking-granular by nature.)
+    """
+    aggregate = agg.aggregate()
+    metrics.inc("fleet.runs")
+    metrics.inc("fleet.devices", aggregate["devices"])
+    metrics.inc("fleet.events", aggregate["events"])
+    metrics.inc("fleet.events.processed", aggregate["processed"])
+    metrics.inc("fleet.events.missed", aggregate["missed"])
+    metrics.inc("fleet.events.correct", aggregate["correct"])
+    metrics.observe_many("fleet.device.iepmj", agg._column("iepmj"))
+    metrics.observe("fleet.run.wall_s", wall_s)
+    for name, value in gauges.items():
+        metrics.set_gauge(name, value)

@@ -2,12 +2,12 @@
 
 Every fleet runs through :class:`~repro.sim.batch.BatchedFleetEngine`:
 one engine over the whole fleet when serial, one engine per *chunk* of
-devices when a worker pool maps chunks (packed-array wire form for the
-results) instead of one IPC round-trip per device.  A parallel request
-falls back to serial outright when the fleet is too small — or the
-machine too narrow — for process parallelism to pay for its dispatch: the
-measured regression this replaces had a 32-device pool running ~0.7x
-serial speed.
+devices when a worker pool maps chunks (results come home as sealed
+packed columns, see :mod:`repro.fleet.results`) instead of one IPC
+round-trip per device.  A parallel request falls back to serial outright
+when the fleet is too small — or the machine too narrow — for process
+parallelism to pay for its dispatch: the measured regression this
+replaces had a 32-device pool running ~0.7x serial speed.
 
 :func:`run_device` is the scalar oracle: it materializes one
 :class:`~repro.fleet.spec.DeviceSpec` into live trace / storage / MCU /
@@ -32,6 +32,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import struct
 import threading
 import time
 from collections import deque
@@ -60,6 +61,7 @@ from repro.fleet.results import (
     DeviceResult,
     FleetResult,
     pack_device_results,
+    record_outcome_metrics,
     seal_payload,
     unpack_device_results,
     verify_payload,
@@ -313,58 +315,55 @@ def _apply_worker_faults(ops, in_worker: bool) -> None:
                 time.sleep(float(op.get("seconds", 1.0)))
             else:
                 raise InjectedFault("injected hang (serial dispatch)")
-        # "corrupt_payload" is applied after packing, not here.
+        # "corrupt_payload" is applied after sealing, not here.
 
 
-def _corrupt_packed_payload(payload: dict, ops) -> None:
-    """Flip bits in a sealed payload (the ``corrupt_payload`` directive)."""
+def _sealed_chunk(tasks, ops) -> dict:
+    """Run one chunk and seal its packed results for the wire.
+
+    ``corrupt_payload`` directives then flip bits in the sealed body, as
+    a damaged wire would, so :func:`verify_payload` must catch them.
+    """
+    body = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
     for op in ops:
         if op["op"] != "corrupt_payload":
             continue
-        column = payload.get("iepmj")
-        if isinstance(column, np.ndarray) and column.size:
-            column.view(np.uint64)[0] ^= np.uint64(0xFF)
-        else:  # pragma: no cover - defensive: empty chunk
-            payload["digest"] = "0" * 64
+        column = body["iepmj"]
+        (bits,) = struct.unpack("<Q", struct.pack("<d", column[0]))
+        (column[0],) = struct.unpack("<d", struct.pack("<Q", bits ^ 0xFF))
+    return body
 
 
-def _run_chunk_packed(args) -> dict:
-    """Worker entry for chunked dispatch: run a batch, ship packed arrays.
+def _run_chunk_packed(args) -> tuple:
+    """Worker entry for chunked dispatch: ``(sealed body, obs wire)``.
 
-    ``obs`` is ``None`` when the parent had observability off; otherwise a
-    small flags dict.  The worker never writes to the parent's sinks (a
-    fork-inherited recorder would share the trace file descriptor): it
-    scopes a *fresh* metrics(+profiler) recorder around the batch and
-    ships its wire snapshot home under the payload's ``"obs"`` key, to be
-    merged parent-side in dispatch order.
+    ``obs`` is ``None`` when the parent had observability off (and the
+    wire is ``None`` too); otherwise a small flags dict.  The worker
+    never writes to the parent's sinks (a fork-inherited recorder would
+    share the trace file descriptor): it scopes a *fresh*
+    metrics(+profiler) recorder around the batch and ships its wire
+    snapshot home beside the sealed body, to be merged parent-side in
+    dispatch order once the body is accepted.
 
     ``ops`` are the chaos directives the parent's fault injector decided
-    for this attempt (empty in production).  The payload is sealed with a
-    content digest *before* corruption directives run, so an injected (or
-    real) wire corruption is caught by ``verify_payload`` parent-side.
+    for this attempt (empty in production).
     """
     tasks, obs, ops = args
     if ops:
         _apply_worker_faults(ops, in_worker=True)
     if obs is None:
-        payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
-        if ops:
-            _corrupt_packed_payload(payload, ops)
-        return payload
+        return _sealed_chunk(tasks, ops), None
     recorder = Recorder(metrics=True, profile=bool(obs.get("profile")))
     previous = set_recorder(recorder)
     try:
-        payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
+        body = _sealed_chunk(tasks, ops)
     finally:
         set_recorder(previous)
         recorder.close()
     wire = {"metrics": recorder.metrics.to_wire()}
     if recorder.profiler is not None:
         wire["profiler"] = recorder.profiler.to_wire()
-    payload["obs"] = wire
-    if ops:
-        _corrupt_packed_payload(payload, ops)
-    return payload
+    return body, wire
 
 
 def _run_chunk_inline(tasks, ops) -> list:
@@ -380,20 +379,15 @@ def _run_chunk_inline(tasks, ops) -> list:
     if not ops:
         return BatchedFleetEngine(tasks).run()
     _apply_worker_faults(ops, in_worker=False)
-    payload = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
-    _corrupt_packed_payload(payload, ops)
-    verify_payload(payload)
-    return unpack_device_results(payload)
+    packed, _ = verify_payload(_sealed_chunk(tasks, ops))
+    return unpack_device_results(packed)
 
 
-def _merge_worker_obs(rec, payloads) -> None:
+def _merge_worker_obs(rec, wires) -> None:
     """Fold worker obs snapshots into the active recorder, in dispatch
     order (which makes histogram splicing deterministic — see
     :mod:`repro.obs.metrics`)."""
-    for payload in payloads:
-        wire = payload.pop("obs", None)
-        if not wire:
-            continue
+    for wire in wires:
         if rec.metrics is not None and "metrics" in wire:
             rec.metrics.merge_wire(wire["metrics"])
         if rec.profiler is not None and "profiler" in wire:
@@ -431,7 +425,7 @@ class _FaultTolerantDispatch:
 
     Retried work is deterministic by construction (per-device
     ``SeedSequence`` streams), and the dispatcher *asserts* it: every
-    accepted pooled payload carries a content digest, and a straggler
+    pooled chunk arrives sealed by :mod:`repro.store`, and a straggler
     that completes after its replacement must match the accepted digest
     bit-for-bit or the run fails with :class:`IntegrityError`.
     """
@@ -446,7 +440,7 @@ class _FaultTolerantDispatch:
         self.metrics = self.rec.metrics
         self.results: dict = {}  # device index -> DeviceResult
         self.failures: list = []  # DeviceFailure
-        self._obs_wires: list = []  # (job order, wire) accepted payload obs
+        self._obs_wires: list = []  # (job order, wire) of accepted chunks
         self._accepted_digests: dict = {}  # device-index tuple -> digest
         self._stragglers: list = []  # (job, AsyncResult) timed-out attempts
 
@@ -462,7 +456,7 @@ class _FaultTolerantDispatch:
             self._run_pooled(jobs)
         if self._obs_wires:
             self._obs_wires.sort(key=lambda item: item[0])
-            _merge_worker_obs(self.rec, [{"obs": wire} for _, wire in self._obs_wires])
+            _merge_worker_obs(self.rec, [wire for _, wire in self._obs_wires])
         self.failures.sort(key=lambda f: f.index)
         return self.results, self.failures
 
@@ -526,14 +520,14 @@ class _FaultTolerantDispatch:
                     live.remove(entry)
                     progressed = True
                     try:
-                        payload = handle.get()
-                        verify_payload(payload)
+                        body, wire = handle.get()
+                        packed, digest = verify_payload(body)
                     except ConfigError:
                         raise
                     except Exception as exc:
                         self._on_failure(job, exc, jobs)
                     else:
-                        self._accept_payload(job, payload)
+                        self._accept_payload(job, packed, digest, wire)
                 elif deadline is not None and now >= deadline:
                     live.remove(entry)
                     progressed = True
@@ -557,12 +551,11 @@ class _FaultTolerantDispatch:
         for device in devices:
             self.results[device.index] = device
 
-    def _accept_payload(self, job, payload: dict) -> None:
-        wire = payload.pop("obs", None)
+    def _accept_payload(self, job, packed: dict, digest: str, wire) -> None:
         if wire:
             self._obs_wires.append((job.order, wire))
-        self._accepted_digests[job.indices()] = payload.get("digest")
-        self._accept_devices(job, unpack_device_results(payload))
+        self._accepted_digests[job.indices()] = digest
+        self._accept_devices(job, unpack_device_results(packed))
 
     # ------------------------------------------------------------------ #
     # The recovery ladder
@@ -629,10 +622,11 @@ class _FaultTolerantDispatch:
         """Check timed-out attempts that completed after re-dispatch.
 
         Re-execution is bit-identical by construction, so a straggler's
-        payload must equal the accepted one — comparing the two content
+        sealed body must equal the accepted one — comparing the two seal
         digests is the cheapest end-to-end determinism assert we can run
-        in production.  Stragglers that never surface within the grace
-        window are abandoned (the pool teardown reclaims their workers).
+        in production.  A straggler's obs wire is dropped unread.
+        Stragglers that never surface within the grace window are
+        abandoned (the pool teardown reclaims their workers).
         """
         if not self._stragglers:
             return
@@ -649,8 +643,8 @@ class _FaultTolerantDispatch:
                 self._discard(handle)
                 continue
             try:
-                payload = handle.get()
-                verify_payload(payload)
+                body, _ = handle.get()
+                _, digest = verify_payload(body)
             except Exception:
                 self._inc("fleet.straggler.failed")
                 continue
@@ -659,7 +653,7 @@ class _FaultTolerantDispatch:
                 # The re-execution was split into single-device
                 # chunks; there is no whole-chunk digest to compare.
                 self._inc("fleet.straggler.unmatched")
-            elif payload.get("digest") == expected:
+            elif digest == expected:
                 self._inc("fleet.straggler.verified")
             else:
                 raise IntegrityError(
@@ -719,10 +713,10 @@ class LazyPool:
 
     The serial-fallback fix means a pooled caller (e.g. a campaign whose
     cells are all below the parallel threshold) may never dispatch a
-    single map — eagerly forking workers would charge it the pool startup
-    for nothing, which was a visible slice of the pooled-campaign
-    pessimization.  ``map`` / ``apply_async`` materialize the real pool
-    on demand; teardown is a no-op when it never started.
+    single chunk — eagerly forking workers would charge it the pool
+    startup for nothing, which was a visible slice of the pooled-campaign
+    pessimization.  ``apply_async`` materializes the real pool on demand;
+    teardown is a no-op when it never started.
 
     ``multiprocessing.Pool`` transparently respawns a worker that dies
     (SIGKILL, ``os._exit``), but the chunk that worker held is simply
@@ -741,16 +735,16 @@ class LazyPool:
             self._pool = multiprocessing.Pool(processes=self._workers)
         return self._pool
 
-    def map(self, func, iterable, chunksize=None):
-        return self._materialize().map(func, iterable, chunksize=chunksize)
-
     def apply_async(self, func, args=()):
+        """``Pool.apply_async`` on the real pool, forking it on first use."""
         return self._materialize().apply_async(func, args)
 
     #: How long a graceful shutdown waits before escalating to terminate.
     JOIN_TIMEOUT_S = 10.0
 
     def shutdown(self, force: bool = False) -> None:
+        """Tear the real pool down (``force``: terminate, no drain); the
+        next :meth:`apply_async` forks a fresh one."""
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -945,29 +939,16 @@ class FleetRunner:
         )
         rec = get_recorder()
         if rec.metrics is not None:
-            self._record_fleet_metrics(rec.metrics, result)
+            record_outcome_metrics(
+                rec.metrics,
+                result._aggregator(),
+                result.wall_s,
+                {
+                    "fleet.workers": result.workers,
+                    "fleet.parallel": bool(self.last_run_parallel),
+                },
+            )
         return result
-
-    def _record_fleet_metrics(self, metrics, result: FleetResult) -> None:
-        """Parent-side outcome metrics, computed from the aggregated device
-        results *after* dispatch — serial and pooled runs therefore build
-        identical outcome registries regardless of worker count or
-        chunking.  (Engine internals — ``batch.*`` counters and profiler
-        phases — are recorded where the engine runs and are
-        chunking-granular by nature.)
-        """
-        metrics.inc("fleet.runs")
-        metrics.inc("fleet.devices", result.num_devices)
-        metrics.inc("fleet.events", result.num_events)
-        metrics.inc("fleet.events.processed", result.num_processed)
-        metrics.inc("fleet.events.missed", result.num_missed)
-        metrics.inc("fleet.events.correct", result.num_correct)
-        metrics.observe_many(
-            "fleet.device.iepmj", [d.iepmj for d in result.devices]
-        )
-        metrics.observe("fleet.run.wall_s", result.wall_s)
-        metrics.set_gauge("fleet.workers", result.workers)
-        metrics.set_gauge("fleet.parallel", bool(self.last_run_parallel))
 
 
 def run_fleet(

@@ -36,9 +36,9 @@ Three mechanisms, in order of load-bearing-ness:
   is resolved by publish-once + digest verification.
 * **The merge** loads shard artifacts in plan order, verifies each
   checksum, and folds the packed device columns through
-  :class:`~repro.fleet.results.ShardAggregator` — concatenating columns
-  before reduction so the aggregate is bit-identical to
-  ``FleetResult.aggregate()``.  A corrupt artifact
+  :class:`~repro.fleet.results.ShardAggregator` — the reduction
+  ``FleetResult.aggregate()`` reads, so the aggregate is bit-identical
+  to an unsharded run's.  A corrupt artifact
   (:class:`~repro.errors.CorruptArtifactError`, as for campaign cells)
   is quarantined and its shard re-executed (bounded heal rounds).
 
@@ -65,16 +65,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import ConfigError, CorruptArtifactError
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.fleet.results import (
     ShardAggregator,
-    jsonable_to_packed,
     pack_device_results,
-    packed_to_jsonable,
+    record_outcome_metrics,
 )
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import FleetSpec
@@ -390,6 +387,39 @@ class ShardLedger:
                 "--resume to re-merge it or point --ledger elsewhere"
             )
 
+    def plan_for(
+        self,
+        source,
+        shards: Optional[int] = None,
+        width: Optional[int] = None,
+        plan: Optional[ShardPlan] = None,
+    ) -> ShardPlan:
+        """The shard plan a run of ``source`` over this ledger uses.
+
+        ``plan`` if given, else an equal-width plan from ``shards`` or
+        ``width``, else the plan recorded in ``ledger.json`` (the
+        ``--resume`` path).  Reads the ledger but writes nothing.
+        """
+        if plan is None:
+            if shards is None and width is None:
+                meta = self.read_meta()
+                if meta is None:
+                    raise ConfigError(
+                        "need shards=N, shard_width=W, or an existing ledger "
+                        "(--resume) to determine the shard plan"
+                    )
+                plan = ShardPlan.from_dict(meta.get("plan", {}))
+            else:
+                plan = ShardPlan.from_counts(
+                    source.num_devices, shards=shards, width=width
+                )
+        if plan.num_devices != source.num_devices:
+            raise ConfigError(
+                f"shard plan covers {plan.num_devices} device(s) but fleet "
+                f"{source.name!r} has {source.num_devices}"
+            )
+        return plan
+
     # ---------------------------- shards ------------------------------ #
     def completed_keys(self) -> set:
         """Keys of every shard with a published artifact on disk."""
@@ -586,18 +616,13 @@ class _ShardExecutor:
                 width = self._effective_width(len(tasks) - pos)
                 results.extend(self._run_batch(tasks[pos:pos + width]))
                 pos += width
-        packed = pack_device_results(results)
-        # Wall-clock is observability, not content: zero it so a re-run
-        # shard (stolen lease, straggler) publishes the same bytes and
-        # the digest-verify straggler path can confirm determinism.
-        packed["wall_s"] = np.zeros(len(results), dtype=np.float64)
         return {
             "key": key,
             "start": int(start),
             "end": int(end),
             "fleet": self.source.name,
             "seed": int(self.source.seed),
-            "devices": packed_to_jsonable(packed),
+            "devices": pack_device_results(results),
         }
 
     def _effective_width(self, remaining: int) -> int:
@@ -722,33 +747,10 @@ def _merge_ledger(source, plan: ShardPlan, ledger: ShardLedger) -> tuple:
             corrupt.append(key)  # content does not cover the range its key names
             continue
         if not corrupt:
-            agg.add_packed(jsonable_to_packed(body["devices"]))
+            agg.add_packed(body["devices"])
     if corrupt:
         return None, corrupt
     return agg, []
-
-
-def _record_outcome_metrics(metrics, agg: ShardAggregator, aggregate: dict,
-                            plan: ShardPlan, workers: int,
-                            wall_s: float) -> None:
-    """Parent-side outcome metrics from the merged columns — the same
-    names, values, and recording order as ``FleetRunner`` over the same
-    devices, so sharded and unsharded registries agree on every
-    chunking-invariant metric.  (Engine internals — ``batch.*`` counters
-    — are recorded where each shard executes and are sub-batch-granular
-    by nature.)"""
-    metrics.inc("fleet.runs")
-    metrics.inc("fleet.devices", aggregate["devices"])
-    metrics.inc("fleet.events", aggregate["events"])
-    metrics.inc("fleet.events.processed", aggregate["processed"])
-    metrics.inc("fleet.events.missed", aggregate["missed"])
-    metrics.inc("fleet.events.correct", aggregate["correct"])
-    metrics.observe_many(
-        "fleet.device.iepmj", [float(v) for v in agg._column("iepmj")]
-    )
-    metrics.observe("fleet.run.wall_s", wall_s)
-    metrics.set_gauge("fleet.workers", workers)
-    metrics.set_gauge("fleet.shards", plan.num_shards)
 
 
 def run_sharded(
@@ -782,24 +784,7 @@ def run_sharded(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     ledger = ShardLedger(ledger_dir)
-    if plan is None:
-        if shards is None and shard_width is None:
-            meta = ledger.read_meta()
-            if meta is None:
-                raise ConfigError(
-                    "need shards=N, shard_width=W, or an existing ledger "
-                    "(--resume) to determine the shard plan"
-                )
-            plan = ShardPlan.from_dict(meta.get("plan", {}))
-        else:
-            plan = ShardPlan.from_counts(
-                source.num_devices, shards=shards, width=shard_width
-            )
-    if plan.num_devices != source.num_devices:
-        raise ConfigError(
-            f"shard plan covers {plan.num_devices} device(s) but fleet "
-            f"{source.name!r} has {source.num_devices}"
-        )
+    plan = ledger.plan_for(source, shards, shard_width, plan)
     meta = {
         "fleet": source.name,
         "seed": int(source.seed),
@@ -876,8 +861,11 @@ def run_sharded(
     )
     metrics = get_recorder().metrics
     if metrics is not None:
-        _record_outcome_metrics(
-            metrics, agg, aggregate, plan, workers, result.wall_s
+        record_outcome_metrics(
+            metrics,
+            agg,
+            result.wall_s,
+            {"fleet.workers": workers, "fleet.shards": plan.num_shards},
         )
         if resumed:
             metrics.inc("fleet.shard.resumed", resumed)

@@ -497,11 +497,6 @@ def _rule_key(rule):
     return None
 
 
-def rule_batchable(rule) -> bool:
-    """Can this continue rule run under the lockstep engine?"""
-    return _rule_key(rule) is not None
-
-
 def batch_continue_rules(controllers, max_steps: int, rows=None):
     """Partition per-device continue rules into batched rule groups.
 

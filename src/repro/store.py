@@ -4,12 +4,15 @@ Campaign cells (:mod:`repro.campaign.store`), shard-ledger artifacts
 (:mod:`repro.fleet.shards`) and gateway checkpoints
 (:mod:`repro.gateway.checkpoint`) are canonical JSON objects sealed with
 a sha256 content digest under an ``"integrity"`` key.  This module owns
-that format and how its failures are handled — the sealed atomic write
+that format and how its failures are handled — the in-memory
+:func:`seal`/:func:`unseal` pair, the sealed atomic write
 (:func:`write_sealed`), the publish-once write (:func:`publish_once`),
 the verified read (:func:`read_sealed`) and the quarantine move
 (:func:`quarantine`) — so callers only map their keys to paths and name
-their chaos sites.  It sits below every package that writes artifacts
-and loads only :mod:`repro.errors` and the fault injector.
+their chaos sites.  Pool chunks (:mod:`repro.fleet.runner`) cross the
+process boundary as :func:`seal` bodies and are checked with
+:func:`unseal`.  It sits below every package that writes artifacts and
+loads only :mod:`repro.errors` and the fault injector.
 """
 
 from __future__ import annotations
@@ -64,13 +67,33 @@ def cell_checksum(payload: dict) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def _seal(payload: dict) -> tuple:
+def seal(payload: dict) -> tuple:
     """``(body, digest)``: a copy of ``payload`` carrying its seal."""
     body = dict(payload)
     body.pop("integrity", None)
     digest = cell_checksum(body)
     body["integrity"] = {"algo": "sha256", "digest": digest}
     return body, digest
+
+
+def unseal(body: dict) -> tuple:
+    """``(payload, digest)``: a copy of ``body`` verified against its seal,
+    with the seal stripped.
+
+    Raises :class:`~repro.errors.IntegrityError` for a missing or
+    malformed seal or a checksum mismatch.
+    """
+    payload = dict(body)
+    stamp = payload.pop("integrity", None)
+    sealed = stamp.get("digest") if isinstance(stamp, dict) else None
+    if not isinstance(sealed, str) or stamp.get("algo") != "sha256":
+        raise IntegrityError(f"missing or malformed sha256 seal {str(stamp)[:40]!r}")
+    digest = cell_checksum(payload)
+    if sealed != digest:
+        raise IntegrityError(
+            f"checksum mismatch (stored {sealed[:12]}…, computed {digest[:12]}…)"
+        )
+    return payload, digest
 
 
 def _apply_save_faults(path: str, site: Optional[str]) -> None:
@@ -106,7 +129,7 @@ def write_sealed(path: str, payload: dict, chaos_site: Optional[str] = None) -> 
     ``chaos_site`` names the fault site whose save directives damage the
     file after the write.
     """
-    body, digest = _seal(payload)
+    body, digest = seal(payload)
     atomic_write_json(path, body)
     _apply_save_faults(path, chaos_site)
     return digest
@@ -123,7 +146,7 @@ def publish_once(path: str, payload: dict, chaos_site: Optional[str] = None) -> 
     incumbent is quarantined and the publish retried once (our copy is
     known-good).  Only the winner polls ``chaos_site``.
     """
-    body, digest = _seal(payload)
+    body, digest = seal(payload)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     for _ in range(2):  # second pass only after quarantining a corrupt winner
@@ -201,16 +224,10 @@ def read_sealed(
         raise corrupt(f"expected a JSON object, got {type(body).__name__}")
     if unsealed_ok and "integrity" not in body:
         return body, None
-    seal = body.pop("integrity", None)
-    sealed = seal.get("digest") if isinstance(seal, dict) else None
-    if not isinstance(sealed, str) or seal.get("algo") != "sha256":
-        raise corrupt(f"missing or malformed sha256 seal {str(seal)[:40]!r}")
-    digest = cell_checksum(body)
-    if sealed != digest:
-        raise corrupt(
-            f"checksum mismatch (stored {sealed[:12]}…, computed {digest[:12]}…)"
-        )
-    return body, digest
+    try:
+        return unseal(body)
+    except IntegrityError as exc:
+        raise corrupt(str(exc)) from exc
 
 
 def quarantine(path: str) -> str:

@@ -32,6 +32,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.fleet import FleetRunner, FleetShardSource, FleetSpec, run_sharded
 from repro.fleet.__main__ import main as fleet_main
+from repro.fleet.results import unpack_device_results
 from repro.gateway import FleetTwin, load_checkpoint, save_checkpoint
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -130,6 +131,16 @@ def test_golden_artifacts_merge_without_executing(tmp_path):
     result = run_sharded(FleetShardSource(spec), str(tmp_path / "ledger"), shards=2)
     assert result.shards_executed == 0 and result.shards_resumed == 2
     assert _aggregate(result) == aggregate
+
+
+def test_golden_artifacts_unpack_to_engine_results():
+    spec, _ = _golden()
+    serial = [d.to_dict(include_timing=True) for d in FleetRunner(spec).run().devices]
+    for raw in _golden_shard_bytes().values():
+        body = json.loads(raw)
+        start, end = body["start"], body["end"]
+        devices = unpack_device_results(body["devices"])
+        assert [d.to_dict(include_timing=True) for d in devices] == serial[start:end]
 
 
 def test_cli_serial_and_pooled_reports_are_identical(tmp_path, capsys):

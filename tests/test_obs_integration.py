@@ -24,9 +24,9 @@ import os
 import pytest
 
 from repro.campaign import CAMPAIGNS, CampaignStore, report_from_store, run_campaign
-from repro.fleet import SCENARIOS, FleetRunner
+from repro.fleet import SCENARIOS, FleetRunner, ShardLedger, ShardPlan
 from repro.fleet.__main__ import main as fleet_main
-from repro.obs import MANIFEST_SCHEMA, Recorder, recording
+from repro.obs import MANIFEST_SCHEMA, recording
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 #: A fast, representative golden subset: the 2-device smoke fleet and a
@@ -225,14 +225,17 @@ def test_fleet_cli_trace_metrics_profile(tmp_path, capsys):
     assert "wrote trace to" in out and "wrote metrics to" in out
 
 
-def test_fleet_cli_explain(capsys, monkeypatch):
+def test_fleet_cli_explain(capsys, monkeypatch, tmp_path):
     """One line per device plus the dispatch plan, and nothing simulated:
-    an engine that refuses to build must not be reached."""
+    an engine that refuses to build must not be reached.  A sharded
+    command explains its shard plan, writes nothing, and rejects the
+    flags the sharded run would reject."""
 
     def no_engine(tasks):
         raise AssertionError("--explain must not simulate")
 
     monkeypatch.setattr("repro.fleet.runner.BatchedFleetEngine", no_engine)
+    monkeypatch.setattr("repro.fleet.shards.BatchedFleetEngine", no_engine)
     spec = SCENARIOS.build("dev-smoke")
     code = fleet_main(["run", "dev-smoke", "--explain"])
     assert code == 0
@@ -243,6 +246,31 @@ def test_fleet_cli_explain(capsys, monkeypatch):
         assert device.trace["family"] in line
         assert device.controller["kind"] in line
     assert "dispatch: serial, in-process" in out
+
+    ledger = tmp_path / "L"
+    argv = ["run", "brownout-grid-256", "--devices", "64", "--shards", "8"]
+    argv += ["--ledger", str(ledger), "--explain"]
+    assert fleet_main(argv + ["--shard-workers", "2"]) == 0
+    out = capsys.readouterr().out
+    assert f"dispatch: sharded, 8 shard(s) x 2 shard worker(s) via {ledger}" in out
+    assert "rf-063" in out
+    assert not ledger.exists()
+    assert fleet_main(argv + ["--workers", "2"]) == 2
+    assert "--workers parallelizes an unsharded run" in capsys.readouterr().err
+    assert not ledger.exists()
+
+
+def test_fleet_cli_explain_resume_reads_the_ledger_plan(capsys, tmp_path):
+    ledger = tmp_path / "L"
+    ShardLedger(str(ledger)).initialize({"fleet": "x"}, ShardPlan(64, [0, 10, 64]))
+    before = sorted(p.name for p in ledger.rglob("*"))
+    argv = ["run", "brownout-grid-256", "--devices", "64", "--resume"]
+    assert fleet_main(argv + ["--ledger", str(ledger), "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert f"dispatch: sharded, 2 shard(s) x 1 shard worker(s) via {ledger}" in out
+    assert sorted(p.name for p in ledger.rglob("*")) == before
+    assert fleet_main(argv + ["--explain"]) == 2
+    assert "--ledger DIR" in capsys.readouterr().err
 
 
 def test_fleet_cli_obs_off_writes_nothing(tmp_path, capsys):

@@ -22,12 +22,7 @@ import pytest
 
 from repro.errors import ConfigError, CorruptArtifactError, IntegrityError
 from repro.faults import Fault, FaultPlan, chaos
-from repro.fleet.results import (
-    ShardAggregator,
-    jsonable_to_packed,
-    pack_device_results,
-    packed_to_jsonable,
-)
+from repro.fleet.results import ShardAggregator, pack_device_results
 from repro.fleet.runner import FleetRunner, run_device
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.shards import (
@@ -119,8 +114,7 @@ class TestPackedJsonable:
             run_device((i, tiny_device(f"dev-{i}"), 5)) for i in range(3)
         ]
         packed = pack_device_results(results)
-        wire = json.loads(json.dumps(packed_to_jsonable(packed)))
-        restored = jsonable_to_packed(wire)
+        restored = json.loads(json.dumps(packed))
         agg_a, agg_b = (ShardAggregator("t", 5) for _ in range(2))
         agg_a.add_packed(packed)
         agg_b.add_packed(restored)
@@ -136,10 +130,10 @@ class TestShardLedger:
     def payload(self, key="s0000000-0000002"):
         results = [run_device((i, tiny_device(f"dev-{i}"), 5)) for i in range(2)]
         packed = pack_device_results(results)
-        packed["wall_s"] = [0.0] * len(results)  # as the executor publishes
+        packed["wall_s"] = [0.0] * len(results)  # as the engine publishes
         return {
             "key": key, "start": 0, "end": 2, "fleet": "tiny", "seed": 5,
-            "devices": packed_to_jsonable(packed),
+            "devices": packed,
         }
 
     def test_save_load_roundtrip(self, tmp_path):
