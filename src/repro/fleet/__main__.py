@@ -116,28 +116,27 @@ def _check_sharded_flags(args) -> None:
         )
 
 
-def _explain_dispatch(args, spec: FleetSpec, sharded: bool) -> str:
-    """The dispatch ``run`` would use with the same flags (no disk writes)."""
+def _print_explain(args, sharded: bool) -> None:
+    """One line per device, then the dispatch ``run`` would use with the
+    same flags (rejecting what ``run`` rejects; nothing simulated or
+    written)."""
+    spec = _build_spec(args)
     if sharded:
         from repro.fleet.shards import ShardLedger
 
         _check_sharded_flags(args)
         plan = ShardLedger(args.ledger).plan_for(spec, args.shards, args.shard_width)
-        return (
+        dispatch = (
             f"sharded, {plan.num_shards} shard(s) x {args.shard_workers} "
             f"shard worker(s) via {args.ledger}"
         )
-    runner = FleetRunner(spec, workers=args.workers, chunksize=args.chunksize)
-    workers, chunks = runner.dispatch_plan()
-    if workers == 1 and chunks == 1:
-        return "serial, in-process"
-    return f"{workers} worker(s) x {chunks} chunk(s)"
-
-
-def _print_explain(args, sharded: bool) -> None:
-    """One line per device, then the dispatch ``run`` would use."""
-    spec = _build_spec(args)
-    dispatch = _explain_dispatch(args, spec, sharded)
+    else:
+        runner = FleetRunner(spec, workers=args.workers, chunksize=args.chunksize)
+        workers, chunks = runner.dispatch_plan()
+        dispatch = (
+            "serial, in-process" if workers == chunks == 1
+            else f"{workers} worker(s) x {chunks} chunk(s)"
+        )
     print(f"fleet {spec.name!r}: {spec.num_devices} devices on the batched engine")
     for device in spec.devices:
         print(
