@@ -18,7 +18,6 @@ from repro.energy import (
     solar_trace,
     uniform_random_events,
 )
-from repro.experiment import reference_profile, sonic_profile
 from repro.intermittent import MSP432
 from repro.runtime import (
     FixedExitPolicy,
@@ -26,10 +25,11 @@ from repro.runtime import (
     StaticController,
 )
 from repro.sim import Simulator, SimulatorConfig
+from repro.sim.profiles import reference_profile, sonic_profile
 
-# The deployed profiles live in repro.experiment so the examples, the
-# fleet scenario registry, and the benchmarks all simulate the same
-# paper-regime devices.
+# The deployed profiles live in repro.sim.profiles, where fleet specs
+# resolve "paper-multi-exit" and "sonic-single-exit" too, so this example
+# and every fleet scenario simulate the same paper-regime devices.
 multi_exit_profile = reference_profile
 single_exit_profile = sonic_profile
 

@@ -71,20 +71,17 @@ def _run(
         spec, store=store, workers=workers, resume=resume,
         retry=retry, shard_devices=shard_devices,
     )
-    recorder = None
+    recorder = manifest = None
     if trace_out or metrics_out:
+        # One manifest per run: the trace and the metrics file embed it.
+        manifest = build_manifest(
+            campaign=spec.name,
+            campaign_digest=spec.digest(),
+            workers=workers,
+        )
         recorder = Recorder(metrics=True, trace=trace_out)
         if recorder.trace is not None:
-            recorder.trace.emit(
-                {
-                    "type": "manifest",
-                    **build_manifest(
-                        campaign=spec.name,
-                        campaign_digest=spec.digest(),
-                        workers=workers,
-                    ),
-                }
-            )
+            recorder.trace.emit({"type": "manifest", **manifest})
     with chaos(chaos_plan) as injector:
         if recorder is None:
             result = runner.run(progress=_progress)
@@ -119,13 +116,7 @@ def _run(
         if trace_out:
             print(f"wrote trace to {trace_out}")
         if metrics_out:
-            payload = {
-                "manifest": build_manifest(
-                    campaign=spec.name,
-                    campaign_digest=spec.digest(),
-                    workers=workers,
-                ),
-            }
+            payload = {"manifest": manifest}
             payload.update(recorder.to_dict())
             with open(metrics_out, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)

@@ -20,7 +20,6 @@ from repro.energy.events import uniform_random_events
 from repro.energy.storage import EnergyStorage
 from repro.energy.traces import PowerTrace, solar_trace
 from repro.intermittent.mcu import MCUSpec, MSP432
-from repro.sim.profiles import InferenceProfile
 
 
 @dataclass(frozen=True)
@@ -86,32 +85,3 @@ def seed_bank(n: int) -> list:
              for i in range(len(SEED_BANK), n)]
     return list(SEED_BANK) + extra
 
-
-def reference_profile() -> InferenceProfile:
-    """Paper-regime deployed multi-exit profile (no live network attached).
-
-    The measured per-exit numbers of the compressed 3-exit LeNet in the
-    paper's operating regime — shared by the examples and the fleet
-    scenario registry so both simulate the same deployment without paying
-    the zoo's train/search path.
-    """
-    return InferenceProfile(
-        name="paper-multi-exit",
-        exit_accuracies=[0.62, 0.70, 0.72],
-        exit_energy_mj=[0.21, 0.84, 1.63],
-        exit_flops=[0.14e6, 0.56e6, 1.09e6],
-        incremental_energy_mj=[0.70, 0.85],
-        incremental_flops=[0.47e6, 0.57e6],
-    )
-
-
-def sonic_profile() -> InferenceProfile:
-    """SONIC-style single-exit deployment of a comparable network."""
-    return InferenceProfile(
-        name="sonic-single-exit",
-        exit_accuracies=[0.75],
-        exit_energy_mj=[3.0],
-        exit_flops=[2.0e6],
-        incremental_energy_mj=[],
-        incremental_flops=[],
-    )

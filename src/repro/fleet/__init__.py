@@ -3,7 +3,9 @@
 The paper evaluates one device against one trace; real energy-harvesting
 studies deploy *fleets* — hundreds of heterogeneous nodes with distinct
 harvesters, capacitors, MCUs, deployed models, and runtime policies.  This
-package layers that on top of :mod:`repro.sim`:
+package layers that on top of :mod:`repro.sim`, which owns how one device
+spec becomes live objects (:mod:`repro.sim.devices`) and imports nothing
+from here:
 
 * :mod:`repro.fleet.spec` — declarative :class:`DeviceSpec` /
   :class:`FleetSpec` with JSON round-trip;
@@ -16,8 +18,10 @@ package layers that on top of :mod:`repro.sim`:
   per-device seeding (worker count never changes results) and a serial
   fallback whenever pool dispatch cannot win; :func:`run_device` is the
   per-device scalar oracle the engine is tested against;
-* :mod:`repro.fleet.results` — :class:`DeviceResult` / :class:`FleetResult`
-  aggregation (fleet IEpmJ, miss-reason breakdowns, percentile spreads);
+* :mod:`repro.fleet.results` — :class:`FleetResult` aggregation of the
+  per-device results (:class:`DeviceResult`, defined in
+  :mod:`repro.sim.results`): fleet IEpmJ, miss-reason breakdowns,
+  percentile spreads, and their one packed and sealed form;
 * :mod:`repro.fleet.shards` — crash-safe scale-out: split a fleet into
   device-shards executing through a durable, work-stealing shard ledger
   (:func:`run_sharded`), with byte-identical merged aggregates, resume

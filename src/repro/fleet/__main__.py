@@ -208,22 +208,21 @@ def _run_sharded_cli(args, plan) -> int:
         if args.duration is not None:
             overrides["duration"] = args.duration
         source = ScenarioShardSource(args.scenario, overrides)
-    recorder = None
+    recorder = manifest = None
     if args.trace_out or args.metrics_out or args.profile:
+        # One manifest per run: the trace and the metrics file embed it.
+        manifest = build_manifest(
+            fleet=source.name,
+            devices=source.num_devices,
+            seed=source.seed,
+            scenario_digest=source.source_digest(),
+            workers=args.shard_workers,
+        )
         recorder = Recorder(
             metrics=True, trace=args.trace_out, profile=args.profile
         )
         if recorder.trace is not None:
-            recorder.trace.emit({
-                "type": "manifest",
-                **build_manifest(
-                    fleet=source.name,
-                    devices=source.num_devices,
-                    seed=source.seed,
-                    scenario_digest=source.source_digest(),
-                    workers=args.shard_workers,
-                ),
-            })
+            recorder.trace.emit({"type": "manifest", **manifest})
     kwargs = dict(
         shards=args.shards,
         shard_width=args.shard_width,
@@ -274,15 +273,7 @@ def _run_sharded_cli(args, plan) -> int:
         if args.trace_out:
             print(f"wrote trace to {args.trace_out}")
         if args.metrics_out:
-            payload = {
-                "manifest": build_manifest(
-                    fleet=source.name,
-                    devices=source.num_devices,
-                    seed=source.seed,
-                    scenario_digest=source.source_digest(),
-                    workers=args.shard_workers,
-                ),
-            }
+            payload = {"manifest": manifest}
             payload.update(recorder.to_dict())
             with open(args.metrics_out, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
@@ -407,15 +398,15 @@ def main(argv=None) -> int:
             chunksize=args.chunksize,
             retry=build_retry_policy(args),
         )
-        recorder = None
+        recorder = manifest = None
         if args.trace_out or args.metrics_out or args.profile:
+            # One manifest per run: the trace and the metrics file embed it.
+            manifest = _run_manifest(spec, args)
             recorder = Recorder(
                 metrics=True, trace=args.trace_out, profile=args.profile
             )
             if recorder.trace is not None:
-                recorder.trace.emit(
-                    {"type": "manifest", **_run_manifest(spec, args)}
-                )
+                recorder.trace.emit({"type": "manifest", **manifest})
         with chaos(plan) as injector:
             if recorder is None:
                 result = runner.run()
@@ -441,7 +432,7 @@ def main(argv=None) -> int:
             if args.trace_out:
                 print(f"wrote trace to {args.trace_out}")
             if args.metrics_out:
-                payload = {"manifest": _run_manifest(spec, args)}
+                payload = {"manifest": manifest}
                 payload.update(recorder.to_dict())
                 with open(args.metrics_out, "w") as fh:
                     json.dump(payload, fh, indent=2, sort_keys=True)

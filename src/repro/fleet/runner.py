@@ -10,20 +10,20 @@ parallelism to pay for its dispatch: the measured regression this
 replaces had a 32-device pool running ~0.7x serial speed.
 
 :func:`run_device` is the scalar oracle: it materializes one
-:class:`~repro.fleet.spec.DeviceSpec` into live trace / storage / MCU /
-profile / controller objects, replays its episodes through the
-event-driven :class:`~repro.sim.simulator.Simulator`, and returns a
-compact :class:`~repro.fleet.results.DeviceResult`.  No fleet executes
-through it; the tests hold the engine to its results bit for bit.
+:class:`~repro.fleet.spec.DeviceSpec` with
+:func:`repro.sim.devices.materialize` (the engine's own device build),
+replays its episodes through the event-driven
+:class:`~repro.sim.simulator.Simulator`, and returns a compact
+:class:`~repro.sim.results.DeviceResult`.  No fleet executes through it;
+the tests hold the engine to its results bit for bit.
 
 Determinism: every device derives its random streams from
-``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — exactly the
-child that ``SeedSequence(fleet_seed).spawn(n)[index]`` would produce, but
-computable independently inside any worker.  The engine consumes those
-streams in the oracle's per-device order (bit-identity is enforced
-against ``tests/golden/``), so results do not depend on the worker count,
-dispatch order, or chunking — which is what makes ``--workers 4``
-bit-identical to the serial fallback.
+``SeedSequence(fleet_seed, spawn_key=(device_index,))``, computable
+independently inside any worker (see :mod:`repro.sim.devices`).  The
+engine consumes those streams in the oracle's per-device order
+(bit-identity is enforced against ``tests/golden/``), so results do not
+depend on the worker count, dispatch order, or chunking — which is what
+makes ``--workers 4`` bit-identical to the serial fallback.
 """
 
 from __future__ import annotations
@@ -36,24 +36,9 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
-from repro.energy.events import burst_events, poisson_events, uniform_random_events
-from repro.energy.storage import EnergyStorage
-from repro.energy.traces import (
-    constant_trace,
-    kinetic_trace,
-    piezo_trace,
-    rf_trace,
-    solar_trace,
-    trace_from_csv,
-    wind_trace,
-)
 from repro.errors import ConfigError, InjectedFault, IntegrityError
-from repro.experiment import reference_profile, sonic_profile
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.fleet.results import (
@@ -67,13 +52,22 @@ from repro.fleet.results import (
     verify_payload,
 )
 from repro.fleet.spec import FleetSpec
-from repro.intermittent.mcu import MSP432
 from repro.obs.recorder import Recorder, get_recorder, set_recorder
 from repro.obs.tracing import span
-from repro.runtime.controller import make_controller
 from repro.sim.batch import BatchedFleetEngine
-from repro.sim.profiles import InferenceProfile
-from repro.sim.results import percentile_dict
+
+# The spec builders live in repro.sim.devices; they stay importable from
+# here, where tests and perfbench's layer spans address them by name.
+from repro.sim.devices import (
+    build_controller as build_controller,
+    build_events as build_events,
+    build_mcu as build_mcu,
+    build_storage as build_storage,
+    build_trace as build_trace,
+    harvest_percentiles,
+    materialize,
+    resolve_profile as resolve_profile,
+)
 from repro.sim.simulator import Simulator, SimulatorConfig
 
 #: Below this many devices a parallel run falls back to serial: per-device
@@ -81,160 +75,6 @@ from repro.sim.simulator import Simulator, SimulatorConfig
 #: the compute and the pool runs *slower* than the serial loop (the PR-2
 #: benches measured a 32-device pool at ~0.7x serial throughput).
 MIN_PARALLEL_DEVICES = 16
-
-_SEEDED_TRACE_BUILDERS = {
-    "solar": solar_trace,
-    "kinetic": kinetic_trace,
-    "rf": rf_trace,
-    "wind": wind_trace,
-    "piezo": piezo_trace,
-}
-
-#: Per-process cache of resolved named profiles (weights and profile maths
-#: run once per worker, not once per device).
-_PROFILE_CACHE: dict = {}
-
-#: Per-process memoized traces keyed by (family, sorted params incl. the
-#: resolved seed).  Identical DeviceSpecs — and repeated runs of the same
-#: fleet — share one PowerTrace instead of re-synthesizing 36k-43k samples
-#: each time.  Traces are treated as immutable everywhere in the simulator,
-#: so sharing is safe; the cap bounds worker memory on fleets with many
-#: distinct environments (FIFO eviction).
-_TRACE_CACHE: dict = {}
-_TRACE_CACHE_MAX = 256
-
-
-def _call_declarative(label: str, fn, *args, **kwargs):
-    """Call a constructor with spec-provided kwargs, mapping typo'd or
-    unknown parameter names to :class:`ConfigError` so they surface as
-    spec problems (clean CLI error) rather than raw tracebacks."""
-    try:
-        return fn(*args, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
-def _trace_cache_key(family: str, params: dict):
-    """Hashable cache key, or None when a param cannot key a deterministic
-    result (e.g. a live Generator, whose state advances between builds)."""
-    if not all(
-        value is None or isinstance(value, (bool, int, float, str))
-        for value in params.values()
-    ):
-        return None
-    return (family, tuple(sorted(params.items())))
-
-
-def build_trace(trace_spec: dict, fallback_seed: int):
-    """Materialize a trace from its spec dict (memoized per process)."""
-    params = dict(trace_spec)
-    family = params.pop("family")
-    if family == "csv":
-        # File contents can change between builds; never cached.
-        return _call_declarative("csv trace", trace_from_csv, **params)
-    if family == "constant":
-        label, builder = "constant trace", constant_trace
-    else:
-        builder = _SEEDED_TRACE_BUILDERS.get(family)
-        if builder is None:
-            raise ConfigError(f"unknown trace family {family!r}")
-        params.setdefault("seed", fallback_seed)
-        label = f"{family} trace"
-    key = _trace_cache_key(family, params)
-    if key is not None:
-        cached = _TRACE_CACHE.get(key)
-        if cached is not None:
-            return cached
-    trace = _call_declarative(label, builder, **params)
-    if key is not None:
-        while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-            _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-        _TRACE_CACHE[key] = trace
-    return trace
-
-
-def build_events(events_spec: dict, duration: float, seed: int) -> np.ndarray:
-    """Materialize an event stream over ``[0, duration)``."""
-    params = dict(events_spec)
-    kind = params.pop("kind")
-    params.setdefault("rng", seed)
-    try:
-        if kind == "uniform":
-            return uniform_random_events(params.pop("count"), duration, **params)
-        if kind == "poisson":
-            return poisson_events(params.pop("rate_hz"), duration, **params)
-        if kind == "burst":
-            return burst_events(
-                params.pop("num_bursts"), params.pop("events_per_burst"), duration, **params
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{kind} events: missing parameter {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{kind} events: {exc}") from exc
-    raise ConfigError(f"unknown events kind {kind!r}")
-
-
-def resolve_profile(profile) -> InferenceProfile:
-    """Resolve a profile reference (named / ``zoo:<net>`` / inline dict)."""
-    if isinstance(profile, dict):
-        return _call_declarative("inline profile", InferenceProfile, **profile)
-    if isinstance(profile, str) and profile.startswith("zoo:"):
-        from repro import zoo  # heavy import chain; only pay it when asked
-
-        return zoo.get_profile(profile[len("zoo:"):])  # zoo memoizes per process
-    if profile in _PROFILE_CACHE:
-        return _PROFILE_CACHE[profile]
-    if profile == "paper-multi-exit":
-        built = reference_profile()
-    elif profile == "sonic-single-exit":
-        built = sonic_profile()
-    else:
-        raise ConfigError(f"cannot resolve profile {profile!r}")
-    _PROFILE_CACHE[profile] = built
-    return built
-
-
-def build_storage(storage_spec: dict) -> EnergyStorage:
-    """Capacitor from overrides; defaults match the paper's 2 mJ @ 80%."""
-    params = dict(storage_spec)
-    capacity = float(params.pop("capacity_mj", 2.0))
-    initial_fraction = float(params.pop("initial_fraction", 0.5))
-    if not 0.0 <= initial_fraction <= 1.0:
-        raise ConfigError(
-            f"initial_fraction must be in [0, 1], got {initial_fraction!r}"
-        )
-    return _call_declarative(
-        "storage",
-        EnergyStorage,
-        capacity_mj=capacity,
-        efficiency=float(params.pop("efficiency", 0.8)),
-        leakage_mw=float(params.pop("leakage_mw", 0.0)),
-        initial_mj=capacity * initial_fraction,
-        **params,
-    )
-
-
-def build_mcu(mcu_spec: dict):
-    """MSP432 defaults with declarative field overrides."""
-    if not mcu_spec:
-        return MSP432
-    return _call_declarative("mcu", replace, MSP432, **mcu_spec)
-
-
-def build_controller(controller_spec: dict, profile, storage, seed: int):
-    """Controller from its spec; LUT/learning params derived per device."""
-    params = dict(controller_spec)
-    kind = params.pop("kind")
-    return _call_declarative(
-        f"{kind} controller",
-        make_controller,
-        kind,
-        profile.num_exits,
-        exit_energies_mj=profile.exit_energy_mj,
-        capacity_mj=storage.capacity_mj,
-        rng=seed,
-        **params,
-    )
 
 
 def run_device(task) -> DeviceResult:
@@ -246,43 +86,29 @@ def run_device(task) -> DeviceResult:
     """
     index, spec, fleet_seed = task
     t0 = time.perf_counter()
-    child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
-    trace_seed, event_seed, sim_seed, ctrl_seed = (
-        int(s) for s in child.generate_state(4, np.uint32)
-    )
-    trace = build_trace(spec.trace, trace_seed)
-    events = build_events(spec.events, trace.duration, event_seed)
-    profile = resolve_profile(spec.profile)
-    storage = build_storage(spec.storage)
-    mcu = build_mcu(spec.mcu)
-    controller = build_controller(spec.controller, profile, storage, ctrl_seed)
+    device = materialize(index, spec, fleet_seed)
     sim = Simulator(
-        trace,
-        profile,
-        controller,
-        mcu=mcu,
-        storage=storage,
+        device.trace,
+        device.profile,
+        device.controller,
+        mcu=device.mcu,
+        storage=device.storage,
         config=SimulatorConfig(
             mode="profile",
             execution=spec.execution,
             power_window_s=spec.power_window_s,
-            seed=sim_seed,
+            seed=device.sim_seed,
         ),
     )
     result = None
     for _ in range(spec.episodes):
-        result = sim.run(events)
-    # Bulk trace query (vectorized PowerTrace.power): how much power this
-    # device's environment offered, as percentiles for the fleet report.
-    harvest = percentile_dict(
-        trace.power(np.linspace(0.0, trace.duration, 512)), qs=(10, 50, 90)
-    )
+        result = sim.run(device.events)
     return DeviceResult.from_simulation(
         index,
         spec.name,
         result,
-        profile,
-        harvest_percentiles=harvest,
+        device.profile,
+        harvest_percentiles=harvest_percentiles(device.trace),
         episodes=spec.episodes,
         wall_s=time.perf_counter() - t0,
     )
@@ -770,8 +596,8 @@ def worker_pool(workers: int):
 
     Job-level hook for callers that execute *many* fleets — the campaign
     layer above all.  A :class:`FleetRunner` started per job would tear its
-    pool (and the per-process ``_TRACE_CACHE`` / ``_PROFILE_CACHE`` living
-    in the workers) down after every fleet; passing one long-lived pool to
+    pool (and the per-process trace and profile caches of
+    :mod:`repro.sim.devices` living in the workers) down after every fleet; passing one long-lived pool to
     ``FleetRunner.run(pool=...)`` keeps workers warm, so cells that share
     trace families hit the memo instead of re-synthesizing samples.  The
     processes fork on first dispatch (:class:`LazyPool`), so jobs whose

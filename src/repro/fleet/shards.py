@@ -555,7 +555,7 @@ class _ShardExecutor:
         if metrics is not None:
             metrics.inc(name, n)
 
-    def drain(self, poll_s: float = DEFAULT_POLL_S) -> None:
+    def drain(self) -> None:
         """Work-steal until every shard in the plan has an artifact."""
         injector = get_fault_injector()
         while True:
@@ -600,7 +600,7 @@ class _ShardExecutor:
                     self.verified += 1
                     self._inc("fleet.shard.straggler_verified")
             if not progressed:
-                time.sleep(poll_s)
+                time.sleep(DEFAULT_POLL_S)
 
     def _execute_shard(self, start: int, end: int) -> dict:
         key = shard_key(start, end)
@@ -662,8 +662,9 @@ class _ShardExecutor:
                 time.sleep(self.retry.backoff(attempts - 1))
 
 
-def _drain_worker(source, ledger_dir, plan_dict, retry, max_rss_mb,
-                  lease_ttl_s, poll_s) -> None:
+def _drain_worker(
+    source, ledger_dir, plan_dict, retry, max_rss_mb, lease_ttl_s
+) -> None:
     """Child-process entry: drain the ledger and exit.
 
     Shard workers never write to the parent's observability sinks (a
@@ -679,7 +680,7 @@ def _drain_worker(source, ledger_dir, plan_dict, retry, max_rss_mb,
         max_rss_mb=max_rss_mb,
         lease_ttl_s=lease_ttl_s,
     )
-    executor.drain(poll_s)
+    executor.drain()
 
 
 # ---------------------------------------------------------------------- #
@@ -765,7 +766,6 @@ def run_sharded(
     retry: Optional[RetryPolicy] = None,
     max_rss_mb: Optional[float] = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    poll_s: float = DEFAULT_POLL_S,
 ) -> ShardedFleetResult:
     """Execute ``source`` shard-by-shard through a durable ledger.
 
@@ -812,8 +812,12 @@ def run_sharded(
             proc = multiprocessing.Process(
                 target=_drain_worker,
                 args=(
-                    source, ledger.root, plan.to_dict(),
-                    executor.retry, max_rss_mb, lease_ttl_s, poll_s,
+                    source,
+                    ledger.root,
+                    plan.to_dict(),
+                    executor.retry,
+                    max_rss_mb,
+                    lease_ttl_s,
                 ),
             )
             proc.start()
@@ -822,7 +826,7 @@ def run_sharded(
             agg = None
             corrupt: list = []
             for _ in range(1 + MAX_HEAL_ROUNDS):
-                executor.drain(poll_s)
+                executor.drain()
                 agg, corrupt = _merge_ledger(source, plan, ledger)
                 if agg is not None:
                     break

@@ -1,15 +1,15 @@
 """Declarative fleet composition: :class:`DeviceSpec` and :class:`FleetSpec`.
 
 A device spec is plain data — trace family, storage, MCU, deployed
-profile, controller, event stream — that the fleet runner materializes
-into live simulator objects *inside the worker process*.  Keeping specs as
-dicts/str/float makes them JSON round-trippable (mirroring
-:mod:`repro.compress.spec`) and cheap to pickle across
+profile, controller, event stream — that :mod:`repro.sim.devices`
+materializes into live simulator objects *inside the worker process*.
+Keeping specs as dicts/str/float makes them JSON round-trippable
+(mirroring :mod:`repro.compress.spec`) and cheap to pickle across
 ``multiprocessing`` boundaries.
 
-Per-device randomness is not stored in the spec: the runner derives all
-seeds deterministically from the fleet seed and the device index, so a
-spec file plus one integer pins an entire fleet bit-for-bit.  A spec may
+Per-device randomness is not stored in the spec: all seeds derive
+deterministically from the fleet seed and the device index, so a spec
+file plus one integer pins an entire fleet bit-for-bit.  A spec may
 still pin an explicit ``"seed"`` inside its trace/events params when a
 scenario wants several devices to share one environment.
 """
@@ -23,15 +23,12 @@ from repro.errors import ConfigError
 from repro.runtime.controller import CONTROLLER_KINDS
 from repro.runtime.incremental import CONTINUE_RULE_KINDS
 
-#: Trace families the runner can build (see repro.energy.traces).
-TRACE_FAMILIES = ("solar", "kinetic", "rf", "wind", "piezo", "constant", "csv")
-#: Event-stream kinds (see repro.energy.events).
-EVENT_KINDS = ("uniform", "poisson", "burst")
+# Trace families, event kinds and named profiles are whatever the device
+# builders can build, so the specs validate against the builders' tuples.
+from repro.sim.devices import EVENT_KINDS, NAMED_PROFILES, TRACE_FAMILIES
+
 #: Execution models (see repro.sim.simulator).
 EXECUTIONS = ("single-cycle", "intermittent")
-#: Named profiles resolvable without the zoo (see repro.experiment); the
-#: ``zoo:<net>`` prefix additionally resolves any trained zoo network.
-NAMED_PROFILES = ("paper-multi-exit", "sonic-single-exit")
 
 
 @dataclass

@@ -13,7 +13,8 @@ so scripts can scrape an ephemeral port.  ``--chaos`` arms a
 :class:`~repro.faults.plan.FaultPlan` on the ``fleet.gateway`` site;
 ``--metrics-out``/``--trace-out`` enable the process recorder and write
 its artifacts on exit — the same observability surface as
-``python -m repro.fleet run``.
+``python -m repro.fleet run``: one run manifest, the trace's first
+record and the metrics file's ``manifest``.
 
 ``client`` sends one verb from the shell and prints the JSON response —
 enough for smoke tests and scripting; use
@@ -34,6 +35,7 @@ from repro.faults.plan import FaultPlan
 from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import VERBS
 from repro.gateway.server import GatewayServer
+from repro.obs.manifest import build_manifest
 from repro.obs.recorder import recording
 
 
@@ -54,11 +56,15 @@ def _serve(args) -> int:
     want_obs = bool(args.metrics_out or args.trace_out)
     with chaos(plan):
         if want_obs:
+            manifest = build_manifest(service="gateway")
             with recording(trace_path=args.trace_out) as rec:
+                if rec.trace is not None:
+                    rec.trace.emit({"type": "manifest", **manifest})
                 asyncio.run(_run())
             if args.metrics_out:
+                payload = {"manifest": manifest, **rec.to_dict()}
                 with open(args.metrics_out, "w") as fh:
-                    json.dump(rec.to_dict(), fh, indent=2, sort_keys=True)
+                    json.dump(payload, fh, indent=2, sort_keys=True)
                     fh.write("\n")
                 print(f"wrote metrics to {args.metrics_out}")
         else:

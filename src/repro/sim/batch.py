@@ -37,9 +37,10 @@ The engine is **bit-identical** to the scalar oracle
 :class:`~repro.sim.simulator.Simulator` per device), and ``tests/golden/``
 enforces it:
 
-* every device's random streams stay pinned to
+* both build their devices with :func:`repro.sim.devices.materialize`,
+  so every device's random streams stay pinned to
   ``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — the same four
-  child seeds (trace, events, simulator, controller) the oracle derives;
+  child seeds (trace, events, simulator, controller) on both paths;
 * pooled variates are consumed through :class:`~repro.utils.rng.DrawBatch`
   — per-device 256-wide pools refilled with the exact sampler calls
   :class:`~repro.utils.rng.PooledDraws` makes, in each device's own call
@@ -81,7 +82,8 @@ from repro.intermittent.kernel import IntermittentFleetKernel
 from repro.obs.recorder import get_recorder
 from repro.runtime.batched import batch_continue_rules, batch_controllers, batchable
 from repro.runtime.state import RuntimeStateBatch
-from repro.sim.results import RecordColumns, SimulationResult, percentile_dict
+from repro.sim.devices import harvest_percentiles, materialize
+from repro.sim.results import DeviceResult, RecordColumns, SimulationResult
 from repro.utils.rng import DrawBatch, as_generator
 
 #: miss_reason codes used in the packed record buffers (shared with
@@ -99,39 +101,16 @@ class _Device:
         "inc_energy", "inc_time",
     )
 
-    def __init__(self, index: int, spec: DeviceSpec, fleet_seed: int):
-        # Lazy import: the fleet runner imports this module at top level,
-        # so importing its builders here would be circular at import time.
-        from repro.fleet.runner import (
-            build_controller,
-            build_events,
-            build_mcu,
-            build_storage,
-            build_trace,
-            resolve_profile,
-        )
-
+    def __init__(self, index: int, spec, fleet_seed: int):
         self.index = int(index)
         self.spec = spec
-        child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
-        trace_seed, event_seed, sim_seed, ctrl_seed = (
-            int(s) for s in child.generate_state(4, np.uint32)
-        )
-        self.trace = build_trace(spec.trace, trace_seed)
-        self.events = np.asarray(
-            build_events(spec.events, self.trace.duration, event_seed),
-            dtype=np.float64,
-        )
+        (self.trace, events, self.profile, self.storage, self.mcu,
+         self.controller, sim_seed) = materialize(index, spec, fleet_seed)
+        self.events = np.asarray(events, dtype=np.float64)
         if self.events.size and (
             np.any(np.diff(self.events) < 0) or self.events[0] < 0
         ):
             raise SimulationError("events must be sorted and non-negative")
-        self.profile = resolve_profile(spec.profile)
-        self.storage = build_storage(spec.storage)
-        self.mcu = build_mcu(spec.mcu)
-        self.controller = build_controller(
-            spec.controller, self.profile, self.storage, ctrl_seed
-        )
         self.sim_rng = as_generator(sim_seed)
         self.intermittent = spec.execution == "intermittent"
         trace = self.trace
@@ -212,7 +191,7 @@ class BatchedFleetEngine:
 
     Construction materializes every device (traces, profiles, controllers,
     per-event precomputations); :meth:`run` plays all episodes in lockstep
-    and returns one :class:`~repro.fleet.results.DeviceResult` per task,
+    and returns one :class:`~repro.sim.results.DeviceResult` per task,
     in task order.  The incremental twin — :meth:`begin` /
     :meth:`advance` / :meth:`finalize` — executes the same instruction
     sequence in caller-sized slices; see the module docstring.
@@ -458,8 +437,6 @@ class BatchedFleetEngine:
 
         Idempotent: repeated calls return the same DeviceResult list.
         """
-        from repro.fleet.results import DeviceResult
-
         rs = self._rs
         if rs is None or rs.phase != "done":
             raise SimulationError(
@@ -470,25 +447,17 @@ class BatchedFleetEngine:
             return rs.out
         prof = rs.prof
         t_finalize = time.perf_counter() if prof is not None else 0.0
-        out = []
-        grid_cache: dict = {}
-        for i, d in enumerate(self.devices):
-            sim_result = rs.results[i]
-            grid = grid_cache.get(d.trace.duration)
-            if grid is None:
-                grid = np.linspace(0.0, d.trace.duration, 512)
-                grid_cache[d.trace.duration] = grid
-            harvest = percentile_dict(d.trace.power(grid), qs=(10, 50, 90))
-            out.append(
-                DeviceResult.from_simulation(
-                    d.index,
-                    d.spec.name,
-                    sim_result,
-                    d.profile,
-                    harvest_percentiles=harvest,
-                    episodes=d.spec.episodes,
-                )
+        out = [
+            DeviceResult.from_simulation(
+                d.index,
+                d.spec.name,
+                rs.results[i],
+                d.profile,
+                harvest_percentiles=harvest_percentiles(d.trace),
+                episodes=d.spec.episodes,
             )
+            for i, d in enumerate(self.devices)
+        ]
         rs.out = out
         if prof is not None:
             # batch.run spans begin() to here, so it encloses the lockstep,

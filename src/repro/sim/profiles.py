@@ -106,3 +106,35 @@ class InferenceProfile:
             incremental_flops=[float(f) for f in inc],
             net=net if attach_net else None,
         )
+
+
+def reference_profile() -> InferenceProfile:
+    """Paper-regime deployed multi-exit profile (no live network attached).
+
+    The measured per-exit numbers of the compressed 3-exit LeNet in the
+    paper's operating regime — the ``"paper-multi-exit"`` profile that
+    :mod:`repro.sim.devices` resolves for fleet specs, shared with the
+    examples so both simulate the same deployment without paying the
+    zoo's train/search path.
+    """
+    return InferenceProfile(
+        name="paper-multi-exit",
+        exit_accuracies=[0.62, 0.70, 0.72],
+        exit_energy_mj=[0.21, 0.84, 1.63],
+        exit_flops=[0.14e6, 0.56e6, 1.09e6],
+        incremental_energy_mj=[0.70, 0.85],
+        incremental_flops=[0.47e6, 0.57e6],
+    )
+
+
+def sonic_profile() -> InferenceProfile:
+    """SONIC-style single-exit deployment of a comparable network (the
+    ``"sonic-single-exit"`` profile)."""
+    return InferenceProfile(
+        name="sonic-single-exit",
+        exit_accuracies=[0.75],
+        exit_energy_mj=[3.0],
+        exit_flops=[2.0e6],
+        incremental_energy_mj=[],
+        incremental_flops=[],
+    )

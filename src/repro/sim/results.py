@@ -450,3 +450,105 @@ class SimulationResult:
             "total_env_energy_mj": self.total_env_energy_mj,
             "total_consumed_mj": self.total_consumed_mj,
         }
+
+
+@dataclass
+class DeviceResult:
+    """Compact outcome of one device's simulation (last episode).
+
+    What the batched engine's ``finalize`` and the scalar oracle
+    (``repro.fleet.runner.run_device``) both return per device.
+    """
+
+    index: int
+    name: str
+    profile: str
+    num_events: int
+    num_processed: int
+    num_missed: int
+    num_correct: int
+    iepmj: float
+    average_accuracy: float
+    processed_accuracy: float
+    mean_latency_s: float
+    mean_inference_energy_mj: float
+    latency_percentiles: dict
+    energy_percentiles: dict
+    harvest_percentiles: dict  # instantaneous harvested power (mW) over the trace
+    miss_counts: dict
+    exit_counts: list
+    total_env_energy_mj: float
+    total_consumed_mj: float
+    duration_s: float
+    episodes: int = 1
+    #: Seconds this device took, measured only by the per-device
+    #: ``repro.fleet.runner.run_device`` oracle.  The batched engine
+    #: simulates devices together and leaves it 0.0, so packed (and
+    #: sealed) engine results carry 0.0.  Never part of ``aggregate()``.
+    wall_s: float = 0.0
+
+    @classmethod
+    def from_simulation(
+        cls,
+        index,
+        name,
+        result,
+        profile,
+        harvest_percentiles=None,
+        episodes=1,
+        wall_s=0.0,
+    ):
+        """Summarize a :class:`SimulationResult`."""
+        return cls(
+            index=int(index),
+            name=name,
+            profile=profile.name,
+            num_events=result.num_events,
+            num_processed=result.num_processed,
+            num_missed=result.num_missed,
+            num_correct=result.num_correct,
+            iepmj=result.iepmj,
+            average_accuracy=result.average_accuracy,
+            processed_accuracy=result.processed_accuracy,
+            mean_latency_s=result.mean_latency_s,
+            mean_inference_energy_mj=result.mean_inference_energy_mj,
+            latency_percentiles=result.latency_percentiles(),
+            energy_percentiles=result.energy_percentiles(),
+            harvest_percentiles=dict(harvest_percentiles or {}),
+            miss_counts=result.miss_counts(),
+            exit_counts=result.exit_counts(profile.num_exits),
+            total_env_energy_mj=result.total_env_energy_mj,
+            total_consumed_mj=result.total_consumed_mj,
+            duration_s=result.duration_s,
+            episodes=int(episodes),
+            wall_s=float(wall_s),
+        )
+
+    def to_dict(self, include_timing: bool = False) -> dict:
+        """JSON-safe report row; ``include_timing`` adds ``wall_s``."""
+        out = {
+            "index": self.index,
+            "name": self.name,
+            "profile": self.profile,
+            "events": self.num_events,
+            "processed": self.num_processed,
+            "missed": self.num_missed,
+            "correct": self.num_correct,
+            "iepmj": self.iepmj,
+            "average_accuracy": self.average_accuracy,
+            "processed_accuracy": self.processed_accuracy,
+            "mean_latency_s": self.mean_latency_s,
+            "mean_inference_energy_mj": self.mean_inference_energy_mj,
+            "latency_percentiles": dict(self.latency_percentiles),
+            "energy_percentiles": dict(self.energy_percentiles),
+            "harvest_percentiles": dict(self.harvest_percentiles),
+            "miss_counts": dict(self.miss_counts),
+            "exit_counts": list(self.exit_counts),
+            "total_env_energy_mj": self.total_env_energy_mj,
+            "total_consumed_mj": self.total_consumed_mj,
+            "duration_s": self.duration_s,
+            "episodes": self.episodes,
+        }
+        if include_timing:
+            out["wall_s"] = self.wall_s
+        return out

@@ -191,6 +191,17 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             resolve_profile(3.14)
 
+    def test_runner_binds_the_device_builders_themselves(self):
+        """perfbench wraps the builders by their repro.fleet.runner names;
+        a wrapper reaches materialize() only if those are the very
+        repro.sim.devices objects."""
+        from repro.fleet import runner
+        from repro.sim import devices
+
+        for name in ("build_trace", "build_events", "resolve_profile",
+                     "build_storage", "build_mcu", "build_controller"):
+            assert getattr(runner, name) is getattr(devices, name)
+
 
 class TestTraceCache:
     SPEC = {"family": "solar", "duration": 400.0, "dt": 1.0, "peak_mw": 0.03}

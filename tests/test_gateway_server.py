@@ -219,11 +219,16 @@ def test_gateway_metrics_and_spans():
 
 def test_cli_serve_and_client_subprocess(tmp_path):
     """The deployment shape: ``python -m repro.gateway serve`` in one
-    process, the CLI client driving it from another."""
+    process, the CLI client driving it from another.  The server's trace
+    and metrics file embed the same run manifest."""
+    trace_path = tmp_path / "trace.jsonl"
+    metrics_path = tmp_path / "metrics.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    serve = [sys.executable, "-m", "repro.gateway", "serve", "--port", "0"]
+    serve += ["--trace-out", str(trace_path), "--metrics-out", str(metrics_path)]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.gateway", "serve", "--port", "0"],
+        serve,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -245,3 +250,7 @@ def test_cli_serve_and_client_subprocess(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    manifest = records[0]
+    assert manifest.pop("type") == "manifest"
+    assert manifest == json.loads(metrics_path.read_text())["manifest"]

@@ -47,6 +47,13 @@ def _golden_id(path):
     return os.path.basename(path)[len("fleet_"):-len(".json")]
 
 
+def _trace_manifest(lines):
+    """The manifest a trace opens with, without its record ``type``."""
+    first = dict(lines[0])
+    assert first.pop("type") == "manifest"
+    return first
+
+
 # --------------------------------------------------------------------- #
 # Bit-identity against the goldens, full observability on
 # --------------------------------------------------------------------- #
@@ -219,10 +226,24 @@ def test_fleet_cli_trace_metrics_profile(tmp_path, capsys):
     with open(metrics_path) as fh:
         payload = json.load(fh)
     assert payload["manifest"]["schema"] == MANIFEST_SCHEMA
+    assert _trace_manifest(lines) == payload["manifest"]  # one per run
     assert payload["metrics"]["counters"]["fleet.runs"] == 1
     assert payload["profiler"]["counts"]  # profile flag wired through
     out = capsys.readouterr().out
     assert "wrote trace to" in out and "wrote metrics to" in out
+
+
+def test_sharded_fleet_cli_trace_and_metrics_share_one_manifest(tmp_path):
+    trace_path = tmp_path / "run.jsonl"
+    metrics_path = tmp_path / "metrics.json"
+    argv = ["run", "dev-smoke", "--shards", "2", "--ledger", str(tmp_path / "L")]
+    argv += ["--trace-out", str(trace_path), "--metrics-out", str(metrics_path)]
+    assert fleet_main(argv) == 0
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    with open(metrics_path) as fh:
+        payload = json.load(fh)
+    assert lines[0]["fleet"] == "dev-smoke"
+    assert _trace_manifest(lines) == payload["manifest"]
 
 
 def test_fleet_cli_explain(capsys, monkeypatch, tmp_path):
@@ -381,6 +402,7 @@ def test_campaign_cli_trace_and_metrics(tmp_path):
     assert names[-1] == "campaign.run"
     with open(metrics_path) as fh:
         payload = json.load(fh)
+    assert _trace_manifest(lines) == payload["manifest"]  # one per run
     assert payload["metrics"]["counters"]["campaign.cells.executed"] == 2
     assert os.path.exists(os.path.join(str(out), "manifest.json"))
 
