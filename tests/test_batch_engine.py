@@ -17,10 +17,16 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.fleet import SCENARIOS, DeviceSpec, FleetRunner, FleetSpec
-from repro.fleet.results import pack_device_results, unpack_device_results
+from repro.fleet.results import (
+    FleetResult,
+    pack_device_results,
+    unpack_device_results,
+)
 from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
 from repro.sim.batch import BatchedFleetEngine
+from repro.sim.devices import materialize
+from repro.sim.simulator import Simulator, SimulatorConfig
 
 #: Small overrides that keep every scenario in the seconds range.
 SCENARIO_CASES = [(name, {"num_devices": 4}) for name in SCENARIOS.names()]
@@ -28,6 +34,41 @@ SCENARIO_CASES = [(name, {"num_devices": 4}) for name in SCENARIOS.names()]
 
 def _payload(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def _scalar_episodes(index, device, fleet_seed):
+    """Every episode of one device through the scalar simulator, built the
+    way ``run_device`` builds it (which keeps only the last episode)."""
+    objs = materialize(index, device, fleet_seed)
+    sim = Simulator(
+        objs.trace,
+        objs.profile,
+        objs.controller,
+        mcu=objs.mcu,
+        storage=objs.storage,
+        config=SimulatorConfig(
+            mode="profile",
+            execution=device.execution,
+            power_window_s=device.power_window_s,
+            seed=objs.sim_seed,
+        ),
+    )
+    return [sim.run(objs.events) for _ in range(device.episodes)]
+
+
+def _dynamics(run):
+    """What an episode's energy dynamics decide: every record but the
+    draw-decided ``correct`` / entropy, plus the energy drawn."""
+    rows = [
+        (r.exit_index, r.latency_s, r.energy_mj, r.miss_reason, r.power_cycles)
+        for r in run.records
+    ]
+    return rows, run.total_consumed_mj
+
+
+def _draws(run):
+    """What an episode's per-device random draws decide."""
+    return [(r.correct, r.confidence_entropy) for r in run.records]
 
 
 class TestScenarioEquivalence:
@@ -138,6 +179,88 @@ class TestIntermittentEquivalence:
         result = FleetRunner(self._fleet(0.01), workers=1).run()
         processed = result.aggregate()["processed"]
         assert processed > 0
+
+    def _episode_fleet(self):
+        """Intermittent devices at 7, 3 and 1 episodes beside a learning
+        device at 3, so later episodes drop devices out.  The 7-episode
+        device completes ~42 inferences an episode, so its 256-wide
+        uniform pool runs dry inside episode 6."""
+        def intermittent(name, episodes, trace, capacity, events):
+            return DeviceSpec(
+                name=name,
+                trace=trace,
+                profile="sonic-single-exit",
+                controller={"kind": "fixed", "exit_index": 0},
+                storage={"capacity_mj": capacity},
+                events=events,
+                execution="intermittent",
+                episodes=episodes,
+            )
+
+        rf = {"family": "rf", "duration": 1000.0, "dt": 1.0, "mean_mw": 0.01}
+        devices = [
+            intermittent(
+                "steady-7",
+                7,
+                {"family": "constant", "power_mw": 0.25, "duration": 3600.0,
+                 "dt": 1.0},
+                4.0,
+                {"kind": "uniform", "count": 80},
+            ),
+            intermittent("rf-3", 3, rf, 1.0, {"kind": "poisson", "rate_hz": 0.02}),
+            intermittent("rf-1", 1, rf, 1.0, {"kind": "poisson", "rate_hz": 0.02}),
+            DeviceSpec(
+                name="learner-3",
+                trace={"family": "solar", "duration": 500.0, "dt": 1.0,
+                       "peak_mw": 0.04},
+                controller={"kind": "qlearning",
+                            "continue_rule": {"kind": "learned"}},
+                events={"kind": "uniform", "count": 25},
+                episodes=3,
+            ),
+        ]
+        return FleetSpec(name="episode-fleet", seed=43, devices=devices)
+
+    def test_multi_episode_fleet_bit_identical_on_every_path(self, oracle):
+        """Serial == scalar oracle == pooled == ``advance(k)`` to
+        completion, and every device's last episode equals the scalar
+        simulator's record for record, ``correct`` and
+        ``confidence_entropy`` included."""
+        spec = self._episode_fleet()
+        serial = FleetRunner(spec, workers=1).run()
+        expected = _payload(serial)
+        assert _payload(oracle(spec)) == expected
+        pooled = FleetRunner(
+            spec, workers=2, parallel_threshold=1, chunksize=2
+        ).run()
+        assert _payload(pooled) == expected
+        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+        for k in (1, 3, 7):
+            engine = BatchedFleetEngine(tasks)
+            while not engine.finished:
+                engine.advance(k)
+            stepped = FleetResult(
+                fleet_name=spec.name, seed=spec.seed, devices=engine.finalize()
+            )
+            assert _payload(stepped) == expected
+        for i, device in enumerate(spec.devices):
+            last = _scalar_episodes(i, device, spec.seed)[-1]
+            assert _dynamics(engine._rs.results[i]) == _dynamics(last)
+            assert _draws(engine._rs.results[i]) == _draws(last)
+        # The steady device draws one uniform per completion: the 257th
+        # (a pool refill) falls inside a later episode, not the first.
+        done = serial.devices[0].num_processed
+        assert done <= 256 < spec.devices[0].episodes * done
+
+    def test_intermittent_episodes_differ_only_in_draws(self):
+        """The assumption episode replay rests on, in the scalar oracle:
+        every episode of an intermittent device has the same dynamics,
+        and only the draw-decided ``correct`` / entropy differ."""
+        spec = self._episode_fleet()
+        device = DeviceSpec(**{**spec.devices[0].to_dict(), "episodes": 3})
+        runs = _scalar_episodes(0, device, spec.seed)
+        assert all(_dynamics(run) == _dynamics(runs[0]) for run in runs[1:])
+        assert any(_draws(run) != _draws(runs[0]) for run in runs[1:])
 
 
 class TestPresetEquivalence:
@@ -328,7 +451,7 @@ def tiny_fleets(draw):
                 controller=controller,
                 storage=storage,
                 events=events,
-                episodes=draw(st.integers(min_value=1, max_value=2)),
+                episodes=draw(st.integers(min_value=1, max_value=4)),
                 execution=execution,
             )
         )
