@@ -39,6 +39,15 @@ the only random draws (result difficulty and confidence entropy on a
 through :class:`~repro.utils.rng.DrawBatch`.  Devices never interact, so
 only the within-device operation order matters, and the micro-step loop
 preserves it.
+
+Those draws are also the only thing that differs between two episodes
+of an intermittent device: storage resets, the trace and events repeat,
+and no controller learns.  So the batched engine simulates episode 0
+once per engine (:meth:`IntermittentFleetKernel.run_episode`) and replays
+each later one (:meth:`IntermittentFleetKernel.replay_episode`): the
+same completion draw, coded once in ``_completion_draws``, is taken for
+every completed event in event order, and only ``correct`` / ``entropy``
+are rewritten.
 """
 
 from __future__ import annotations
@@ -55,6 +64,21 @@ REASON_NONE, REASON_BUSY, REASON_ENERGY = 0, 1, 2
 
 #: Work below this is "done" (the scalar loop's termination epsilon).
 _WORK_EPS = 1e-12
+
+#: Logical ``intermittent.*`` profiler tallies, counted per device.  A
+#: device's counts depend on its own episode alone, so a replayed episode
+#: reports exactly what simulating it again would have.  The two
+#: power-state transition tallies are only reported once nonzero.
+LOGICAL_TALLIES = (
+    "micro_passes",
+    "boundary_lanes",
+    "compute_lanes",
+    "recharge_lanes",
+    "completed",
+    "deadline_misses",
+    "wake_transitions",
+    "shutdown_transitions",
+)
 
 #: Micro-steps a pure-numpy fused run may commit per pass and lane.  Long
 #: recharge runs on the profiled shapes span ~50-250 ``dt``'s between
@@ -150,6 +174,17 @@ def run_job_scalar(
     return IntermittentRun(t_start, t, consumed, overhead, cycles, True)
 
 
+def _report_tallies(prof, tally, part) -> None:
+    """Report one episode's per-device logical tallies over ``part``."""
+    # The scalar-equivalent loop runs as long as its longest lane.
+    steps = int(tally["micro_passes"].max(initial=0, where=part))
+    prof.tally("intermittent.micro_passes", steps)
+    for name in LOGICAL_TALLIES[1:]:
+        n = int(tally[name][part].sum())
+        if n or not name.endswith("_transitions"):
+            prof.tally(f"intermittent.{name}", n)
+
+
 class IntermittentFleetKernel:
     """Lockstep multi-cycle execution for a fleet's intermittent devices.
 
@@ -158,7 +193,9 @@ class IntermittentFleetKernel:
     the fixed job (the profile's only selectable exit) — into columns.
     :meth:`run_episode` then plays one whole episode (the full event
     stream) for every participating device, mutating the engine's shared
-    state columns in place and returning packed per-event records.
+    state columns in place and returning packed per-event records.  The
+    batched engine runs it once, in episode 0: a later episode repeats
+    those dynamics, so :meth:`replay_episode` only takes its draws.
     """
 
     def __init__(self, rows, devices):
@@ -272,6 +309,10 @@ class IntermittentFleetKernel:
     ) -> dict:
         """Play one episode for the participating devices.
 
+        The batched engine calls this once, for episode 0, and plays each
+        later episode with :meth:`replay_episode` over the returned
+        records.
+
         ``part`` masks kernel rows; ``events`` / ``cum_at_event`` are
         ``(max_events, k)`` per-device columns; the five state columns are
         ``(k,)`` views the caller owns (mutated in place).  ``draws`` is
@@ -284,7 +325,9 @@ class IntermittentFleetKernel:
         ``prof`` is an optional :class:`~repro.obs.profiler.PhaseProfiler`
         tallying micro-step work (passes, lane counts, power-state
         transitions); it never touches ledger state or random streams, so
-        results are bit-identical with or without it.
+        results are bit-identical with or without it.  When profiling,
+        the returned dict also carries the per-device logical tallies
+        under ``"tallies"``, which :meth:`replay_episode` reports again.
         """
         k_total = len(self.rows)
         max_ev = events.shape[0]
@@ -309,7 +352,7 @@ class IntermittentFleetKernel:
         start = np.zeros(k_total)
         on = np.zeros(k_total, bool)
 
-        # Local tallies flushed to ``prof`` once at episode end; the
+        # Per-device tallies flushed to ``prof`` once at episode end; the
         # profiling-off path never executes a tally line.
         # ``intermittent.micro_passes`` stays the *logical* scalar-
         # equivalent count (what the pre-fusion kernel's while loop would
@@ -317,10 +360,16 @@ class IntermittentFleetKernel:
         # micro-steps, whether a step committed inside a fused run or
         # through the one-step form, and the fleet count is the max over
         # devices — so PROFILE comparisons across PRs stay meaningful.
-        # ``intermittent.kernel_passes`` is the new *physical* count of
-        # fused passes this implementation actually ran.
-        n_pass = n_bnd = n_comp = n_rech = n_done = n_dead = 0
-        steps_log = np.zeros(k_total, np.int64) if prof is not None else None
+        # ``intermittent.kernel_passes`` is the *physical* count of fused
+        # passes this implementation actually ran.
+        n_pass = 0
+        tally = None
+        if prof is not None:
+            tally = {name: np.zeros(k_total, np.int64) for name in LOGICAL_TALLIES}
+            steps_log = tally["micro_passes"]
+            n_bnd, n_comp = tally["boundary_lanes"], tally["compute_lanes"]
+            n_rech, n_done = tally["recharge_lanes"], tally["completed"]
+            n_dead = tally["deadline_misses"]
 
         pending = part & (ev < n_events)
         while pending.any():
@@ -331,7 +380,7 @@ class IntermittentFleetKernel:
             if bnd.any():
                 bi = np.nonzero(bnd)[0]
                 if prof is not None:
-                    n_bnd += bi.size
+                    n_bnd[bi] += 1
                 te = events[ev[bi], bi]
                 busy = te < busy_until[bi]
                 if busy.any():
@@ -374,17 +423,9 @@ class IntermittentFleetKernel:
                 if done.any():
                     ci = inf[done]
                     if prof is not None:
-                        n_done += ci.size
+                        n_done[ci] += 1
                         steps_log[ci] += 1
-                    er = self.rows[ci]
-                    difficulty = draws.random(er)
-                    correct = difficulty < self._job_acc[ci]
-                    entropy = np.empty(len(ci))
-                    if correct.any():
-                        entropy[correct] = draws.beta(2.0, 8.0, er[correct])
-                    wrong = ~correct
-                    if wrong.any():
-                        entropy[wrong] = draws.beta(5.0, 3.0, er[wrong])
+                    correct, entropy = self._completion_draws(ci, draws)
                     e = ev[ci]
                     r_exit[e, ci] = self._job_exit[ci]
                     r_correct[e, ci] = correct
@@ -401,7 +442,7 @@ class IntermittentFleetKernel:
                     if late.any():
                         di = act[late]
                         if prof is not None:
-                            n_dead += di.size
+                            n_dead[di] += 1
                             steps_log[di] += 1
                         e = ev[di]
                         r_reason[e, di] = REASON_ENERGY
@@ -423,12 +464,12 @@ class IntermittentFleetKernel:
                                 off, level, t, charged, leaked
                             )
                             if prof is not None:
-                                n_rech += int(j_off.sum())
+                                n_rech[off] += j_off
                                 steps_log[off] += j_off
                             ps = off[t[off] < self._duration[off]]
                             if ps.size:
                                 if prof is not None:
-                                    n_rech += ps.size
+                                    n_rech[ps] += 1
                                     steps_log[ps] += 1
                                 self._recharge_step(
                                     ps,
@@ -441,7 +482,7 @@ class IntermittentFleetKernel:
                                     charged,
                                     leaked,
                                     wasted,
-                                    prof=prof,
+                                    tally=tally,
                                 )
                         comp = run[on_run]
                         if comp.size:
@@ -453,7 +494,7 @@ class IntermittentFleetKernel:
                                 consumed, charged, leaked, wasted,
                             )
                             if prof is not None:
-                                n_comp += int(j_comp.sum())
+                                n_comp[comp] += j_comp
                                 steps_log[comp] += j_comp
                             cs = comp[
                                 (work[comp] > _WORK_EPS)
@@ -461,7 +502,7 @@ class IntermittentFleetKernel:
                             ]
                             if cs.size:
                                 if prof is not None:
-                                    n_comp += cs.size
+                                    n_comp[cs] += 1
                                     steps_log[cs] += 1
                                 self._compute_step(
                                     cs,
@@ -476,18 +517,10 @@ class IntermittentFleetKernel:
                                     charged,
                                     leaked,
                                     wasted,
-                                    prof=prof,
+                                    tally=tally,
                                 )
             pending = part & (in_inf | (ev < n_events))
-        if prof is not None:
-            prof.tally("intermittent.micro_passes", int(steps_log.max()))
-            prof.tally("intermittent.kernel_passes", n_pass)
-            prof.tally("intermittent.boundary_lanes", int(n_bnd))
-            prof.tally("intermittent.compute_lanes", int(n_comp))
-            prof.tally("intermittent.recharge_lanes", int(n_rech))
-            prof.tally("intermittent.completed", int(n_done))
-            prof.tally("intermittent.deadline_misses", int(n_dead))
-        return {
+        rec = {
             "exit": r_exit,
             "correct": r_correct,
             "latency": r_latency,
@@ -499,6 +532,66 @@ class IntermittentFleetKernel:
             "leaked": leaked,
             "wasted": wasted,
         }
+        if prof is not None:
+            prof.tally("intermittent.kernel_passes", n_pass)
+            _report_tallies(prof, tally, part)
+            rec["tallies"] = tally
+        return rec
+
+    def replay_episode(self, part, rec, draws, prof=None) -> None:
+        """Replay the episode ``rec`` for the participating devices.
+
+        Every episode resets storage and plays the same trace and events,
+        and an intermittent device has no controller to learn, so its
+        dynamics repeat exactly: every record but ``correct`` /
+        ``entropy``, and every state column, is what :meth:`run_episode`
+        produced in ``rec``.  Only the random streams move on.  For each
+        event that completed, in event order, this takes the completion
+        draw from ``draws`` and rewrites that event's ``correct`` /
+        ``entropy`` in ``rec``, in place.  Each device's stream is then
+        consumed exactly as simulating the episode again would consume
+        it.
+
+        ``prof`` must be profiling (or not) as it was for the
+        :meth:`run_episode` that made ``rec``.  It reports the logical
+        tallies again, since the replayed episode did complete that work,
+        plus ``intermittent.replayed_episodes``; it never adds
+        ``intermittent.kernel_passes``, since no kernel pass ran.
+        """
+        cols = np.nonzero(part)[0]
+        dev, ev = np.nonzero((rec["exit"][:, cols] >= 0).T)
+        # Rank each completion within its device; one draw per rank
+        # then serves every device's next completion at once.
+        per_dev = np.bincount(dev, minlength=cols.size)
+        rank = np.arange(dev.size) - np.repeat(np.cumsum(per_dev) - per_dev, per_dev)
+        order = np.argsort(rank, kind="stable")
+        start = 0
+        for end in np.cumsum(np.bincount(rank)).tolist():
+            sel = order[start:end]
+            ci, e = cols[dev[sel]], ev[sel]
+            correct, entropy = self._completion_draws(ci, draws)
+            rec["correct"][e, ci] = correct
+            rec["entropy"][e, ci] = entropy
+            start = end
+        if prof is not None:
+            _report_tallies(prof, rec["tallies"], part)
+            prof.tally("intermittent.replayed_episodes", int(cols.size))
+
+    def _completion_draws(self, ci, draws):
+        """``(correct, entropy)`` for inferences completing on kernel rows
+        ``ci``: a result difficulty, then a Beta(2, 8) confidence entropy
+        if the job's accuracy beats it, else Beta(5, 3) — the scalar
+        simulator's draw order."""
+        er = self.rows[ci]
+        difficulty = draws.random(er)
+        correct = difficulty < self._job_acc[ci]
+        entropy = np.empty(len(ci))
+        if correct.any():
+            entropy[correct] = draws.beta(2.0, 8.0, er[correct])
+        wrong = ~correct
+        if wrong.any():
+            entropy[wrong] = draws.beta(5.0, 3.0, er[wrong])
+        return correct, entropy
 
     # ------------------------------------------------------------------ #
     def _close_inference(
@@ -718,7 +811,7 @@ class IntermittentFleetKernel:
         charged,
         leaked,
         wasted,
-        prof=None,
+        tally=None,
     ) -> None:
         """One powered-off ``dt``: harvest, leak, maybe wake + restore."""
         h = self._energy_between(off, t[off], t[off] + self._dt[off])
@@ -727,8 +820,8 @@ class IntermittentFleetKernel:
         t[off] += self._dt[off]
         wake = off[level[off] >= self._wakeup[off]]
         if wake.size:
-            if prof is not None:
-                prof.tally("intermittent.wake_transitions", int(wake.size))
+            if tally is not None:
+                tally["wake_transitions"][wake] += 1
             on[wake] = True
             cycles[wake] += 1
             restore = np.minimum(self._ckpt_half[wake], level[wake])
@@ -751,7 +844,7 @@ class IntermittentFleetKernel:
         charged,
         leaked,
         wasted,
-        prof=None,
+        tally=None,
     ) -> None:
         """One powered-on compute slice: harvest while spending, then
         checkpoint and power down if the charge dipped to shutdown."""
@@ -775,8 +868,8 @@ class IntermittentFleetKernel:
         t[comp] += step_time
         dying = comp[(work[comp] > _WORK_EPS) & (level[comp] <= self._shutdown[comp])]
         if dying.size:
-            if prof is not None:
-                prof.tally("intermittent.shutdown_transitions", int(dying.size))
+            if tally is not None:
+                tally["shutdown_transitions"][dying] += 1
             save = np.minimum(self._ckpt_half[dying], level[dying])
             level[dying] = np.maximum(0.0, level[dying] - save)
             drawn[dying] += save

@@ -50,7 +50,16 @@ enforces it:
 * all ledger arithmetic (charge / leak / draw, the 1e-12 affordability
   epsilon, the max() guard on cumulative-energy crossings) replicates the
   scalar operation sequence elementwise — float64 lanes round identically
-  to the scalar ops they shadow.
+  to the scalar ops they shadow;
+* intermittent dynamics are episode-invariant: every episode resets
+  storage and replays the same trace and events, and no controller
+  learns, so only the completion draws (result difficulty, confidence
+  entropy) differ between episodes.  The multi-cycle kernel therefore
+  runs once per engine, in episode 0; each later episode takes the same
+  completion draw for every event that completed, in event order, and
+  rewrites only those events' ``correct`` / ``entropy`` records.  Every
+  device's stream is consumed exactly as the scalar simulator consumes
+  it, so the last episode's records are the scalar ones.
 
 Because devices never interact, lockstep order across devices is free;
 only the within-device order matters, and the step loop preserves it.
@@ -62,7 +71,11 @@ Incremental execution
 :meth:`~BatchedFleetEngine.advance` executes up to N lockstep steps (an
 episode with no single-cycle steps — an all-intermittent fleet — counts
 as one step), and :meth:`~BatchedFleetEngine.finalize` freezes the
-per-device results once :attr:`~BatchedFleetEngine.finished`.  Every
+per-device results once :attr:`~BatchedFleetEngine.finished`.  An
+intermittent episode — simulated in episode 0, replayed after — runs at
+episode open, riding with the adjacent step, so replaying changes no
+step count: ``total_steps`` and each ``advance`` call's executed count
+are what a fully simulated run would report.  Every
 piece of mutable state lives in the engine (numpy columns, batched
 controller tables, per-device RNG pools), so pausing between steps is
 invisible to the arithmetic: ``advance(k)`` called any number of times
@@ -172,7 +185,7 @@ class _RunState:
         "busy_until", "r_exit", "r_correct", "r_latency", "r_energy",
         "r_entropy", "r_reason", "r_first", "r_continued", "r_cycles",
         "results", "state", "part", "part_all", "n_passes", "n_full",
-        "n_lanes", "n_busy", "n_emiss", "out",
+        "n_lanes", "n_busy", "n_emiss", "out", "int_episode",
     )
 
     def __init__(self):
@@ -184,6 +197,10 @@ class _RunState:
         self.n_passes = self.n_full = self.n_lanes = 0
         self.n_busy = self.n_emiss = 0
         self.out = None
+        #: Intermittent devices' simulated episode — kernel records plus
+        #: end-of-episode state columns — while a later episode will
+        #: replay it.
+        self.int_episode = None
 
 
 class BatchedFleetEngine:
@@ -277,6 +294,7 @@ class BatchedFleetEngine:
             self._int_events = np.ascontiguousarray(self._events[:, int_rows])
             self._int_cum = np.ascontiguousarray(self._cum_at_event[:, int_rows])
             self._int_nev = self._n_events[int_rows]
+            self._int_episodes = self._episodes[int_rows]
         # Step-loop fast-path preconditions, hoisted out of the hot loop.
         # The whole-array fast paths write every device column at once, so
         # they are only sound when every engine row is a stepping
@@ -394,7 +412,8 @@ class BatchedFleetEngine:
         single-cycle steps at all (an all-intermittent fleet, whose
         whole episode executes inside the multi-cycle kernel) costs one
         step, so advancing always makes progress.  Episode-boundary work
-        — state resets, the intermittent kernel pass, trailing charge,
+        — state resets, the intermittent kernel pass (or, after episode
+        0, its draw replay), trailing charge,
         controller end-of-episode hooks, result snapshots — rides along
         with the adjacent step.  Any K-way split of ``advance`` calls
         executes the exact instruction sequence of one uninterrupted
@@ -475,8 +494,8 @@ class BatchedFleetEngine:
 
     # ------------------------------------------------------------------ #
     def _open_episode(self) -> None:
-        """Reset state columns for episode ``rs.ep`` and run participating
-        intermittent devices' whole-episode kernel pass."""
+        """Reset state columns for episode ``rs.ep`` and play participating
+        intermittent devices' whole episode (simulated or replayed)."""
         rs = self._rs
         part = self._episodes > rs.ep
         rs.part = part
@@ -507,12 +526,7 @@ class BatchedFleetEngine:
         )
         if self._has_int:
             t_int = time.perf_counter() if rs.prof is not None else 0.0
-            self._run_intermittent_pass(
-                part, rs.level, rs.total_drawn, rs.t_charged,
-                rs.cum_charged, rs.busy_until, rs.r_exit, rs.r_correct,
-                rs.r_latency, rs.r_energy, rs.r_entropy, rs.r_reason,
-                rs.r_cycles, prof=rs.prof,
-            )
+            self._run_intermittent_pass()
             if rs.prof is not None:
                 rs.prof.add_wall(
                     "batch.intermittent", time.perf_counter() - t_int
@@ -768,40 +782,47 @@ class BatchedFleetEngine:
                     group.report_event_batch(pidx[sub], rewards[sub])
 
     # ------------------------------------------------------------------ #
-    def _run_intermittent_pass(
-        self, part, level, total_drawn, t_charged, cum_charged, busy_until,
-        r_exit, r_correct, r_latency, r_energy, r_entropy, r_reason, r_cycles,
-        prof=None,
-    ) -> None:
-        """One episode of every participating intermittent device, through
-        the shared multi-cycle kernel; scatters records and writes the
-        mutated state columns back."""
+    def _run_intermittent_pass(self) -> None:
+        """Episode ``rs.ep`` of every participating intermittent device;
+        scatters its records and end-of-episode state columns.
+
+        Episode 0 runs the shared multi-cycle kernel.  A later episode
+        repeats its dynamics exactly (storage resets, the trace and events
+        repeat, no controller learns), so the kernel only replays the
+        completion draws into the kept records.
+        """
+        rs = self._rs
         rows = self._int_rows
-        ipart = part[rows]
+        ipart = rs.part[rows]
         if not ipart.any():
             return
-        lvl = level[rows]
-        drw = total_drawn[rows]
-        tch = t_charged[rows]
-        cch = cum_charged[rows]
-        bsy = busy_until[rows]
-        rec = self._int_kernel.run_episode(
-            ipart, self._int_events, self._int_cum, self._int_nev,
-            lvl, drw, tch, cch, bsy, self._sim_draws, prof=prof,
+        columns = (
+            rs.level, rs.total_drawn, rs.t_charged, rs.cum_charged,
+            rs.busy_until,
         )
-        level[rows] = lvl
-        total_drawn[rows] = drw
-        t_charged[rows] = tch
-        cum_charged[rows] = cch
-        busy_until[rows] = bsy
+        if rs.ep == 0:
+            state = [column[rows] for column in columns]
+            rec = self._int_kernel.run_episode(
+                ipart, self._int_events, self._int_cum, self._int_nev,
+                *state, self._sim_draws, prof=rs.prof,
+            )
+        else:
+            rec, state = rs.int_episode
+            self._int_kernel.replay_episode(
+                ipart, rec, self._sim_draws, prof=rs.prof
+            )
+        later = bool((self._int_episodes > rs.ep + 1).any())
+        rs.int_episode = (rec, state) if later else None
         cols = rows[ipart]
-        r_exit[:, cols] = rec["exit"][:, ipart]
-        r_correct[:, cols] = rec["correct"][:, ipart]
-        r_latency[:, cols] = rec["latency"][:, ipart]
-        r_energy[:, cols] = rec["energy"][:, ipart]
-        r_entropy[:, cols] = rec["entropy"][:, ipart]
-        r_reason[:, cols] = rec["reason"][:, ipart]
-        r_cycles[:, cols] = rec["cycles"][:, ipart]
+        for column, values in zip(columns, state):
+            column[cols] = values[ipart]
+        rs.r_exit[:, cols] = rec["exit"][:, ipart]
+        rs.r_correct[:, cols] = rec["correct"][:, ipart]
+        rs.r_latency[:, cols] = rec["latency"][:, ipart]
+        rs.r_energy[:, cols] = rec["energy"][:, ipart]
+        rs.r_entropy[:, cols] = rec["entropy"][:, ipart]
+        rs.r_reason[:, cols] = rec["reason"][:, ipart]
+        rs.r_cycles[:, cols] = rec["cycles"][:, ipart]
 
     # ------------------------------------------------------------------ #
     def _run_continue_loop(

@@ -24,7 +24,14 @@ import os
 import pytest
 
 from repro.campaign import CAMPAIGNS, CampaignStore, report_from_store, run_campaign
-from repro.fleet import SCENARIOS, FleetRunner, ShardLedger, ShardPlan
+from repro.fleet import (
+    SCENARIOS,
+    DeviceSpec,
+    FleetRunner,
+    FleetSpec,
+    ShardLedger,
+    ShardPlan,
+)
 from repro.fleet.__main__ import main as fleet_main
 from repro.obs import MANIFEST_SCHEMA, recording
 
@@ -165,6 +172,46 @@ def test_intermittent_profiler_tallies():
     assert "batch.intermittent" in rec.profiler.phase_wall
     assert "batch.lockstep" in rec.profiler.phase_wall
     assert rec.profiler.memory.get("batch.run", {}).get("peak_rss_mb", 0) > 0
+
+
+#: The scalar-equivalent ``intermittent.*`` tallies: the work a device's
+#: episode does, whether the kernel simulates it or replays its draws.
+LOGICAL_INTERMITTENT_TALLIES = (
+    "micro_passes",
+    "boundary_lanes",
+    "compute_lanes",
+    "recharge_lanes",
+    "completed",
+    "deadline_misses",
+    "wake_transitions",
+    "shutdown_transitions",
+)
+
+
+def test_replayed_episodes_keep_logical_tallies():
+    """An all-intermittent fleet at 3 episodes reports exactly 3x the
+    logical work of 1 episode, while the kernel passes run once per
+    engine and every device's 2 later episodes count as replayed."""
+    base = SCENARIOS.build("brownout-grid-256", num_devices=8)
+    counts = {}
+    for episodes in (1, 3):
+        devices = [
+            DeviceSpec(**{**d.to_dict(), "episodes": episodes})
+            for d in base.devices
+            if d.execution == "intermittent"
+        ]
+        spec = FleetSpec(name="replay-tallies", seed=base.seed, devices=devices)
+        with recording(profile=True) as rec:
+            FleetRunner(spec, workers=1).run()
+        counts[episodes] = rec.profiler.counts
+    one, three = counts[1], counts[3]
+    for name in LOGICAL_INTERMITTENT_TALLIES:
+        key = f"intermittent.{name}"
+        assert one[key] > 0, key
+        assert three[key] == 3 * one[key], key
+    assert three["intermittent.kernel_passes"] == one["intermittent.kernel_passes"]
+    assert three["intermittent.replayed_episodes"] == 2 * len(devices)
+    assert "intermittent.replayed_episodes" not in one
 
 
 def test_engine_phases_nest_inside_batch_run():
