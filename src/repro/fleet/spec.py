@@ -108,7 +108,12 @@ class DeviceSpec:
                 f"device {self.name!r}: profile must be a name or a dict, "
                 f"got {type(self.profile).__name__}"
             )
-        if not isinstance(self.episodes, int) or self.episodes < 1:
+        # bool is an int subclass, but a JSON ``true`` is not a count.
+        if (
+            not isinstance(self.episodes, int)
+            or isinstance(self.episodes, bool)
+            or self.episodes < 1
+        ):
             raise ConfigError(
                 f"device {self.name!r}: episodes must be a positive int, "
                 f"got {self.episodes!r}"
@@ -168,7 +173,7 @@ class FleetSpec:
                     f"fleet {self.name!r}: devices must be DeviceSpec, "
                     f"got {type(d).__name__}"
                 )
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(
                 f"fleet {self.name!r}: seed must be an int, got {self.seed!r}"
             )

@@ -106,6 +106,20 @@ class TestFleetSpec:
         with pytest.raises(ConfigError, match="seed"):
             FleetSpec.from_dict(data)
 
+    def test_json_booleans_are_not_ints(self):
+        """bool subclasses int, but a spec file's ``true`` is no episode
+        count or seed: it is refused, naming the device and field,
+        instead of running as 1 under a different digest."""
+        data = tiny_fleet().to_dict()
+        data["devices"][1]["episodes"] = True
+        with pytest.raises(ConfigError, match="device 'dev-1': episodes"):
+            FleetSpec.from_dict(data)
+        for flag in (True, False):
+            data = tiny_fleet().to_dict()
+            data["seed"] = flag
+            with pytest.raises(ConfigError, match="fleet 'tiny': seed"):
+                FleetSpec.from_dict(data)
+
     def test_unknown_top_level_field_rejected(self):
         data = tiny_fleet().to_dict()
         data["sed"] = 99  # misspelled "seed" must not silently vanish
