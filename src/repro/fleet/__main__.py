@@ -28,8 +28,9 @@ Observability (all off by default, and guaranteed not to change results):
 ``--trace-out`` streams span records as JSON lines (first line: the run's
 provenance manifest), ``--metrics-out`` writes the collected metrics
 summary (+ phase profile with ``--profile``), and ``--explain`` prints
-one line per device (execution model, trace family, controller kind) and
-the dispatch the run would use — serial, W workers x C engine chunks, or
+one line per device (execution model, trace family, controller kind,
+episode count — an intermittent device simulates its first episode and
+replays the rest's draws) and the dispatch the run would use — serial, W workers x C engine chunks, or
 N shards x K shard workers through the ledger (the plan ``--resume``
 reads back from it included) — without simulating or writing anything.
 It rejects the flag combinations the run would reject.  Combining
@@ -116,6 +117,17 @@ def _check_sharded_flags(args) -> None:
         )
 
 
+def _episode_plan(device) -> str:
+    """How many episodes a device plays, and how the engine plays them:
+    an intermittent device's later episodes repeat its first one's
+    dynamics, so only the first is simulated."""
+    n = device.episodes
+    plan = f"{n} episode{'s' if n > 1 else ''}"
+    if device.execution == "intermittent" and n > 1:
+        plan += f" (1 simulated, {n - 1} replayed)"
+    return plan
+
+
 def _print_explain(args, sharded: bool) -> None:
     """One line per device, then the dispatch ``run`` would use with the
     same flags (rejecting what ``run`` rejects; nothing simulated or
@@ -141,7 +153,8 @@ def _print_explain(args, sharded: bool) -> None:
     for device in spec.devices:
         print(
             f"  {device.name:<18} {device.execution:<13} "
-            f"{device.trace['family']:<9} {device.controller['kind']}"
+            f"{device.trace['family']:<9} {device.controller['kind']:<10} "
+            f"{_episode_plan(device)}"
         )
     print(f"  dispatch: {dispatch}")
 
@@ -336,8 +349,8 @@ def main(argv=None) -> int:
                      help="include wall-clock timing in the JSON report")
     run.add_argument("--quiet", action="store_true", help="suppress the per-device table")
     run.add_argument("--explain", action="store_true",
-                     help="print each device's execution model, trace family "
-                          "and controller kind, plus the dispatch plan "
+                     help="print each device's execution model, trace family, "
+                          "controller kind and episode count, plus the dispatch plan "
                           "(serial, workers x chunks, or shards x shard "
                           "workers via the ledger), instead of running; "
                           "writes nothing")

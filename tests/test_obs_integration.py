@@ -313,7 +313,25 @@ def test_fleet_cli_explain(capsys, monkeypatch, tmp_path):
         assert device.execution in line
         assert device.trace["family"] in line
         assert device.controller["kind"] in line
+        assert line.endswith(" 1 episode")
     assert "dispatch: serial, in-process" in out
+
+    # Episodes multiply a device's cost, except an intermittent device's
+    # later episodes, which replay the first one's draws.
+    data = SCENARIOS.build("brownout-grid-256", num_devices=4).to_dict()
+    for device in data["devices"]:
+        device["episodes"] = 4
+    assert {d["execution"] for d in data["devices"]} == {"intermittent", "single-cycle"}
+    spec_path = tmp_path / "episodes.json"
+    FleetSpec.from_dict(data).to_json(str(spec_path))
+    assert fleet_main(["run", "--spec", str(spec_path), "--explain"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for device in data["devices"]:
+        line = next(x for x in lines if device["name"] in x)
+        if device["execution"] == "intermittent":
+            assert line.endswith(" 4 episodes (1 simulated, 3 replayed)")
+        else:
+            assert line.endswith(" 4 episodes")
 
     ledger = tmp_path / "L"
     argv = ["run", "brownout-grid-256", "--devices", "64", "--shards", "8"]
