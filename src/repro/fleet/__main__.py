@@ -30,9 +30,10 @@ provenance manifest), ``--metrics-out`` writes the collected metrics
 summary (+ phase profile with ``--profile``), and ``--explain`` prints
 one line per device (execution model, trace family, controller kind,
 episode count — an intermittent device simulates its first episode and
-replays the rest's draws) and the dispatch the run would use — serial, W workers x C engine chunks, or
-N shards x K shard workers through the ledger (the plan ``--resume``
-reads back from it included) — without simulating or writing anything.
+replays the rest's draws) and the dispatch the run would use — serial,
+W workers x C engine chunks, or N shards x K shard workers through the
+ledger (the plan ``--resume`` reads back from it included) — without
+simulating or writing anything.
 It rejects the flag combinations the run would reject.  Combining
 ``--explain`` with ``--chaos PLAN.json`` additionally validates the plan
 (unknown sites fail loudly) and prints the armed sites, still without

@@ -69,7 +69,7 @@ _WORK_EPS = 1e-12
 #: device's counts depend on its own episode alone, so a replayed episode
 #: reports exactly what simulating it again would have.  The two
 #: power-state transition tallies are only reported once nonzero.
-LOGICAL_TALLIES = (
+_LOGICAL_TALLIES = (
     "micro_passes",
     "boundary_lanes",
     "compute_lanes",
@@ -179,7 +179,7 @@ def _report_tallies(prof, tally, part) -> None:
     # The scalar-equivalent loop runs as long as its longest lane.
     steps = int(tally["micro_passes"].max(initial=0, where=part))
     prof.tally("intermittent.micro_passes", steps)
-    for name in LOGICAL_TALLIES[1:]:
+    for name in _LOGICAL_TALLIES[1:]:
         n = int(tally[name][part].sum())
         if n or not name.endswith("_transitions"):
             prof.tally(f"intermittent.{name}", n)
@@ -365,7 +365,7 @@ class IntermittentFleetKernel:
         n_pass = 0
         tally = None
         if prof is not None:
-            tally = {name: np.zeros(k_total, np.int64) for name in LOGICAL_TALLIES}
+            tally = {name: np.zeros(k_total, np.int64) for name in _LOGICAL_TALLIES}
             steps_log = tally["micro_passes"]
             n_bnd, n_comp = tally["boundary_lanes"], tally["compute_lanes"]
             n_rech, n_done = tally["recharge_lanes"], tally["completed"]
@@ -559,6 +559,7 @@ class IntermittentFleetKernel:
         ``intermittent.kernel_passes``, since no kernel pass ran.
         """
         cols = np.nonzero(part)[0]
+        # A completed event has an exit; a missed one keeps -1.
         dev, ev = np.nonzero((rec["exit"][:, cols] >= 0).T)
         # Rank each completion within its device; one draw per rank
         # then serves every device's next completion at once.

@@ -294,7 +294,6 @@ class BatchedFleetEngine:
             self._int_events = np.ascontiguousarray(self._events[:, int_rows])
             self._int_cum = np.ascontiguousarray(self._cum_at_event[:, int_rows])
             self._int_nev = self._n_events[int_rows]
-            self._int_episodes = self._episodes[int_rows]
         # Step-loop fast-path preconditions, hoisted out of the hot loop.
         # The whole-array fast paths write every device column at once, so
         # they are only sound when every engine row is a stepping
@@ -811,7 +810,7 @@ class BatchedFleetEngine:
             self._int_kernel.replay_episode(
                 ipart, rec, self._sim_draws, prof=rs.prof
             )
-        later = bool((self._int_episodes > rs.ep + 1).any())
+        later = bool((self._episodes[rows] > rs.ep + 1).any())
         rs.int_episode = (rec, state) if later else None
         cols = rows[ipart]
         for column, values in zip(columns, state):
