@@ -9,6 +9,15 @@ modulated by cloud occlusion (an Ornstein-Uhlenbeck process squashed to
 traces support ablations and heterogeneous fleet scenarios, and
 :func:`trace_from_csv` loads real measurement files.
 
+Each seeded family (solar, kinetic, wind, piezo, rf) has one
+implementation that builds a *stack* of traces sharing a sample grid: a
+per-row loop builds each row's generator and takes its draws in the
+scalar order, then the OU scan, envelopes, gust and duty-cycle shaping
+and the cumulative energy run once over the (rows x samples) stack.
+:func:`synthesize_stacks` builds a fleet's traces that way; the public
+builders (:func:`solar_trace` and its siblings) are a stack of one, and
+every stacked row equals its scalar build bit for bit.
+
 A :class:`PowerTrace` stores power samples on a uniform grid and exposes
 interpolation, windowed means (the runtime's "charging efficiency" signal),
 and exact cumulative-energy queries used by the simulator.
@@ -16,8 +25,10 @@ and exact cumulative-energy queries used by the simulator.
 
 from __future__ import annotations
 
+import inspect
 import os
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +54,18 @@ class PowerTrace:
         increments = 0.5 * (samples[1:] + samples[:-1]) * dt
         self._cum_energy = np.concatenate([[0.0], np.cumsum(increments)])
 
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, cum_energy: np.ndarray, dt, name: str):
+        """A trace over validated float64 samples and their cumulative
+        energy, computed by the caller (the stack builders do it a stack
+        at a time)."""
+        trace = cls.__new__(cls)
+        trace.samples_mw = samples
+        trace.dt = float(dt)
+        trace.name = name
+        trace._cum_energy = cum_energy
+        return trace
+
     @property
     def duration(self) -> float:
         """Trace length in seconds."""
@@ -67,9 +90,7 @@ class PowerTrace:
                 return float(self.samples_mw[-1])
             frac = pos - i
             return float((1 - frac) * self.samples_mw[i] + frac * self.samples_mw[i + 1])
-        pos = np.clip(arr, 0.0, self.duration) / self.dt
-        i = np.minimum(pos.astype(np.int64), len(self.samples_mw) - 2)
-        frac = pos - i
+        i, frac = grid_position(arr, self.duration, self.dt, len(self.samples_mw))
         return (1 - frac) * self.samples_mw[i] + frac * self.samples_mw[i + 1]
 
     def energy_between(self, t0, t1):
@@ -161,6 +182,15 @@ class PowerTrace:
         return PowerTrace(self.samples_mw * factor, self.dt, name=f"{self.name}*{factor:g}")
 
 
+def grid_position(t, duration: float, dt: float, n: int):
+    """Interpolation index and weight of the times ``t`` on the grid of an
+    ``n``-sample trace: :meth:`PowerTrace.power`'s array arithmetic, which
+    the fleet's harvest summary shares for a whole stack of traces."""
+    pos = np.clip(t, 0.0, duration) / dt
+    i = np.minimum(pos.astype(np.int64), n - 2)
+    return i, pos - i
+
+
 def trace_from_samples(samples_mw, dt: float, name: str = "custom") -> PowerTrace:
     """Wrap raw samples in a :class:`PowerTrace`."""
     return PowerTrace(np.asarray(samples_mw), dt, name=name)
@@ -204,42 +234,182 @@ def constant_trace(power_mw: float, duration: float, dt: float = 0.1) -> PowerTr
     return PowerTrace(np.full(n, float(power_mw)), dt, name="constant")
 
 
-def _ou_process(n: int, dt: float, theta: float, sigma: float, rng) -> np.ndarray:
-    """Zero-mean Ornstein-Uhlenbeck path (cloud/burst dynamics).
+#: Most (rows x samples) elements one synthesis block holds.  A stack with
+#: more rows synthesizes a block of rows at a time, which bounds the
+#: temporaries; rows never interact, so the block size changes no sample.
+_BLOCK_ELEMENTS = 1 << 16
 
-    The Euler-Maruyama recurrence ``x[i] = phi * x[i-1] + noise[i-1]`` with
-    ``phi = 1 - theta * dt`` is an exact AR(1), so the whole path follows
-    from a scan: ``x[i] = phi**i * sum_{j<i} noise[j] * phi**-(j+1)``.
-    Rescaling by ``phi**-j`` overflows float64 over tens of thousands of
-    samples, so the scan runs in blocks sized to bound the in-block dynamic
-    range at ~1e4 (keeping the result within ~1e-12 of the sequential
-    loop), carrying the block-final value across block boundaries.  Traces
-    of 36k-43k samples synthesize in a handful of vectorized passes instead
-    of a Python-level loop per sample — the former fleet-path bottleneck.
+
+def _samples(duration, dt) -> int:
+    """Sample count of a ``duration``-second grid at step ``dt``."""
+    return int(round(duration / dt)) + 1
+
+
+def _ou_draw(n: int, rng) -> np.ndarray:
+    """An OU path's standard-normal increments (none below two samples)."""
+    return rng.normal(size=n - 1) if n >= 2 else np.zeros(0)
+
+
+def _ou_scan(noise: np.ndarray, n: int, dt: float, theta: float) -> np.ndarray:
+    """Zero-mean Ornstein-Uhlenbeck paths from a stack of increments.
+
+    ``noise`` is (rows, n - 1): each row's scaled Euler-Maruyama noise.
+    The recurrence ``x[i] = phi * x[i-1] + noise[i-1]`` with
+    ``phi = 1 - theta * dt`` is an exact AR(1), so a path follows from a
+    scan: ``x[i] = phi**i * sum_{j<i} noise[j] * phi**-(j+1)``.  Rescaling
+    by ``phi**-j`` overflows float64 over tens of thousands of samples, so
+    the scan runs in blocks sized to bound the in-block dynamic range at
+    ~1e4 (keeping the result within ~1e-12 of the sequential loop),
+    carrying the block-final value across block boundaries.
+
+    Every block of every row scans at once: the noise reshapes to
+    (rows, blocks, block), divides by the powers once and takes one
+    ``cumsum``; the block carries ``carry[b] = phi**block * (carry[b-1] +
+    cs[b-1, -1])`` run as a short loop over blocks, then one multiply
+    finishes every block.  That is the per-block loop's arithmetic, element
+    for element, so a row's path does not depend on the stack around it.
     """
-    x = np.zeros(n)
+    rows = noise.shape[0]
     if n < 2:
-        return x
-    noise = rng.normal(size=n - 1) * sigma * np.sqrt(dt)
+        return np.zeros((rows, n))
+    m = n - 1
     phi = 1.0 - theta * dt
     if phi == 0.0:
-        x[1:] = noise
+        x = np.zeros((rows, n))
+        x[:, 1:] = noise
         return x
     abs_phi = abs(phi)
     if abs_phi == 1.0:
-        block = n - 1
+        block = m
     else:
         log_range = abs(np.log(abs_phi))
         block = max(16, int(np.log(1e4) / log_range) + 1)
         # Never let phi**-block overflow float64, whatever the params.
-        block = min(block, max(int(np.log(1e250) / log_range), 1), n - 1)
-    carry = 0.0
-    for start in range(0, n - 1, block):
-        stop = min(start + block, n - 1)
-        powers = phi ** np.arange(1, stop - start + 1)
-        x[start + 1:stop + 1] = powers * (carry + np.cumsum(noise[start:stop] / powers))
-        carry = x[stop]
+        block = min(block, max(int(np.log(1e250) / log_range), 1), m)
+    full, tail = divmod(m, block)
+    blocks = full + (tail > 0)
+    powers = phi ** np.arange(1, block + 1)
+    scan = np.empty((rows, blocks, block))
+    np.divide(
+        noise[:, :full * block].reshape(rows, full, block), powers, out=scan[:, :full]
+    )
+    if tail:
+        np.divide(noise[:, full * block:], powers[:tail], out=scan[:, full, :tail])
+        scan[:, full, tail:] = 0.0
+    np.cumsum(scan, axis=2, out=scan)
+    last = np.ascontiguousarray(scan[:, :, -1].T)
+    carry = np.zeros((blocks, rows))
+    for b in range(1, blocks):
+        np.add(carry[b - 1], last[b - 1], out=carry[b])
+        carry[b] *= powers[-1]
+    np.add(carry.T[:, :, None], scan, out=scan)
+    np.multiply(powers, scan, out=scan)
+    x = np.empty((rows, n))
+    x[:, 0] = 0.0
+    x[:, 1:] = scan.reshape(rows, -1)[:, :m]
     return x
+
+
+def _ou_process(n: int, dt: float, theta: float, sigma: float, rng) -> np.ndarray:
+    """Zero-mean Ornstein-Uhlenbeck path (cloud/burst dynamics): the
+    draws, then a one-row :func:`_ou_scan`."""
+    if n < 2:
+        return np.zeros(n)
+    noise = _ou_draw(n, rng) * sigma * np.sqrt(dt)
+    return _ou_scan(noise[None, :], n, dt, theta)[0]
+
+
+def _column(values):
+    """Per-row parameter values as a stack column.
+
+    A stack of one keeps the row's own value, so a scalar build does
+    exactly the arithmetic (and raises exactly the errors) of a plain
+    scalar expression; wider stacks get a (rows, 1) float64 column, whose
+    broadcast ops round element for element like the scalar ones.
+    """
+    if len(values) == 1:
+        return values[0]
+    return np.array(values, dtype=np.float64)[:, None]
+
+
+def _stacked(draws, field: int) -> np.ndarray:
+    """One draw field of every row as a (rows, ...) stack."""
+    if len(draws) == 1:
+        return np.asarray(draws[0][field])[None]
+    return np.stack([d[field] for d in draws])
+
+
+def _ou_noise(draws, field: int, sigma, dt) -> np.ndarray:
+    """The stack's scaled OU increments, ``z * sigma * sqrt(dt)``."""
+    noise = np.multiply(_stacked(draws, field), sigma)
+    return np.multiply(noise, np.sqrt(dt), out=noise)
+
+
+def _gust_arrivals(rng, duration, dt, n, rate_hz, length_s):
+    """Exponential episodes over ``[0, duration)``: ``(i0, i1, amplitude)``
+    per episode, drawn in the scalar order (gap, length, amplitude)."""
+    episodes = []
+    t = 0.0
+    while t < duration and rate_hz > 0:
+        t += rng.exponential(1.0 / rate_hz)
+        if t >= duration:
+            break
+        length = rng.exponential(length_s)
+        i0 = int(t / dt)
+        i1 = min(n, int((t + length) / dt) + 1)
+        episodes.append((i0, i1, 0.5 + 0.5 * rng.random()))
+        t += length
+    return episodes
+
+
+@lru_cache(maxsize=256)
+def _gust_profile(length: int) -> np.ndarray:
+    """Half-sine ramp of a ``length``-sample gust (read-only, shared)."""
+    profile = np.sin(np.linspace(0.0, np.pi, max(length, 1)))
+    profile.flags.writeable = False
+    return profile
+
+
+def _finish(samples, dt, name: str, strict: bool) -> list:
+    """PowerTraces for a (rows, n) stack of power samples.
+
+    Validates like :class:`PowerTrace` and computes every row's
+    trapezoidal cumulative energy in one pass; each trace gets its own
+    copies, so the memo never keeps a whole stack alive for one row.  A
+    row with negative power raises :class:`EnergyError` when ``strict``,
+    else comes back as ``None``.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    rows, n = samples.shape
+    if n < 2:
+        raise ConfigError("trace needs a 1-D array of at least 2 samples")
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    negative = (samples < 0).any(axis=1)
+    if strict and negative.any():
+        raise EnergyError("harvested power cannot be negative")
+    cum = np.add(samples[:, 1:], samples[:, :-1])
+    np.multiply(0.5, cum, out=cum)
+    np.multiply(cum, dt, out=cum)
+    np.cumsum(cum, axis=1, out=cum)
+    traces = []
+    for r, bad in enumerate(negative.tolist()):
+        if bad:
+            traces.append(None)
+            continue
+        own = np.empty(n)
+        own[0] = 0.0
+        own[1:] = cum[r]
+        traces.append(PowerTrace._adopt(samples[r].copy(), own, dt, name))
+    return traces
+
+
+def _build_one(family: str, params: dict) -> PowerTrace:
+    """A stack of one: the scalar build of a seeded family."""
+    fam = _FAMILIES[family]
+    n, draws = fam.draw(params)
+    samples = fam.shape([params], [draws], n, params["dt"])
+    return _finish(samples, params["dt"], family, strict=True)[0]
 
 
 def solar_trace(
@@ -269,20 +439,52 @@ def solar_trace(
 
     Power is clipped at zero: outside the daylight arc nothing harvests.
     """
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    t = np.arange(n) * dt
-    if day_length is None:
-        day_length = duration
-    envelope = np.sin(np.pi * (t / day_length + phase))
-    envelope = np.clip(envelope, 0.0, None) ** 1.5
-    if cloud_sigma is None:
-        cloud_sigma = float(np.sqrt(2.0 * cloud_theta))  # unit stationary std
-    clouds = _ou_process(n, dt, cloud_theta, cloud_sigma, gen)
-    occlusion = 1.0 / (1.0 + np.exp(-cloud_depth * (clouds - cloud_bias)))
-    power = peak_mw * envelope * occlusion
-    power = power + gen.normal(0.0, noise_mw, size=n)
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="solar")
+    # locals() is exactly the parameters here: build them as a stack of one.
+    return _build_one("solar", locals())
+
+
+def _solar_draw(p):
+    gen = as_generator(p["seed"])
+    n = _samples(p["duration"], p["dt"])
+    return n, (_ou_draw(n, gen), gen.normal(0.0, p["noise_mw"], size=n))
+
+
+def _solar_shape(rows, draws, n, dt):
+    # The diurnal envelope depends on (day_length, phase) only: one per
+    # distinct pair, gathered to the rows below.
+    arcs: dict = {}
+    arc_of = [
+        arcs.setdefault(
+            (p["duration"] if p["day_length"] is None else p["day_length"], p["phase"]),
+            len(arcs),
+        )
+        for p in rows
+    ]
+    t = (np.arange(n) * dt)[None]
+    envelope = np.divide(t, _column([day_length for day_length, _ in arcs]))
+    np.add(envelope, _column([phase for _, phase in arcs]), out=envelope)
+    np.multiply(np.pi, envelope, out=envelope)
+    np.sin(envelope, out=envelope)
+    np.clip(envelope, 0.0, None, out=envelope)
+    np.power(envelope, 1.5, out=envelope)
+    sigma = _column([
+        float(np.sqrt(2.0 * p["cloud_theta"]))  # unit stationary std
+        if p["cloud_sigma"] is None else p["cloud_sigma"]
+        for p in rows
+    ])
+    clouds = _ou_scan(_ou_noise(draws, 0, sigma, dt), n, dt, rows[0]["cloud_theta"])
+    depth = _column([p["cloud_depth"] for p in rows])
+    occlusion = np.subtract(clouds, _column([p["cloud_bias"] for p in rows]))
+    np.multiply(-depth, occlusion, out=occlusion)
+    np.exp(occlusion, out=occlusion)
+    np.add(1.0, occlusion, out=occlusion)
+    np.divide(1.0, occlusion, out=occlusion)
+    if len(arcs) < len(rows):
+        envelope = envelope[arc_of]
+    power = np.multiply(_column([p["peak_mw"] for p in rows]), envelope)
+    np.multiply(power, occlusion, out=power)
+    np.add(power, _stacked(draws, 1), out=power)
+    return np.clip(power, 0.0, None, out=power)
 
 
 def kinetic_trace(
@@ -295,21 +497,31 @@ def kinetic_trace(
     seed=0,
 ) -> PowerTrace:
     """Bursty kinetic harvesting (e.g. footsteps): idle base + active bursts."""
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    power = np.full(n, base_mw)
+    return _build_one("kinetic", locals())
+
+
+def _kinetic_draw(p):
+    gen = as_generator(p["seed"])
+    duration, dt = p["duration"], p["dt"]
+    n = _samples(duration, dt)
+    power = np.full(n, p["base_mw"])
+    rate = p["burst_rate_hz"]
     t = 0.0
     while t < duration:
-        gap = gen.exponential(1.0 / burst_rate_hz) if burst_rate_hz > 0 else duration
+        gap = gen.exponential(1.0 / rate) if rate > 0 else duration
         t += gap
         if t >= duration:
             break
-        length = gen.exponential(burst_length_s)
+        length = gen.exponential(p["burst_length_s"])
         i0 = int(t / dt)
         i1 = min(n, int((t + length) / dt) + 1)
-        power[i0:i1] += burst_power_mw * (0.5 + 0.5 * gen.random())
+        power[i0:i1] += p["burst_power_mw"] * (0.5 + 0.5 * gen.random())
         t += length
-    return PowerTrace(power, dt, name="kinetic")
+    return n, (power,)
+
+
+def _kinetic_shape(rows, draws, n, dt):
+    return _stacked(draws, 0)
 
 
 def wind_trace(
@@ -333,26 +545,38 @@ def wind_trace(
     power spikes an order of magnitude above the median, a regime between
     solar (slow, bimodal) and kinetic (sparse bursts).
     """
-    if mean_speed <= 0:
-        raise ConfigError(f"mean_speed must be positive, got {mean_speed}")
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    speed = mean_speed * (1.0 + _ou_process(n, dt, theta=0.05, sigma=turbulence * np.sqrt(0.1), rng=gen))
-    t = 0.0
-    while t < duration and gust_rate_hz > 0:
-        t += gen.exponential(1.0 / gust_rate_hz)
-        if t >= duration:
-            break
-        length = gen.exponential(gust_length_s)
-        i0 = int(t / dt)
-        i1 = min(n, int((t + length) / dt) + 1)
+    return _build_one("wind", locals())
+
+
+def _wind_draw(p):
+    if p["mean_speed"] <= 0:
+        raise ConfigError(f"mean_speed must be positive, got {p['mean_speed']}")
+    gen = as_generator(p["seed"])
+    duration, dt = p["duration"], p["dt"]
+    n = _samples(duration, dt)
+    turbulence = _ou_draw(n, gen)
+    gusts = _gust_arrivals(
+        gen, duration, dt, n, p["gust_rate_hz"], p["gust_length_s"]
+    )
+    return n, (turbulence, gusts)
+
+
+def _wind_shape(rows, draws, n, dt):
+    mean_speed = _column([p["mean_speed"] for p in rows])
+    sigma = _column([p["turbulence"] for p in rows]) * np.sqrt(0.1)
+    speed = _ou_scan(_ou_noise(draws, 0, sigma, dt), n, dt, 0.05)
+    np.add(1.0, speed, out=speed)
+    np.multiply(mean_speed, speed, out=speed)
+    for r, (p, (_, gusts)) in enumerate(zip(rows, draws)):
         # Gusts ramp in and die off (half-sine profile) rather than step.
-        profile = np.sin(np.linspace(0.0, np.pi, max(i1 - i0, 1)))
-        speed[i0:i1] += gust_strength * mean_speed * (0.5 + 0.5 * gen.random()) * profile
-        t += length
-    speed = np.clip(speed, 0.0, None)
-    power = 0.5 * peak_mw * (speed / mean_speed) ** 3
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="wind")
+        scale = p["gust_strength"] * p["mean_speed"]
+        for i0, i1, amplitude in gusts:
+            speed[r, i0:i1] += scale * amplitude * _gust_profile(i1 - i0)
+    np.clip(speed, 0.0, None, out=speed)
+    np.divide(speed, mean_speed, out=speed)
+    np.power(speed, 3, out=speed)
+    np.multiply(0.5 * _column([p["peak_mw"] for p in rows]), speed, out=speed)
+    return np.clip(speed, 0.0, None, out=speed)
 
 
 def piezo_trace(
@@ -375,13 +599,19 @@ def piezo_trace(
     jitter (mount resonance drifting with load).  Off intervals fall to a
     tiny ambient ``base_mw``.
     """
-    gen = as_generator(seed)
+    return _build_one("piezo", locals())
+
+
+def _piezo_draw(p):
+    gen = as_generator(p["seed"])
+    duty_cycle = p["duty_cycle"]
     if not 0.0 < duty_cycle < 1.0:
         raise ConfigError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
-    n = int(round(duration / dt)) + 1
+    duration, dt = p["duration"], p["dt"]
+    n = _samples(duration, dt)
     on = np.zeros(n, dtype=bool)
-    mean_on = duty_cycle * cycle_period_s
-    mean_off = (1.0 - duty_cycle) * cycle_period_s
+    mean_on = duty_cycle * p["cycle_period_s"]
+    mean_off = (1.0 - duty_cycle) * p["cycle_period_s"]
     t, machine_on = 0.0, gen.random() < duty_cycle
     while t < duration:
         length = gen.exponential(mean_on if machine_on else mean_off)
@@ -391,9 +621,16 @@ def piezo_trace(
             on[i0:i1] = True
         t += length
         machine_on = not machine_on
-    jitter = _ou_process(n, dt, theta=0.02, sigma=amplitude_jitter * np.sqrt(0.04), rng=gen)
-    power = np.where(on, peak_mw * np.exp(jitter), base_mw)
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="piezo")
+    return n, (on, _ou_draw(n, gen))
+
+
+def _piezo_shape(rows, draws, n, dt):
+    sigma = _column([p["amplitude_jitter"] for p in rows]) * np.sqrt(0.04)
+    jitter = _ou_scan(_ou_noise(draws, 1, sigma, dt), n, dt, 0.02)
+    np.exp(jitter, out=jitter)
+    np.multiply(_column([p["peak_mw"] for p in rows]), jitter, out=jitter)
+    power = np.where(_stacked(draws, 0), jitter, _column([p["base_mw"] for p in rows]))
+    return np.clip(power, 0.0, None, out=power)
 
 
 def rf_trace(
@@ -404,8 +641,125 @@ def rf_trace(
     seed=0,
 ) -> PowerTrace:
     """Weak RF harvesting with log-normal slow fading."""
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    fading = _ou_process(n, dt, theta=0.02, sigma=fading_sigma * np.sqrt(0.04), rng=gen)
-    power = mean_mw * np.exp(fading)
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="rf")
+    return _build_one("rf", locals())
+
+
+def _rf_draw(p):
+    gen = as_generator(p["seed"])
+    n = _samples(p["duration"], p["dt"])
+    return n, (_ou_draw(n, gen),)
+
+
+def _rf_shape(rows, draws, n, dt):
+    sigma = _column([p["fading_sigma"] for p in rows]) * np.sqrt(0.04)
+    power = _ou_scan(_ou_noise(draws, 0, sigma, dt), n, dt, 0.02)
+    np.exp(power, out=power)
+    np.multiply(_column([p["mean_mw"] for p in rows]), power, out=power)
+    return np.clip(power, 0.0, None, out=power)
+
+
+class _Family(NamedTuple):
+    """One seeded trace family, split at the stack boundary.
+
+    ``draw(params) -> (n, draws)`` builds one row's generator, validates
+    and takes every draw in the scalar order; ``shape(rows, draws, n, dt)``
+    turns a stack of rows sharing the grid into (rows, n) power samples.
+    ``theta`` names the per-row OU theta a stack must share (solar's
+    ``cloud_theta``); the other families' theta is fixed.
+    """
+
+    builder: object
+    draw: object
+    shape: object
+    theta: Optional[str] = None
+
+
+_FAMILIES = {
+    "solar": _Family(solar_trace, _solar_draw, _solar_shape, "cloud_theta"),
+    "kinetic": _Family(kinetic_trace, _kinetic_draw, _kinetic_shape),
+    "wind": _Family(wind_trace, _wind_draw, _wind_shape),
+    "piezo": _Family(piezo_trace, _piezo_draw, _piezo_shape),
+    "rf": _Family(rf_trace, _rf_draw, _rf_shape),
+}
+
+#: Every seeded family's parameters and their defaults, from the builders'
+#: signatures.
+_DEFAULTS = {
+    family: {
+        name: param.default
+        for name, param in inspect.signature(fam.builder).parameters.items()
+    }
+    for family, fam in _FAMILIES.items()
+}
+
+
+def _stack_row(family: str, params: dict):
+    """``params`` completed with the builder's defaults, or None when a
+    stack cannot hold the row: an unknown parameter, or a value other than
+    a real number (or None where the default is None).  Such a row is left
+    to its scalar build, which reports the problem."""
+    defaults = _DEFAULTS[family]
+    if not params.keys() <= defaults.keys():
+        return None
+    row = {**defaults, **params}
+    for name, value in row.items():
+        if name == "seed" or (value is None and defaults[name] is None):
+            continue
+        if not isinstance(value, (int, float)):
+            return None
+    return row
+
+
+def synthesize_stacks(family: str, rows) -> list:
+    """One trace per parameter row of a seeded ``family``, synthesized as
+    same-grid stacks; ``None`` for a row left to its scalar build.
+
+    Each row is a params dict for the family's builder (:func:`solar_trace`
+    etc.), seed included.  Rows that share what shapes the arrays and the
+    recurrence — sample count, ``dt`` and, for solar, ``cloud_theta`` —
+    form one stack; every other parameter is a per-row column.  A per-row
+    loop builds each row's generator and takes its draws in the scalar
+    order, then the OU scan, envelopes, gust and duty-cycle shaping and the
+    cumulative energy run once over a block of rows.  Every trace equals
+    the scalar builder's bit for bit, whatever the stack and block size.
+
+    Never raises: a row with an unknown parameter or a value a column
+    cannot hold, or whose grid, validation or draws fail, comes back
+    ``None``, and its scalar build raises the builder's own error.
+    """
+    fam = _FAMILIES[family]
+    out = [None] * len(rows)
+    stacks: dict = {}
+    for r, params in enumerate(rows):
+        p = _stack_row(family, params)
+        if p is None:
+            continue
+        try:
+            n = _samples(p["duration"], p["dt"])
+            if n < 2 or not p["dt"] > 0:
+                continue
+            key = (n, p["dt"], p[fam.theta] if fam.theta else None)
+            stacks.setdefault(key, []).append((r, p))
+        except Exception:
+            continue
+    for (n, dt, _), members in stacks.items():
+        width = max(1, _BLOCK_ELEMENTS // n)
+        for start in range(0, len(members), width):
+            drawn = []
+            for r, p in members[start:start + width]:
+                try:
+                    drawn.append((r, p, fam.draw(p)[1]))
+                except Exception:
+                    continue
+            if not drawn:
+                continue
+            try:
+                samples = fam.shape(
+                    [p for _, p, _ in drawn], [d for _, _, d in drawn], n, dt
+                )
+                traces = _finish(samples, dt, family, strict=False)
+            except Exception:
+                continue
+            for (r, _, _), trace in zip(drawn, traces):
+                out[r] = trace
+    return out

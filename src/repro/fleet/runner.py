@@ -108,7 +108,7 @@ def run_device(task) -> DeviceResult:
         spec.name,
         result,
         device.profile,
-        harvest_percentiles=harvest_percentiles(device.trace),
+        harvest_percentiles=harvest_percentiles([device.trace])[0],
         episodes=spec.episodes,
         wall_s=time.perf_counter() - t0,
     )

@@ -6,6 +6,11 @@ per-device state as a numpy column — storage level / capacity / ledger
 totals, ``busy_until``, the charge bookkeeping (``t_charged`` /
 ``cum_charged``), and per-device event counts — and advancing all
 still-active devices one event-index step at a time.
+Construction materializes the devices in windows of at most the trace
+memo's cap: each window's seeded traces synthesize first as same-grid
+stacks (:func:`repro.sim.devices.prefetch_traces`, timed as the
+``batch.build.traces`` profiler phase), then every device materializes
+and hits the memo.
 Decision-independent quantities are precomputed per device up front
 exactly as :class:`~repro.sim.simulator.Simulator` does
 (cumulative harvested energy at event times via ``PowerTrace._cum_bulk``,
@@ -59,7 +64,16 @@ enforces it:
   completion draw for every event that completed, in event order, and
   rewrites only those events' ``correct`` / ``entropy`` records.  Every
   device's stream is consumed exactly as the scalar simulator consumes
-  it, so the last episode's records are the scalar ones.
+  it, so the last episode's records are the scalar ones;
+* a trace stack takes each device's trace draws in the scalar order and
+  repeats the scalar arithmetic element for element, so the build window
+  and the synthesis block size change no sample;
+* ``finalize`` reads frozen buffers: an episode resets only its
+  participating columns, so a device's record columns and
+  ``total_drawn`` hold its last episode from then on, and the
+  column-wise summary repeats the per-device summary's arithmetic
+  (:meth:`~BatchedFleetEngine.records` rebuilds one device's
+  :class:`~repro.sim.results.SimulationResult` to check it against).
 
 Because devices never interact, lockstep order across devices is free;
 only the within-device order matters, and the step loop preserves it.
@@ -95,14 +109,26 @@ from repro.intermittent.kernel import IntermittentFleetKernel
 from repro.obs.recorder import get_recorder
 from repro.runtime.batched import batch_continue_rules, batch_controllers, batchable
 from repro.runtime.state import RuntimeStateBatch
-from repro.sim.devices import harvest_percentiles, materialize
-from repro.sim.results import DeviceResult, RecordColumns, SimulationResult
+from repro.sim.devices import (
+    _TRACE_CACHE_MAX,
+    harvest_percentiles,
+    materialize,
+    prefetch_traces,
+)
+from repro.sim.results import (
+    DeviceResult,
+    RecordColumns,
+    SimulationResult,
+    percentile_rows,
+)
 from repro.utils.rng import DrawBatch, as_generator
 
 #: miss_reason codes used in the packed record buffers (shared with
 #: repro.intermittent.kernel's REASON_* codes).
 _REASONS = ("", "busy", "energy")
 _MISS_NONE, _MISS_BUSY, _MISS_ENERGY = 0, 1, 2
+#: Latency and energy percentiles a DeviceResult reports.
+_RESULT_QS = (50, 90, 99)
 
 class _Device:
     """Materialized per-device objects + precomputed event-time queries."""
@@ -184,7 +210,7 @@ class _RunState:
         "steps_done", "level", "total_drawn", "t_charged", "cum_charged",
         "busy_until", "r_exit", "r_correct", "r_latency", "r_energy",
         "r_entropy", "r_reason", "r_first", "r_continued", "r_cycles",
-        "results", "state", "part", "part_all", "n_passes", "n_full",
+        "state", "part", "part_all", "n_passes", "n_full",
         "n_lanes", "n_busy", "n_emiss", "out", "int_episode",
     )
 
@@ -215,11 +241,24 @@ class BatchedFleetEngine:
     """
 
     def __init__(self, tasks):
+        tasks = list(tasks)
         if not tasks:
             raise ConfigError("BatchedFleetEngine needs at least one device")
         prof = get_recorder().profiler
         t_build = time.perf_counter() if prof is not None else 0.0
-        self.devices = [_Device(i, spec, seed) for i, spec, seed in tasks]
+        # Materialize in windows the trace memo holds whole: a window's
+        # seeded traces synthesize as same-grid stacks, then each device's
+        # own build_trace call hits the memo.
+        self.devices = []
+        for start in range(0, len(tasks), _TRACE_CACHE_MAX):
+            window = tasks[start:start + _TRACE_CACHE_MAX]
+            t_traces = time.perf_counter() if prof is not None else 0.0
+            prefetch_traces(window)
+            if prof is not None:
+                prof.add_wall(
+                    "batch.build.traces", time.perf_counter() - t_traces
+                )
+            self.devices.extend(_Device(i, spec, seed) for i, spec, seed in window)
         for dev in self.devices:
             if not dev.intermittent and not batchable(dev.controller):
                 raise ConfigError(
@@ -376,9 +415,10 @@ class BatchedFleetEngine:
         rs.t_charged = np.zeros(m)
         rs.cum_charged = np.zeros(m)
         rs.busy_until = np.zeros(m)
-        # Record buffers, reused across episodes (finished devices are
-        # snapshotted by copy before the next reset).  Without continue
-        # rules the first exit always equals the final exit, and without
+        # Record buffers, reused across episodes.  An episode resets only
+        # its participating columns, so once a device's last episode is
+        # played its columns stay frozen for finalize() to read.  Without
+        # continue rules the first exit always equals the final exit, and without
         # intermittent devices every record's power_cycles is 1, so those
         # columns only materialize when a device class needs them; the
         # storage waste/charge ledger is likewise not observable in any
@@ -399,7 +439,6 @@ class BatchedFleetEngine:
         rs.r_cycles = (
             np.empty((max_ev, m), np.int64) if self._has_int else None
         )
-        rs.results = [None] * m
         rs.max_episodes = int(self._episodes.max())
         self._rs = rs
 
@@ -412,8 +451,8 @@ class BatchedFleetEngine:
         whole episode executes inside the multi-cycle kernel) costs one
         step, so advancing always makes progress.  Episode-boundary work
         — state resets, the intermittent kernel pass (or, after episode
-        0, its draw replay), trailing charge,
-        controller end-of-episode hooks, result snapshots — rides along
+        0, its draw replay), trailing charge and
+        controller end-of-episode hooks — rides along
         with the adjacent step.  Any K-way split of ``advance`` calls
         executes the exact instruction sequence of one uninterrupted
         :meth:`run`, so results are bit-identical.
@@ -465,17 +504,7 @@ class BatchedFleetEngine:
             return rs.out
         prof = rs.prof
         t_finalize = time.perf_counter() if prof is not None else 0.0
-        out = [
-            DeviceResult.from_simulation(
-                d.index,
-                d.spec.name,
-                rs.results[i],
-                d.profile,
-                harvest_percentiles=harvest_percentiles(d.trace),
-                episodes=d.spec.episodes,
-            )
-            for i, d in enumerate(self.devices)
-        ]
+        out = self._device_results()
         rs.out = out
         if prof is not None:
             # batch.run spans begin() to here, so it encloses the lockstep,
@@ -535,8 +564,7 @@ class BatchedFleetEngine:
         rs.j = 0
 
     def _close_episode(self) -> None:
-        """Trailing charge, end-of-episode controller hooks, and result
-        snapshots for devices whose last episode just finished."""
+        """Trailing charge and end-of-episode controller hooks."""
         rs = self._rs
         part = rs.part
         # Trailing charge to the end of the trace, then episode close.
@@ -568,13 +596,6 @@ class BatchedFleetEngine:
             sub = prows[self._rule_of[prows] == g]
             if len(sub):
                 group.end_episode_batch(sub)
-        finishing = part & (self._episodes == rs.ep + 1)
-        for i in np.nonzero(finishing)[0].tolist():
-            rs.results[i] = self._snapshot(
-                i, rs.total_drawn[i], rs.r_exit, rs.r_correct, rs.r_latency,
-                rs.r_energy, rs.r_entropy, rs.r_reason, rs.r_first,
-                rs.r_continued, rs.r_cycles,
-            )
         rs.ep += 1
         rs.phase = "done" if rs.ep >= rs.max_episodes else "open"
 
@@ -822,6 +843,11 @@ class BatchedFleetEngine:
         rs.r_entropy[:, cols] = rec["entropy"][:, ipart]
         rs.r_reason[:, cols] = rec["reason"][:, ipart]
         rs.r_cycles[:, cols] = rec["cycles"][:, ipart]
+        if self._has_rules:
+            # No continue rule runs on an intermittent device: like the
+            # scalar simulator, its first exit is its final one (-1 for
+            # misses), and ``continued`` keeps its reset 0.
+            rs.r_first[:, cols] = rec["exit"][:, ipart]
 
     # ------------------------------------------------------------------ #
     def _run_continue_loop(
@@ -887,39 +913,151 @@ class BatchedFleetEngine:
         return correct, entropy, energy_spent, first_k, continued
 
     # ------------------------------------------------------------------ #
-    def _snapshot(
-        self, i, drawn, r_exit, r_correct, r_latency, r_energy, r_entropy,
-        r_reason, r_first, r_continued, r_cycles,
-    ) -> SimulationResult:
-        """Freeze device ``i``'s final-episode rows into a SimulationResult."""
+    def _device_results(self) -> list:
+        """Every device's :class:`DeviceResult`, computed column-wise.
+
+        Reads the record buffers and ``total_drawn``, frozen at each
+        device's last episode, as (event, device) matrices: counts, ratios,
+        exit and miss histograms reduce whole matrices at once.  Means and
+        percentiles group devices by processed count k and reduce each
+        contiguous (devices x k) block along its last axis, which repeats
+        ``np.mean``'s pairwise sum and ``percentile_dict``'s lerp row by
+        row.  Every field equals ``DeviceResult.from_simulation`` over
+        :meth:`records`, bit for bit and in dict key order.
+        """
+        rs = self._rs
+        m, n_events = self._m, self._n_events
+        valid = np.arange(rs.r_reason.shape[0])[:, None] < n_events
+        missed = valid & (rs.r_reason != _MISS_NONE)
+        processed = valid & ~missed
+        n_missed = np.count_nonzero(missed, axis=0)
+        n_processed = n_events - n_missed
+        n_correct = np.count_nonzero(processed & rs.r_correct, axis=0)
+        total_env = self._total_env
+        iepmj = _ratio(n_correct, total_env, ~(total_env <= 0))
+        average = _ratio(n_correct, n_events, n_events > 0)
+        proc_acc = _ratio(n_correct, n_processed, n_processed > 0)
+        # Means and percentiles over each device's processed events, in
+        # event order, a group of equal processed count at a time.
+        means = {"latency": np.zeros(m), "energy": np.zeros(m)}
+        points = {key: np.zeros((m, len(_RESULT_QS))) for key in means}
+        by_device = {"latency": rs.r_latency.T, "energy": rs.r_energy.T}
+        proc_by_device = processed.T
+        order = np.argsort(n_processed, kind="stable")
+        sizes = np.bincount(n_processed)
+        ends = np.cumsum(sizes)
+        for k in np.nonzero(sizes)[0].tolist():
+            if k == 0:
+                continue
+            group = order[ends[k] - sizes[k]:ends[k]]
+            mask = proc_by_device[group]
+            for key, values in by_device.items():
+                block = values[group][mask].reshape(len(group), k)
+                means[key][group] = block.mean(axis=1)
+                block.sort(axis=1)
+                points[key][group] = percentile_rows(block, _RESULT_QS)
+        # Exit histograms: processed events at a valid exit, per device.
+        width = self._exit_cost.shape[1]
+        counted = processed & (rs.r_exit >= 0) & (rs.r_exit < self._n_exits)
+        _, dev = np.nonzero(counted)
+        hist = np.bincount(
+            dev * width + rs.r_exit[counted], minlength=m * width
+        ).reshape(m, width)
+        # Miss counts keyed by reason in first-appearance order (the order
+        # decides the packed form pack_device_results writes).
+        misses = []
+        for code in range(1, len(_REASONS)):
+            hit = valid & (rs.r_reason == code)
+            count = np.count_nonzero(hit, axis=0)
+            first = np.where(count > 0, hit.argmax(axis=0), -1)
+            misses.append((_REASONS[code], count.tolist(), first.tolist()))
+        keys = [f"p{q:g}" for q in _RESULT_QS]
+        harvest = harvest_percentiles([d.trace for d in self.devices])
+        columns = zip(
+            self.devices, n_events.tolist(), n_processed.tolist(),
+            n_missed.tolist(), n_correct.tolist(), iepmj.tolist(),
+            average.tolist(), proc_acc.tolist(), means["latency"].tolist(),
+            means["energy"].tolist(), points["latency"].tolist(),
+            points["energy"].tolist(), harvest, hist.tolist(),
+            self._n_exits.tolist(), total_env.tolist(),
+            rs.total_drawn.tolist(), self._duration.tolist(),
+        )
+        out = []
+        for i, (
+            d, n, n_proc, n_miss, n_corr, iep, avg, pacc, lat, energy,
+            lat_pts, energy_pts, harv, exits, n_exits, env, drawn, duration,
+        ) in enumerate(columns):
+            reasons = sorted(
+                (first[i], name, count[i])
+                for name, count, first in misses if count[i]
+            )
+            out.append(DeviceResult(
+                index=d.index,
+                name=d.spec.name,
+                profile=d.profile.name,
+                num_events=n,
+                num_processed=n_proc,
+                num_missed=n_miss,
+                num_correct=n_corr,
+                iepmj=iep,
+                average_accuracy=avg,
+                processed_accuracy=pacc,
+                mean_latency_s=lat,
+                mean_inference_energy_mj=energy,
+                latency_percentiles=dict(zip(keys, lat_pts)),
+                energy_percentiles=dict(zip(keys, energy_pts)),
+                harvest_percentiles=harv,
+                miss_counts={name: c for _, name, c in reasons},
+                exit_counts=exits[:n_exits],
+                total_env_energy_mj=env,
+                total_consumed_mj=drawn,
+                duration_s=duration,
+                episodes=int(d.spec.episodes),
+            ))
+        return out
+
+    def records(self, i: int) -> SimulationResult:
+        """Device ``i``'s last episode as a :class:`SimulationResult`.
+
+        Built on demand from the frozen record buffers once the engine
+        :attr:`finished`; :meth:`finalize` never needs it.
+        """
+        rs = self._rs
+        if rs is None or rs.phase != "done":
+            raise SimulationError("records() before the engine finished")
         n = int(self._n_events[i])
         columns = RecordColumns()
-        reason = np.ascontiguousarray(r_reason[:n, i])
-        exits = np.ascontiguousarray(r_exit[:n, i])
+        reason = np.ascontiguousarray(rs.r_reason[:n, i])
+        exits = np.ascontiguousarray(rs.r_exit[:n, i])
         columns.time = np.ascontiguousarray(self._events[:n, i])
         columns.exit_index = exits
-        if r_first is None:
+        if rs.r_first is None:
             # No continue rules in the fleet, so the first exit is always
             # the final one (and -1 for misses, like append_missed).
             columns.first_exit_index = exits
             columns.continued = np.zeros(n, np.int64)
         else:
-            columns.first_exit_index = np.ascontiguousarray(r_first[:n, i])
-            columns.continued = np.ascontiguousarray(r_continued[:n, i])
-        columns.correct = np.ascontiguousarray(r_correct[:n, i])
-        columns.latency_s = np.ascontiguousarray(r_latency[:n, i])
-        columns.energy_mj = np.ascontiguousarray(r_energy[:n, i])
-        columns.confidence_entropy = np.ascontiguousarray(r_entropy[:n, i])
+            columns.first_exit_index = np.ascontiguousarray(rs.r_first[:n, i])
+            columns.continued = np.ascontiguousarray(rs.r_continued[:n, i])
+        columns.correct = np.ascontiguousarray(rs.r_correct[:n, i])
+        columns.latency_s = np.ascontiguousarray(rs.r_latency[:n, i])
+        columns.energy_mj = np.ascontiguousarray(rs.r_energy[:n, i])
+        columns.confidence_entropy = np.ascontiguousarray(rs.r_entropy[:n, i])
         columns.missed = reason != _MISS_NONE
         columns.miss_reason = [_REASONS[c] for c in reason.tolist()]
-        if r_cycles is None:
+        if rs.r_cycles is None:
             columns.power_cycles = np.ones(n, np.int64)
         else:
-            columns.power_cycles = np.ascontiguousarray(r_cycles[:n, i])
+            columns.power_cycles = np.ascontiguousarray(rs.r_cycles[:n, i])
         return SimulationResult.from_columns(
             columns,
             total_env_energy_mj=float(self._total_env[i]),
-            total_consumed_mj=float(drawn),
+            total_consumed_mj=float(rs.total_drawn[i]),
             duration_s=float(self._duration[i]),
             profile_name=self.devices[i].profile.name,
         )
+
+
+def _ratio(num, den, ok) -> np.ndarray:
+    """``num / den`` where ``ok``, else 0.0 (the scalar results' guards)."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=ok)

@@ -7,8 +7,18 @@ profile, capacitor, MCU and exit controller for both the batched engine
 ``trace``, ``events``, ``profile``, ``storage``, ``mcu`` and
 ``controller`` attributes materializes.  Device ``index`` of a fleet
 seeded ``fleet_seed`` draws its four streams (trace, events, simulator,
-controller) from ``SeedSequence(fleet_seed, spawn_key=(index,))``,
-computable inside any worker without the other devices.
+controller) from ``SeedSequence(fleet_seed, spawn_key=(index,))``
+(:func:`device_seeds`), computable inside any worker without the other
+devices.
+
+Traces are memoized per process.  The engine fills the memo a window of
+devices at a time with :func:`prefetch_traces`, which synthesizes every
+missing seeded trace as same-grid stacks
+(:func:`repro.energy.traces.synthesize_stacks`); each device's own
+:func:`build_trace` call then hits the memo, and a trace the prefetch
+could not build synthesizes there, raising the builder's own error.
+:func:`harvest_percentiles` summarizes a list of traces the same way, a
+stack of same-grid traces at a time.
 
 The one lazy import: a ``zoo:<net>`` profile loads :mod:`repro.zoo` (and
 the training substrate behind it) on first use.
@@ -27,10 +37,12 @@ from repro.energy.storage import EnergyStorage
 from repro.energy.traces import (
     PowerTrace,
     constant_trace,
+    grid_position,
     kinetic_trace,
     piezo_trace,
     rf_trace,
     solar_trace,
+    synthesize_stacks,
     trace_from_csv,
     wind_trace,
 )
@@ -38,7 +50,7 @@ from repro.errors import ConfigError
 from repro.intermittent.mcu import MSP432, MCUSpec
 from repro.runtime.controller import make_controller
 from repro.sim.profiles import InferenceProfile, reference_profile, sonic_profile
-from repro.sim.results import percentile_dict
+from repro.sim.results import percentile_rows
 
 _SEEDED_TRACE_BUILDERS = {
     "solar": solar_trace,
@@ -70,7 +82,9 @@ _PROFILE_CACHE: dict = {}
 #: fleet — share one PowerTrace instead of re-synthesizing 36k-43k samples
 #: each time.  Traces are treated as immutable everywhere in the simulator,
 #: so sharing is safe; the cap bounds worker memory on fleets with many
-#: distinct environments (FIFO eviction).
+#: distinct environments (FIFO eviction).  It is also the engine's build
+#: window: a window's prefetched traces all survive until its devices
+#: materialize.
 _TRACE_CACHE: dict = {}
 _TRACE_CACHE_MAX = 256
 
@@ -96,6 +110,12 @@ def _trace_cache_key(family: str, params: dict):
     return (family, tuple(sorted(params.items())))
 
 
+def _remember(key, trace: PowerTrace) -> None:
+    while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
+        _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
+    _TRACE_CACHE[key] = trace
+
+
 def build_trace(trace_spec: dict, fallback_seed: int) -> PowerTrace:
     """Materialize a trace from its spec dict (memoized per process)."""
     params = dict(trace_spec)
@@ -118,10 +138,40 @@ def build_trace(trace_spec: dict, fallback_seed: int) -> PowerTrace:
             return cached
     trace = _call_declarative(label, builder, **params)
     if key is not None:
-        while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-            _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-        _TRACE_CACHE[key] = trace
+        _remember(key, trace)
     return trace
+
+
+def prefetch_traces(tasks) -> None:
+    """Synthesize the seeded traces of ``tasks`` missing from the memo.
+
+    ``tasks`` are ``(index, spec, fleet_seed)``, at most the memo's cap of
+    them, so every trace added here survives until its device's
+    :func:`build_trace` call reads it back.  Traces synthesize as
+    same-grid stacks through the family builders directly (never through
+    :func:`build_trace`, which stays one call per device).  Never raises:
+    a spec the stacks cannot take (csv, constant, an unhashable param, a
+    failing row) is left to its device's own build, in task order, with
+    that build's error.
+    """
+    wanted: dict = {}
+    for index, spec, fleet_seed in tasks:
+        try:
+            params = dict(spec.trace)
+            family = params.pop("family")
+            if family not in _SEEDED_TRACE_BUILDERS:
+                continue
+            params.setdefault("seed", device_seeds(index, fleet_seed)[0])
+            key = _trace_cache_key(family, params)
+            if key is None or key in _TRACE_CACHE:
+                continue
+        except Exception:
+            continue
+        wanted.setdefault(family, {})[key] = params
+    for family, rows in wanted.items():
+        for key, trace in zip(rows, synthesize_stacks(family, list(rows.values()))):
+            if trace is not None:
+                _remember(key, trace)
 
 
 def build_events(events_spec: dict, duration: float, seed: int) -> np.ndarray:
@@ -222,16 +272,20 @@ class DeviceObjects(NamedTuple):
     sim_seed: int
 
 
+def device_seeds(index, fleet_seed) -> tuple:
+    """Device ``index``'s four stream seeds: trace, events, simulator and
+    controller, from ``SeedSequence(fleet_seed, spawn_key=(index,))``."""
+    child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
+    return tuple(int(s) for s in child.generate_state(4, np.uint32))
+
+
 def materialize(index, spec, fleet_seed) -> DeviceObjects:
     """Build device ``index`` of a fleet seeded ``fleet_seed`` from ``spec``.
 
     Derives the device's four streams, then calls the builders in one
     fixed order: trace, events, profile, storage, MCU, controller.
     """
-    child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
-    trace_seed, event_seed, sim_seed, ctrl_seed = (
-        int(s) for s in child.generate_state(4, np.uint32)
-    )
+    trace_seed, event_seed, sim_seed, ctrl_seed = device_seeds(index, fleet_seed)
     trace = build_trace(spec.trace, trace_seed)
     events = build_events(spec.events, trace.duration, event_seed)
     profile = resolve_profile(spec.profile)
@@ -248,10 +302,41 @@ def _harvest_grid(duration: float) -> np.ndarray:
     return grid
 
 
-def harvest_percentiles(trace: PowerTrace) -> dict:
-    """p10/p50/p90 of the power (mW) ``trace`` offers, on a 512-point grid.
+#: Traces one harvest summary gathers at once (bounds its temporaries).
+_HARVEST_BLOCK = 32
+_HARVEST_QS = (10, 50, 90)
 
-    The fleet report's per-device harvest summary.  Grids are cached per
-    trace duration, which most devices of a fleet share.
+
+def harvest_percentiles(traces) -> list:
+    """p10/p50/p90 of the power (mW) each trace offers, on a 512-point grid.
+
+    The fleet report's per-device harvest summary, one dict per trace.
+    Traces sharing (samples, dt) share the grid and its interpolation
+    weights (:meth:`PowerTrace.power`'s arithmetic), so they interpolate,
+    sort and take percentiles as stacks.  Grids are cached per trace
+    duration, which most devices of a fleet share.
     """
-    return percentile_dict(trace.power(_harvest_grid(trace.duration)), (10, 50, 90))
+    out = [None] * len(traces)
+    grids: dict = {}
+    for r, trace in enumerate(traces):
+        grids.setdefault((trace.samples_mw.size, trace.dt), []).append(r)
+    keys = [f"p{q:g}" for q in _HARVEST_QS]
+    for members in grids.values():
+        first = traces[members[0]]
+        i, frac = grid_position(
+            _harvest_grid(first.duration), first.duration, first.dt, first.samples_mw.size
+        )
+        i_next = i + 1
+        for start in range(0, len(members), _HARVEST_BLOCK):
+            block = members[start:start + _HARVEST_BLOCK]
+            lower = np.empty((len(block), i.size))
+            upper = np.empty((len(block), i.size))
+            for row, r in enumerate(block):
+                samples = traces[r].samples_mw
+                np.take(samples, i, out=lower[row])
+                np.take(samples, i_next, out=upper[row])
+            power = (1 - frac) * lower + frac * upper
+            power.sort(axis=1)
+            for r, points in zip(block, percentile_rows(power, _HARVEST_QS).tolist()):
+                out[r] = dict(zip(keys, points))
+    return out

@@ -28,32 +28,42 @@ MISS_BUSY = "busy"          # device still processing a previous event
 MISS_ENERGY = "energy"      # no exit affordable / inference incomplete
 
 
+def percentile_rows(rows: np.ndarray, qs) -> np.ndarray:
+    """Percentiles ``qs`` of every row of a (rows, k) array of *sorted*
+    values, k >= 1: one row of results per row.
+
+    Replicates ``np.percentile``'s default linear-interpolation method
+    bit-for-bit (same virtual-index arithmetic, same 0.5-switched lerp).
+    The virtual indices depend only on k, so one pass serves every row;
+    the batched engine's finalize summarizes whole groups of devices
+    through here, and :func:`percentile_dict` is its one-row case.
+    """
+    virtual = np.true_divide(np.asarray(qs, dtype=np.float64), 100) * (rows.shape[1] - 1)
+    lo = np.floor(virtual).astype(np.int64)
+    g = virtual - lo
+    lower = rows[:, lo]
+    upper = rows[:, np.ceil(virtual).astype(np.int64)]
+    diff = upper - lower
+    points = lower + g * diff
+    fix = g >= 0.5
+    points[:, fix] = upper[:, fix] - diff[:, fix] * (1 - g[fix])
+    return points
+
+
 def percentile_dict(values, qs) -> dict:
     """Percentile summary keyed ``"p50"``/``"p90"``/...; zeros when empty.
 
     Shared by the per-run summarization hooks below and the fleet-level
-    aggregators in :mod:`repro.fleet.results`.
-
-    Implementation note: this replicates ``np.percentile``'s default
-    linear-interpolation method bit-for-bit (same virtual-index arithmetic,
-    same 0.5-switched lerp) on a sorted copy.  The batched fleet engine
-    summarizes every device through here, and ``np.percentile``'s dispatch
-    machinery (~50 us/call) was a measurable slice of its per-device
-    budget; the direct form is ~5x faster and exact, so goldens recorded
-    against ``np.percentile`` output still match.
+    aggregators in :mod:`repro.fleet.results`.  The one-row case of
+    :func:`percentile_rows`: a direct replica of ``np.percentile``, whose
+    dispatch machinery (~50 us/call) was a measurable slice of the
+    per-device budget, so goldens recorded against ``np.percentile``
+    output still match.
     """
     if not len(values):
         return {f"p{q:g}": 0.0 for q in qs}
     a = np.sort(np.asarray(values, dtype=np.float64))
-    virtual = np.true_divide(np.asarray(qs, dtype=np.float64), 100) * (a.size - 1)
-    lo = np.floor(virtual).astype(np.int64)
-    g = virtual - lo
-    lower = a[lo]
-    upper = a[np.ceil(virtual).astype(np.int64)]
-    diff = upper - lower
-    points = lower + g * diff
-    fix = g >= 0.5
-    points[fix] = upper[fix] - diff[fix] * (1 - g[fix])
+    points = percentile_rows(a[None, :], qs)[0]
     return {f"p{q:g}": float(v) for q, v in zip(qs, points)}
 
 

@@ -9,6 +9,7 @@ promise over every registered scenario, every controller preset, the
 pooled dispatch path, and (via hypothesis) randomly composed small fleets.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -25,7 +26,8 @@ from repro.fleet.results import (
 from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
 from repro.sim.batch import BatchedFleetEngine
-from repro.sim.devices import materialize
+from repro.sim.devices import harvest_percentiles, materialize
+from repro.sim.results import DeviceResult
 from repro.sim.simulator import Simulator, SimulatorConfig
 
 #: Small overrides that keep every scenario in the seconds range.
@@ -60,7 +62,8 @@ def _dynamics(run):
     """What an episode's energy dynamics decide: every record but the
     draw-decided ``correct`` / entropy, plus the energy drawn."""
     rows = [
-        (r.exit_index, r.latency_s, r.energy_mj, r.miss_reason, r.power_cycles)
+        (r.exit_index, r.first_exit_index, r.continued, r.latency_s,
+         r.energy_mj, r.miss_reason, r.power_cycles)
         for r in run.records
     ]
     return rows, run.total_consumed_mj
@@ -245,8 +248,8 @@ class TestIntermittentEquivalence:
             assert _payload(stepped) == expected
         for i, device in enumerate(spec.devices):
             last = _scalar_episodes(i, device, spec.seed)[-1]
-            assert _dynamics(engine._rs.results[i]) == _dynamics(last)
-            assert _draws(engine._rs.results[i]) == _draws(last)
+            assert _dynamics(engine.records(i)) == _dynamics(last)
+            assert _draws(engine.records(i)) == _draws(last)
         # The steady device draws one uniform per completion: the 257th
         # (a pool refill) falls inside a later episode, not the first.
         done = serial.devices[0].num_processed
@@ -261,6 +264,70 @@ class TestIntermittentEquivalence:
         runs = _scalar_episodes(0, device, spec.seed)
         assert all(_dynamics(run) == _dynamics(runs[0]) for run in runs[1:])
         assert any(_draws(run) != _draws(runs[0]) for run in runs[1:])
+
+
+class TestColumnarFinalize:
+    """``finalize`` summarizes every device column-wise from the frozen
+    record buffers; each result must equal the per-device summary of the
+    same records, field for field and in dict key order."""
+
+    @staticmethod
+    def _fleet():
+        def device(name, power_mw, events, episodes=1, initial=0.5, **extra):
+            trace = extra.pop("trace", {"family": "constant", "power_mw": power_mw,
+                                        "duration": 600.0, "dt": 1.0})
+            return DeviceSpec(
+                name=name, trace=trace, events=events, episodes=episodes,
+                controller=extra.pop("controller", {"kind": "greedy",
+                                                    "reserve_fraction": 0.0}),
+                storage={"initial_fraction": initial}, **extra,
+            )
+
+        burst = {"kind": "burst", "num_bursts": 4, "events_per_burst": 6}
+        devices = [
+            device("no-events", 0.05, {"kind": "uniform", "count": 0}),
+            device("starved", 0.0, {"kind": "uniform", "count": 6}, initial=0.0),
+            device("one", 0.05, {"kind": "uniform", "count": 1}, episodes=2),
+            device("many", 0.5, {"kind": "uniform", "count": 30}, episodes=3),
+            device("energy-first", 0.02, burst, initial=0.0),
+            device("busy-first", 0.02, {"kind": "uniform", "count": 40},
+                   initial=0.0, episodes=2),
+            device("sonic", None, {"kind": "poisson", "rate_hz": 0.05}, episodes=2,
+                   trace={"family": "rf", "duration": 600.0, "dt": 1.0,
+                          "mean_mw": 0.02},
+                   profile="sonic-single-exit", execution="intermittent",
+                   controller={"kind": "fixed", "exit_index": 0}),
+            device("learner", None, {"kind": "uniform", "count": 20}, episodes=3,
+                   trace={"family": "wind", "duration": 600.0, "dt": 1.0},
+                   controller={"kind": "qlearning", "continue_rule": {
+                       "kind": "threshold", "entropy_threshold": 0.3}}),
+        ]
+        return FleetSpec(name="finalize-fleet", seed=3, devices=devices)
+
+    def test_every_field_equals_the_per_device_summary(self):
+        spec = self._fleet()
+        engine = BatchedFleetEngine(
+            [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+        )
+        results = engine.run()
+        for i, (got, d) in enumerate(zip(results, engine.devices)):
+            want = DeviceResult.from_simulation(
+                d.index, d.spec.name, engine.records(i), d.profile,
+                harvest_percentiles=harvest_percentiles([d.trace])[0],
+                episodes=d.spec.episodes,
+            )
+            # JSON without sort_keys: float bits, int/float types and
+            # dict key order all count.
+            assert json.dumps(dataclasses.asdict(got)) == json.dumps(
+                dataclasses.asdict(want)
+            )
+        # The fleet reaches what the column-wise summary must get right.
+        processed = {r.num_processed for r in results}
+        assert {0, 1} <= processed and max(processed) >= 8
+        orders = {tuple(r.miss_counts) for r in results}
+        assert {("busy", "energy"), ("energy", "busy")} <= orders
+        assert {len(r.exit_counts) for r in results} == {1, 3}
+        assert {r.episodes for r in results} == {1, 2, 3}
 
 
 class TestPresetEquivalence:
