@@ -334,8 +334,6 @@ def _column(values):
 
 def _stacked(draws, field: int) -> np.ndarray:
     """One draw field of every row as a (rows, ...) stack."""
-    if len(draws) == 1:
-        return np.asarray(draws[0][field])[None]
     return np.stack([d[field] for d in draws])
 
 
@@ -343,23 +341,6 @@ def _ou_noise(draws, field: int, sigma, dt) -> np.ndarray:
     """The stack's scaled OU increments, ``z * sigma * sqrt(dt)``."""
     noise = np.multiply(_stacked(draws, field), sigma)
     return np.multiply(noise, np.sqrt(dt), out=noise)
-
-
-def _gust_arrivals(rng, duration, dt, n, rate_hz, length_s):
-    """Exponential episodes over ``[0, duration)``: ``(i0, i1, amplitude)``
-    per episode, drawn in the scalar order (gap, length, amplitude)."""
-    episodes = []
-    t = 0.0
-    while t < duration and rate_hz > 0:
-        t += rng.exponential(1.0 / rate_hz)
-        if t >= duration:
-            break
-        length = rng.exponential(length_s)
-        i0 = int(t / dt)
-        i1 = min(n, int((t + length) / dt) + 1)
-        episodes.append((i0, i1, 0.5 + 0.5 * rng.random()))
-        t += length
-    return episodes
 
 
 @lru_cache(maxsize=256)
@@ -555,9 +536,17 @@ def _wind_draw(p):
     duration, dt = p["duration"], p["dt"]
     n = _samples(duration, dt)
     turbulence = _ou_draw(n, gen)
-    gusts = _gust_arrivals(
-        gen, duration, dt, n, p["gust_rate_hz"], p["gust_length_s"]
-    )
+    gusts = []  # (i0, i1, amplitude factor), drawn gap, length, amplitude
+    t = 0.0
+    while t < duration and p["gust_rate_hz"] > 0:
+        t += gen.exponential(1.0 / p["gust_rate_hz"])
+        if t >= duration:
+            break
+        length = gen.exponential(p["gust_length_s"])
+        i0 = int(t / dt)
+        i1 = min(n, int((t + length) / dt) + 1)
+        gusts.append((i0, i1, 0.5 + 0.5 * gen.random()))
+        t += length
     return n, (turbulence, gusts)
 
 

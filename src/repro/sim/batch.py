@@ -971,22 +971,28 @@ class BatchedFleetEngine:
             count = np.count_nonzero(hit, axis=0)
             first = np.where(count > 0, hit.argmax(axis=0), -1)
             misses.append((_REASONS[code], count.tolist(), first.tolist()))
+        # Plain-number fields, as DeviceResult names them, one list each.
+        fields = {
+            "num_events": n_events,
+            "num_processed": n_processed,
+            "num_missed": n_missed,
+            "num_correct": n_correct,
+            "iepmj": iepmj,
+            "average_accuracy": average,
+            "processed_accuracy": proc_acc,
+            "mean_latency_s": means["latency"],
+            "mean_inference_energy_mj": means["energy"],
+            "total_env_energy_mj": total_env,
+            "total_consumed_mj": rs.total_drawn,
+            "duration_s": self._duration,
+        }
+        fields = {name: column.tolist() for name, column in fields.items()}
         keys = [f"p{q:g}" for q in _RESULT_QS]
+        latency, energy = points["latency"].tolist(), points["energy"].tolist()
         harvest = harvest_percentiles([d.trace for d in self.devices])
-        columns = zip(
-            self.devices, n_events.tolist(), n_processed.tolist(),
-            n_missed.tolist(), n_correct.tolist(), iepmj.tolist(),
-            average.tolist(), proc_acc.tolist(), means["latency"].tolist(),
-            means["energy"].tolist(), points["latency"].tolist(),
-            points["energy"].tolist(), harvest, hist.tolist(),
-            self._n_exits.tolist(), total_env.tolist(),
-            rs.total_drawn.tolist(), self._duration.tolist(),
-        )
+        hist, n_exits = hist.tolist(), self._n_exits.tolist()
         out = []
-        for i, (
-            d, n, n_proc, n_miss, n_corr, iep, avg, pacc, lat, energy,
-            lat_pts, energy_pts, harv, exits, n_exits, env, drawn, duration,
-        ) in enumerate(columns):
+        for i, d in enumerate(self.devices):
             reasons = sorted(
                 (first[i], name, count[i])
                 for name, count, first in misses if count[i]
@@ -995,24 +1001,13 @@ class BatchedFleetEngine:
                 index=d.index,
                 name=d.spec.name,
                 profile=d.profile.name,
-                num_events=n,
-                num_processed=n_proc,
-                num_missed=n_miss,
-                num_correct=n_corr,
-                iepmj=iep,
-                average_accuracy=avg,
-                processed_accuracy=pacc,
-                mean_latency_s=lat,
-                mean_inference_energy_mj=energy,
-                latency_percentiles=dict(zip(keys, lat_pts)),
-                energy_percentiles=dict(zip(keys, energy_pts)),
-                harvest_percentiles=harv,
+                latency_percentiles=dict(zip(keys, latency[i])),
+                energy_percentiles=dict(zip(keys, energy[i])),
+                harvest_percentiles=harvest[i],
                 miss_counts={name: c for _, name, c in reasons},
-                exit_counts=exits[:n_exits],
-                total_env_energy_mj=env,
-                total_consumed_mj=drawn,
-                duration_s=duration,
+                exit_counts=hist[i][:n_exits[i]],
                 episodes=int(d.spec.episodes),
+                **{name: column[i] for name, column in fields.items()},
             ))
         return out
 

@@ -321,20 +321,16 @@ def harvest_percentiles(traces) -> list:
     for r, trace in enumerate(traces):
         grids.setdefault((trace.samples_mw.size, trace.dt), []).append(r)
     keys = [f"p{q:g}" for q in _HARVEST_QS]
-    for members in grids.values():
-        first = traces[members[0]]
-        i, frac = grid_position(
-            _harvest_grid(first.duration), first.duration, first.dt, first.samples_mw.size
-        )
-        i_next = i + 1
+    for (n, dt), members in grids.items():
+        duration = traces[members[0]].duration
+        i, frac = grid_position(_harvest_grid(duration), duration, dt, n)
         for start in range(0, len(members), _HARVEST_BLOCK):
-            block = members[start:start + _HARVEST_BLOCK]
+            block = members[start : start + _HARVEST_BLOCK]
             lower = np.empty((len(block), i.size))
             upper = np.empty((len(block), i.size))
             for row, r in enumerate(block):
-                samples = traces[r].samples_mw
-                np.take(samples, i, out=lower[row])
-                np.take(samples, i_next, out=upper[row])
+                np.take(traces[r].samples_mw, i, out=lower[row])
+                np.take(traces[r].samples_mw, i + 1, out=upper[row])
             power = (1 - frac) * lower + frac * upper
             power.sort(axis=1)
             for r, points in zip(block, percentile_rows(power, _HARVEST_QS).tolist()):

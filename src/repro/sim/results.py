@@ -55,10 +55,9 @@ def percentile_dict(values, qs) -> dict:
 
     Shared by the per-run summarization hooks below and the fleet-level
     aggregators in :mod:`repro.fleet.results`.  The one-row case of
-    :func:`percentile_rows`: a direct replica of ``np.percentile``, whose
-    dispatch machinery (~50 us/call) was a measurable slice of the
-    per-device budget, so goldens recorded against ``np.percentile``
-    output still match.
+    :func:`percentile_rows`, which matches ``np.percentile`` exactly
+    without its ~50 us/call dispatch, so goldens recorded against
+    ``np.percentile`` output still match.
     """
     if not len(values):
         return {f"p{q:g}": 0.0 for q in qs}

@@ -49,9 +49,8 @@ def build_spec(scenario, seed, overrides, episodes):
 
 def serial_pin(scenario, seed, overrides, episodes) -> dict:
     """The serial report's sha256 and its aggregate."""
-    report = FleetRunner(
-        build_spec(scenario, seed, overrides, episodes), workers=1
-    ).run().to_dict()
+    spec = build_spec(scenario, seed, overrides, episodes)
+    report = FleetRunner(spec, workers=1).run().to_dict()
     body = json.dumps(report, indent=2, sort_keys=True).encode()
     return {
         "report_sha256": hashlib.sha256(body).hexdigest(),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.energy import traces
 from repro.energy.traces import _ou_draw, _ou_process, _ou_scan, synthesize_stacks
 from repro.errors import ConfigError, EnergyError
-from repro.fleet import DeviceSpec, FleetSpec, FleetRunner
+from repro.fleet import DeviceSpec, FleetRunner, FleetSpec
 from repro.sim import devices
 from repro.sim.batch import BatchedFleetEngine
 from repro.sim.devices import build_trace, device_seeds, prefetch_traces
@@ -72,7 +72,8 @@ def _ou_blocked_loop(n, dt, theta, sigma, rng):
     for start in range(0, n - 1, block):
         stop = min(start + block, n - 1)
         powers = phi ** np.arange(1, stop - start + 1)
-        x[start + 1:stop + 1] = powers * (carry + np.cumsum(noise[start:stop] / powers))
+        scanned = np.cumsum(noise[start:stop] / powers)
+        x[start + 1 : stop + 1] = powers * (carry + scanned)
         carry = x[stop]
     return x
 
@@ -82,21 +83,24 @@ class TestStackedScan:
 
     @pytest.mark.parametrize("n", [1, 2, 7201])
     @pytest.mark.parametrize(
-        "theta", [0.01, 0.3, 1.0, 2.0, 1.5, 0.0],
+        "theta",
+        [0.01, 0.3, 1.0, 2.0, 1.5, 0.0],
         ids=["phi-0.99", "phi-0.7", "phi-0", "phi--1", "phi--0.5", "phi-1"],
     )
     def test_single_and_stacked_match_the_loop(self, n, theta):
         dt, sigma = 1.0, 0.2
-        loop = [_ou_blocked_loop(n, dt, theta, sigma, np.random.default_rng(s))
-                for s in range(3)]
-        single = [_ou_process(n, dt, theta, sigma, np.random.default_rng(s))
-                  for s in range(3)]
-        noise = np.array([
-            _ou_draw(n, np.random.default_rng(s)) * sigma * np.sqrt(dt)
-            for s in range(3)
-        ]).reshape(3, max(n - 1, 0))
+        seeds = range(3)
+        loop = [
+            _ou_blocked_loop(n, dt, theta, sigma, np.random.default_rng(s))
+            for s in seeds
+        ]
+        single = [
+            _ou_process(n, dt, theta, sigma, np.random.default_rng(s)) for s in seeds
+        ]
+        draws = [_ou_draw(n, np.random.default_rng(s)) for s in seeds]
+        noise = np.array(draws).reshape(3, max(n - 1, 0)) * sigma * np.sqrt(dt)
         stacked = _ou_scan(noise, n, dt, theta)
-        for row in range(3):
+        for row in seeds:
             assert _bits(single[row]) == _bits(loop[row])
             assert _bits(stacked[row]) == _bits(loop[row])
 
@@ -112,64 +116,70 @@ _GRIDS = {
     "kinetic": [(2.0, 2.0), (300.0, 1.0), (120.0, 0.5)],
 }
 
-_unit = st.floats(min_value=0.0, max_value=1.0)
+
+def _between(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
 
 
-def _row(family, grid):
-    """Per-row parameters: everything but the grid varies row by row."""
-    duration, dt = grid
-    base = st.fixed_dictionaries({
-        "duration": st.just(duration),
-        "dt": st.just(dt),
-        "seed": st.integers(min_value=0, max_value=2**32 - 1),
-    })
+def _family_params(family, dt):
+    """Every parameter but the grid and the seed, drawn row by row."""
     if family == "solar":
-        extra = st.fixed_dictionaries({
-            "peak_mw": st.floats(min_value=0.01, max_value=0.05),
-            "phase": st.floats(min_value=-0.3, max_value=0.3),
-            # phi = 1 - theta * dt: 1, in (0, 1), 0, negative, -1.
-            "cloud_theta": st.sampled_from(
-                [0.0, 0.01, 0.05, 1.0 / dt, 1.5 / dt, 2.0 / dt]
-            ),
-            "cloud_depth": st.floats(min_value=1.0, max_value=6.0),
-            "cloud_bias": _unit,
-            "noise_mw": st.floats(min_value=0.0, max_value=0.001),
-        }, optional={"day_length": st.floats(min_value=100.0, max_value=500.0)})
-    elif family == "wind":
-        extra = st.fixed_dictionaries({
-            "peak_mw": st.floats(min_value=0.01, max_value=0.1),
-            "mean_speed": st.floats(min_value=0.5, max_value=2.0),
-            "turbulence": _unit,
-            "gust_rate_hz": st.sampled_from([0.0, 0.01, 0.05]),
-            "gust_length_s": st.floats(min_value=1.0, max_value=60.0),
-        })
-    elif family == "piezo":
-        extra = st.fixed_dictionaries({
-            "peak_mw": st.floats(min_value=0.01, max_value=0.1),
-            "duty_cycle": st.floats(min_value=0.05, max_value=0.95),
-            "cycle_period_s": st.floats(min_value=10.0, max_value=200.0),
-            "amplitude_jitter": _unit,
-        })
-    elif family == "rf":
-        extra = st.fixed_dictionaries({
-            "mean_mw": st.floats(min_value=0.001, max_value=0.05),
-            "fading_sigma": _unit,
-        })
-    else:
-        extra = st.fixed_dictionaries({
-            "burst_power_mw": st.floats(min_value=0.01, max_value=0.5),
+        return st.fixed_dictionaries(
+            {
+                "peak_mw": _between(0.01, 0.05),
+                "phase": _between(-0.3, 0.3),
+                # phi = 1 - theta * dt: 1, in (0, 1), 0, negative, -1.
+                "cloud_theta": st.sampled_from(
+                    [0.0, 0.01, 0.05, 1.0 / dt, 1.5 / dt, 2.0 / dt]
+                ),
+                "cloud_depth": _between(1.0, 6.0),
+                "cloud_bias": _between(0.0, 1.0),
+                "noise_mw": _between(0.0, 0.001),
+            },
+            optional={"day_length": _between(100.0, 500.0)},
+        )
+    if family == "wind":
+        return st.fixed_dictionaries(
+            {
+                "peak_mw": _between(0.01, 0.1),
+                "mean_speed": _between(0.5, 2.0),
+                "turbulence": _between(0.0, 1.0),
+                "gust_rate_hz": st.sampled_from([0.0, 0.01, 0.05]),
+                "gust_length_s": _between(1.0, 60.0),
+            }
+        )
+    if family == "piezo":
+        return st.fixed_dictionaries(
+            {
+                "peak_mw": _between(0.01, 0.1),
+                "duty_cycle": _between(0.05, 0.95),
+                "cycle_period_s": _between(10.0, 200.0),
+                "amplitude_jitter": _between(0.0, 1.0),
+            }
+        )
+    if family == "rf":
+        return st.fixed_dictionaries(
+            {"mean_mw": _between(0.001, 0.05), "fading_sigma": _between(0.0, 1.0)}
+        )
+    return st.fixed_dictionaries(
+        {
+            "burst_power_mw": _between(0.01, 0.5),
             "burst_rate_hz": st.sampled_from([0.0, 0.01, 0.05]),
-            "burst_length_s": st.floats(min_value=1.0, max_value=60.0),
-        })
-    return st.tuples(base, extra).map(lambda pair: {**pair[0], **pair[1]})
+            "burst_length_s": _between(1.0, 60.0),
+        }
+    )
 
 
 @st.composite
 def _stacks(draw, family):
-    grids = draw(st.lists(st.sampled_from(_GRIDS[family]), min_size=1, max_size=3))
+    """Rows on one to three grids of ``family``, shuffled together."""
     rows = []
-    for grid in grids:
-        rows += draw(st.lists(_row(family, grid), min_size=1, max_size=6))
+    grids = st.lists(st.sampled_from(_GRIDS[family]), min_size=1, max_size=3)
+    for duration, dt in draw(grids):
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            row = draw(_family_params(family, dt))
+            seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+            rows.append({**row, "duration": duration, "dt": dt, "seed": seed})
     return draw(st.permutations(rows))
 
 
@@ -182,7 +192,7 @@ class TestStacksEqualScalarBuilds:
     @given(data=st.data())
     def test_stack_rows_equal_scalar_builds(self, family, data):
         rows = data.draw(_stacks(family))
-        block = data.draw(st.sampled_from([1 << 18, 64, 600]), label="block")
+        block = data.draw(st.sampled_from([1 << 16, 64, 600]), label="block")
         with mock.patch.object(traces, "_BLOCK_ELEMENTS", block):
             stacked = synthesize_stacks(family, rows)
         with _cold_memo():
@@ -192,25 +202,27 @@ class TestStacksEqualScalarBuilds:
             assert _same_trace(got, want)
 
     def test_stack_wider_than_a_block(self):
-        """72+ rows of 3601 samples span several synthesis blocks."""
+        """200 rows of 3601 samples span several synthesis blocks."""
         rows = [
             {"duration": 3600.0, "dt": 1.0, "mean_mw": 0.01 + 1e-4 * i, "seed": i}
             for i in range(200)
         ]
         assert len(rows) > traces._BLOCK_ELEMENTS // 3601
-        stacked = synthesize_stacks("rf", rows)
-        for row, got in zip(rows, stacked):
+        for row, got in zip(rows, synthesize_stacks("rf", rows)):
             assert _same_trace(got, traces.rf_trace(**row))
 
     def test_mixed_grid_fleet_prefetch_equals_scalar_builds(self):
         """What the engine's prefetch puts in the memo for a fleet of
         every family on several grids is what each device's scalar
-        build_trace makes on a cold memo."""
+        ``build_trace`` makes on a cold memo."""
         specs = []
         for i in range(40):
             family = ("solar", "wind", "piezo", "kinetic", "rf")[i % 5]
-            trace = {"family": family, "duration": (300.0, 600.0)[i % 2],
-                     "dt": (1.0, 0.5)[i % 3 == 0]}
+            trace = {
+                "family": family,
+                "duration": (300.0, 600.0)[i % 2],
+                "dt": 0.5 if i % 3 == 0 else 1.0,
+            }
             if family == "solar":
                 trace.update(phase=0.01 * i, cloud_theta=(0.01, 0.02)[i % 2])
             specs.append(DeviceSpec(name=f"d{i}", trace=trace))
@@ -219,11 +231,11 @@ class TestStacksEqualScalarBuilds:
             prefetch_traces(tasks)
             prefetched = dict(devices._TRACE_CACHE)
         assert len(prefetched) == len(specs)
-        with _cold_memo():
-            for i, spec, seed in tasks:
+        for i, spec, seed in tasks:
+            with _cold_memo():
                 want = build_trace(spec.trace, device_seeds(i, seed)[0])
-                (key,) = [k for k, v in devices._TRACE_CACHE.items() if v is want]
-                assert _same_trace(prefetched[key], want)
+                (key,) = devices._TRACE_CACHE
+            assert _same_trace(prefetched[key], want)
 
 
 class TestPrefetchErrors:
@@ -232,15 +244,25 @@ class TestPrefetchErrors:
 
     GOOD = {"family": "rf", "duration": 200.0, "dt": 1.0}
 
-    @pytest.mark.parametrize("bad", [
-        {"family": "solar", "duration": 200.0, "peak_mww": 0.03},
-        {"family": "piezo", "duration": 200.0, "duty_cycle": 1.5},
-        {"family": "wind", "duration": 200.0, "mean_speed": 0.0},
-        {"family": "kinetic", "duration": 200.0, "base_mw": -1.0},
-        {"family": "rf", "duration": 0.0},
-        {"family": "rf", "duration": 200.0, "mean_mw": "0.02"},
-    ], ids=["typo", "duty-cycle", "mean-speed", "negative-power",
-            "one-sample", "string-param"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"family": "solar", "duration": 200.0, "peak_mww": 0.03},
+            {"family": "piezo", "duration": 200.0, "duty_cycle": 1.5},
+            {"family": "wind", "duration": 200.0, "mean_speed": 0.0},
+            {"family": "kinetic", "duration": 200.0, "base_mw": -1.0},
+            {"family": "rf", "duration": 0.0},
+            {"family": "rf", "duration": 200.0, "mean_mw": "0.02"},
+        ],
+        ids=[
+            "typo",
+            "duty-cycle",
+            "mean-speed",
+            "negative-power",
+            "one-sample",
+            "string-param",
+        ],
+    )
     def test_engine_raises_the_scalar_error(self, bad):
         later_bad = {"family": "wind", "duration": 200.0, "mean_speed": -1.0}
         specs = [self.GOOD, bad, self.GOOD, later_bad]
@@ -258,25 +280,25 @@ class TestPrefetchErrors:
         assert str(engine.value) == str(scalar.value)
 
     def test_unhashable_seed_keeps_the_per_device_path(self):
-        spec = DeviceSpec(
-            name="live", trace={**self.GOOD, "seed": np.random.default_rng(3)}
-        )
+        trace = {**self.GOOD, "seed": np.random.default_rng(3)}
         with _cold_memo():
-            prefetch_traces([(0, spec, 1)])
+            prefetch_traces([(0, DeviceSpec(name="live", trace=trace), 1)])
             assert devices._TRACE_CACHE == {}
 
 
 def test_fleet_results_do_not_depend_on_window_or_block_size():
     """The build window and the synthesis block only bound memory."""
-    devices_ = [
-        DeviceSpec(name=f"d{i}", trace={
-            "family": ("solar", "wind", "rf")[i % 3], "duration": 400.0, "dt": 1.0,
-        })
+    specs = [
+        DeviceSpec(
+            name=f"d{i}",
+            trace={"family": ("solar", "wind", "rf")[i % 3], "duration": 400.0},
+        )
         for i in range(12)
     ]
-    spec = FleetSpec(name="windows", seed=13, devices=devices_)
+    fleet = FleetSpec(name="windows", seed=13, devices=specs)
     with _cold_memo():
-        expected = FleetRunner(spec, workers=1).run().to_dict()
-    with _cold_memo(), mock.patch("repro.sim.batch._TRACE_CACHE_MAX", 5), \
-            mock.patch.object(traces, "_BLOCK_ELEMENTS", 900):
-        assert FleetRunner(spec, workers=1).run().to_dict() == expected
+        expected = FleetRunner(fleet, workers=1).run().to_dict()
+    with _cold_memo():
+        with mock.patch("repro.sim.batch._TRACE_CACHE_MAX", 5):
+            with mock.patch.object(traces, "_BLOCK_ELEMENTS", 900):
+                assert FleetRunner(fleet, workers=1).run().to_dict() == expected
