@@ -237,7 +237,7 @@ def constant_trace(power_mw: float, duration: float, dt: float = 0.1) -> PowerTr
 #: Most (rows x samples) elements one synthesis block holds.  A stack with
 #: more rows synthesizes a block of rows at a time, which bounds the
 #: temporaries; rows never interact, so the block size changes no sample.
-_BLOCK_ELEMENTS = 1 << 16
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _samples(duration, dt) -> int:
@@ -339,7 +339,8 @@ def _stacked(draws, field: int) -> np.ndarray:
 
 def _ou_noise(draws, field: int, sigma, dt) -> np.ndarray:
     """The stack's scaled OU increments, ``z * sigma * sqrt(dt)``."""
-    noise = np.multiply(_stacked(draws, field), sigma)
+    noise = _stacked(draws, field)
+    np.multiply(noise, sigma, out=noise)
     return np.multiply(noise, np.sqrt(dt), out=noise)
 
 
@@ -431,19 +432,19 @@ def _solar_draw(p):
 
 
 def _solar_shape(rows, draws, n, dt):
-    # The diurnal envelope depends on (day_length, phase) only: one per
-    # distinct pair, gathered to the rows below.
-    arcs: dict = {}
-    arc_of = [
-        arcs.setdefault(
-            (p["duration"] if p["day_length"] is None else p["day_length"], p["phase"]),
-            len(arcs),
-        )
+    # The diurnal envelope depends on (day_length, phase) only: a wider
+    # stack (rows of real numbers) computes it once per distinct pair.
+    arcs = [
+        (p["duration"] if p["day_length"] is None else p["day_length"], p["phase"])
         for p in rows
     ]
+    if len(arcs) > 1:
+        distinct: dict = {}
+        arc_of = [distinct.setdefault(arc, len(distinct)) for arc in arcs]
+        arcs = list(distinct)
     t = (np.arange(n) * dt)[None]
     envelope = np.divide(t, _column([day_length for day_length, _ in arcs]))
-    np.add(envelope, _column([phase for _, phase in arcs]), out=envelope)
+    envelope = np.add(envelope, _column([phase for _, phase in arcs]))
     np.multiply(np.pi, envelope, out=envelope)
     np.sin(envelope, out=envelope)
     np.clip(envelope, 0.0, None, out=envelope)
@@ -464,7 +465,8 @@ def _solar_shape(rows, draws, n, dt):
         envelope = envelope[arc_of]
     power = np.multiply(_column([p["peak_mw"] for p in rows]), envelope)
     np.multiply(power, occlusion, out=power)
-    np.add(power, _stacked(draws, 1), out=power)
+    for row, (_, sensor) in zip(power, draws):
+        np.add(row, sensor, out=row)
     return np.clip(power, 0.0, None, out=power)
 
 
@@ -617,7 +619,7 @@ def _piezo_shape(rows, draws, n, dt):
     sigma = _column([p["amplitude_jitter"] for p in rows]) * np.sqrt(0.04)
     jitter = _ou_scan(_ou_noise(draws, 1, sigma, dt), n, dt, 0.02)
     np.exp(jitter, out=jitter)
-    np.multiply(_column([p["peak_mw"] for p in rows]), jitter, out=jitter)
+    jitter = np.multiply(_column([p["peak_mw"] for p in rows]), jitter)
     power = np.where(_stacked(draws, 0), jitter, _column([p["base_mw"] for p in rows]))
     return np.clip(power, 0.0, None, out=power)
 
@@ -641,9 +643,9 @@ def _rf_draw(p):
 
 def _rf_shape(rows, draws, n, dt):
     sigma = _column([p["fading_sigma"] for p in rows]) * np.sqrt(0.04)
-    power = _ou_scan(_ou_noise(draws, 0, sigma, dt), n, dt, 0.02)
-    np.exp(power, out=power)
-    np.multiply(_column([p["mean_mw"] for p in rows]), power, out=power)
+    fading = _ou_scan(_ou_noise(draws, 0, sigma, dt), n, dt, 0.02)
+    np.exp(fading, out=fading)
+    power = np.multiply(_column([p["mean_mw"] for p in rows]), fading)
     return np.clip(power, 0.0, None, out=power)
 
 
