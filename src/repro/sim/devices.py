@@ -168,6 +168,11 @@ def prefetch_traces(tasks) -> None:
         except Exception:
             continue
         wanted.setdefault(family, {})[key] = params
+    # Evict first what the new traces will displace, so their memory is
+    # free before the stacks synthesize.
+    missing = sum(len(rows) for rows in wanted.values())
+    while _TRACE_CACHE and len(_TRACE_CACHE) + missing > _TRACE_CACHE_MAX:
+        _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
     for family, rows in wanted.items():
         for key, trace in zip(rows, synthesize_stacks(family, list(rows.values()))):
             if trace is not None:

@@ -237,6 +237,23 @@ class TestStacksEqualScalarBuilds:
                 (key,) = devices._TRACE_CACHE
             assert _same_trace(prefetched[key], want)
 
+    def test_prefetch_displaces_the_oldest_entries_within_the_cap(self):
+        """A prefetched window displaces the memo's oldest entries, first
+        in first out, and the memo never exceeds its cap."""
+        rf = {"family": "rf", "duration": 50.0, "dt": 1.0}
+        windows = [
+            [(0, DeviceSpec(name="d", trace={**rf, "seed": s}), 0) for s in seeds]
+            for seeds in ([1, 2, 3], [4, 5, 6])
+        ]
+        with _cold_memo(), mock.patch.object(devices, "_TRACE_CACHE_MAX", 4):
+            prefetch_traces(windows[0])
+            old = list(devices._TRACE_CACHE)
+            prefetch_traces(windows[1])
+            kept = list(devices._TRACE_CACHE)
+        assert len(kept) == 4
+        assert kept[0] == old[-1]
+        assert [dict(key[1])["seed"] for key in kept[1:]] == [4, 5, 6]
+
 
 class TestPrefetchErrors:
     """The prefetch never raises: a spec it cannot take fails through the
