@@ -965,11 +965,12 @@ class BatchedFleetEngine:
         ).reshape(m, width)
         # Miss counts keyed by reason in first-appearance order (the order
         # decides the packed form pack_device_results writes).
+        # (``first`` is read only where ``count`` is positive.)
         misses = []
         for code in range(1, len(_REASONS)):
             hit = valid & (rs.r_reason == code)
             count = np.count_nonzero(hit, axis=0)
-            first = np.where(count > 0, hit.argmax(axis=0), -1)
+            first = hit.argmax(axis=0) if len(hit) else count
             misses.append((_REASONS[code], count.tolist(), first.tolist()))
         # Plain-number fields, as DeviceResult names them, one list each.
         fields = {

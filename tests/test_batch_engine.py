@@ -329,6 +329,19 @@ class TestColumnarFinalize:
         assert {len(r.exit_counts) for r in results} == {1, 3}
         assert {r.episodes for r in results} == {1, 2, 3}
 
+    def test_a_fleet_without_events(self, oracle):
+        """No device has an event, so the record buffers have no rows."""
+        devices = [
+            DeviceSpec(
+                name=f"idle-{i}",
+                trace={"family": "rf", "duration": 100.0, "dt": 1.0},
+                events={"kind": "uniform", "count": 0},
+            )
+            for i in range(3)
+        ]
+        spec = FleetSpec(name="idle-fleet", seed=5, devices=devices)
+        assert _payload(FleetRunner(spec, workers=1).run()) == _payload(oracle(spec))
+
 
 class TestPresetEquivalence:
     @pytest.mark.parametrize("preset", sorted(CONTROLLER_PRESETS))
