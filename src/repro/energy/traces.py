@@ -20,7 +20,12 @@ every stacked row equals its scalar build bit for bit.
 
 A :class:`PowerTrace` stores power samples on a uniform grid and exposes
 interpolation, windowed means (the runtime's "charging efficiency" signal),
-and exact cumulative-energy queries used by the simulator.
+and exact cumulative-energy queries used by the simulator.  The bulk
+queries have one implementation for many traces at once:
+:func:`event_queries` answers every device's event-time queries (the
+cumulative energy at each event and the windowed mean power) as one
+stacked gather over traces on any mix of grids, and a trace's own
+``_cum_bulk`` and array ``mean_power`` are its one-trace case.
 """
 
 from __future__ import annotations
@@ -126,23 +131,10 @@ class PowerTrace:
         return float(self._cum_energy[i] + partial)
 
     def _cum_bulk(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_cum_at` over already-clipped times.
-
-        Matches the scalar path bit-for-bit (same interpolation
-        arithmetic), including the scalar early-return for positions at or
-        past the last sample — ``duration / dt`` can round a hair above
-        ``n - 1`` for inexact ``dt``, where interpolating instead of
-        returning the exact total would drift by an ulp.
-        """
-        pos = np.asarray(t, dtype=np.float64) / self.dt
-        last = len(self.samples_mw) - 1
-        past_end = pos >= last  # same branch as the scalar i >= len-1 return
-        i = np.minimum(pos.astype(np.int64), last - 1)
-        frac = pos - i
-        p0 = self.samples_mw[i]
-        pt = (1 - frac) * p0 + frac * self.samples_mw[i + 1]
-        partial = self._cum_energy[i] + 0.5 * (p0 + pt) * (frac * self.dt)
-        return np.where(past_end, self._cum_energy[-1], partial)
+        """Vectorized :meth:`_cum_at` over already-clipped times: the
+        one-trace case of :func:`_cum_and_power`."""
+        t = np.asarray(t, dtype=np.float64)
+        return _cum_and_power([self], [t.size], t.reshape(-1))[0].reshape(t.shape)
 
     @property
     def total_energy_mj(self) -> float:
@@ -164,22 +156,86 @@ class PowerTrace:
             if t == t0:
                 return self.power(t)
             return self.energy_between(t0, t) / (t - t0)
-        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, self.duration)
-        t0 = np.maximum(0.0, t - window)
-        span = t - t0
-        degenerate = span <= 0.0  # only t == 0 with a positive window
-        windowed = (self._cum_bulk(t) - self._cum_bulk(t0)) / np.where(
-            degenerate, 1.0, span
-        )
-        if degenerate.any():
-            return np.where(degenerate, self.power(t), windowed)
-        return windowed
+        # The array path is the one-trace case of event_queries.
+        t = np.asarray(t, dtype=np.float64)
+        _, mean = event_queries([self], [t.size], t.reshape(-1), [window])
+        return mean.reshape(t.shape)
 
     def scaled(self, factor: float) -> "PowerTrace":
         """A copy with power multiplied by ``factor``."""
         if factor < 0:
             raise EnergyError("scale factor must be non-negative")
         return PowerTrace(self.samples_mw * factor, self.dt, name=f"{self.name}*{factor:g}")
+
+
+def _cum_and_power(traces, counts, t):
+    """Cumulative energy (mJ) and interpolated power (mW) of many traces
+    at already-clipped times, as one stacked gather.
+
+    ``t``'s first axis concatenates the traces' queries, ``counts[r]`` of
+    them for ``traces[r]``, in order; trailing axes hold more queries of
+    the same trace.  Each trace's ``dt``, last sample and total energy
+    are per-query columns, so traces on different grids share one pass,
+    and only the three gathers (samples at ``i`` and ``i + 1``,
+    cumulative energy at ``i``) loop over traces.  The arithmetic is
+    :meth:`PowerTrace._cum_at`'s, element for element, including its
+    early return of the exact total at or past the last sample:
+    ``duration / dt`` can round a hair above ``n - 1`` for inexact ``dt``,
+    where interpolating would drift by an ulp.  The power is the
+    interpolation on the way, which is :meth:`PowerTrace.power`'s.
+    """
+    if len(traces) == 1:
+        (trace,) = traces
+        dt, last, total = trace.dt, trace.samples_mw.size - 1, trace._cum_energy[-1]
+    else:
+        column = (-1,) + (1,) * (t.ndim - 1)
+        dt = np.repeat([trace.dt for trace in traces], counts).reshape(column)
+        last = np.repeat([trace.samples_mw.size - 1 for trace in traces], counts)
+        last = last.reshape(column)
+        total = np.repeat([trace._cum_energy[-1] for trace in traces], counts)
+        total = total.reshape(column)
+    pos = t / dt
+    past_end = pos >= last  # the scalar i >= len - 1 early return
+    i = np.minimum(pos.astype(np.int64), last - 1)
+    frac = pos - i
+    upper = i + 1
+    p0 = np.empty(t.shape)
+    p1 = np.empty(t.shape)
+    cum = np.empty(t.shape)
+    start = 0
+    for trace, n in zip(traces, counts):
+        end = start + n
+        p0[start:end] = trace.samples_mw[i[start:end]]
+        p1[start:end] = trace.samples_mw[upper[start:end]]
+        cum[start:end] = trace._cum_energy[i[start:end]]
+        start = end
+    pt = (1 - frac) * p0 + frac * p1
+    cum += 0.5 * (p0 + pt) * (frac * dt)
+    return np.where(past_end, total, cum), pt
+
+
+def event_queries(traces, counts, times, windows):
+    """Cumulative energy (mJ) at, and mean power (mW) over the trailing
+    window before, each query time of many traces, as one stacked gather.
+
+    ``times`` concatenates the traces' query times, ``counts[r]`` of them
+    for ``traces[r]``, whose window is ``windows[r]`` seconds.  Trace r's
+    share of the two results is, element for element,
+    ``traces[r]._cum_bulk(np.clip(t, 0, duration))`` and
+    ``traces[r].mean_power(t, windows[r])``: times clip to the trace, the
+    mean is ``(cum(t) - cum(t0)) / (t - t0)`` with
+    ``t0 = max(0, t - window)``, and a window of zero length (an event at
+    t = 0) reads the interpolated power at t instead.  Both ends of every
+    window take one :func:`_cum_and_power` pass.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    t = np.clip(times, 0.0, np.repeat([trace.duration for trace in traces], counts))
+    t0 = np.maximum(0.0, t - np.repeat(windows, counts))
+    cum, power = _cum_and_power(traces, counts, np.stack((t, t0), axis=-1))
+    span = t - t0
+    degenerate = span <= 0.0
+    mean = (cum[:, 0] - cum[:, 1]) / np.where(degenerate, 1.0, span)
+    return cum[:, 0], np.where(degenerate, power[:, 0], mean)
 
 
 def grid_position(t, duration: float, dt: float, n: int):

@@ -64,6 +64,7 @@ from repro.sim.devices import (
     build_mcu as build_mcu,
     build_storage as build_storage,
     build_trace as build_trace,
+    device_seeds,
     harvest_percentiles,
     materialize,
     resolve_profile as resolve_profile,
@@ -86,7 +87,7 @@ def run_device(task) -> DeviceResult:
     """
     index, spec, fleet_seed = task
     t0 = time.perf_counter()
-    device = materialize(index, spec, fleet_seed)
+    device = materialize(spec, device_seeds(index, fleet_seed))
     sim = Simulator(
         device.trace,
         device.profile,

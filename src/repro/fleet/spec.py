@@ -118,6 +118,19 @@ class DeviceSpec:
                 f"device {self.name!r}: episodes must be a positive int, "
                 f"got {self.episodes!r}"
             )
+        # A pinned stream seed must reproduce its stream: null draws fresh
+        # OS entropy on every build, and a JSON true would run as seed 1.
+        for part, params, key in (
+            ("trace", dict(self.trace), "seed"),
+            ("events", dict(self.events), "rng"),
+        ):
+            if key in params and (
+                not isinstance(params[key], int) or isinstance(params[key], bool)
+            ):
+                raise ConfigError(
+                    f"device {self.name!r}: {part} {key} must be an int, "
+                    f"got {params[key]!r}"
+                )
         if self.power_window_s <= 0:
             raise ConfigError(
                 f"device {self.name!r}: power_window_s must be positive, "

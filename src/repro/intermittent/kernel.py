@@ -237,6 +237,34 @@ class IntermittentFleetKernel:
         self._job_acc = np.array([d.exit_acc[-1] for d in devices], dtype=np.float64)
         self._no_leak = bool((self._leakage == 0.0).all())
 
+    @classmethod
+    def concat(cls, kernels) -> "IntermittentFleetKernel":
+        """One kernel over the rows of ``kernels``, in order.
+
+        The batched engine builds a kernel per build window, while that
+        window's traces exist, and joins them here: the padded trace rows
+        widen to the longest trace, every other column concatenates, so
+        the result equals one kernel built over all the devices.
+        """
+        if len(kernels) == 1:
+            return kernels[0]
+        kernel = cls.__new__(cls)
+        width = max(k._samples.shape[1] for k in kernels)
+        for name, value in vars(kernels[0]).items():
+            parts = [getattr(k, name) for k in kernels]
+            if name in ("_samples", "_cum"):
+                value = np.zeros((sum(len(p) for p in parts), width))
+                start = 0
+                for part in parts:
+                    stop, n = start + part.shape[0], part.shape[1]
+                    value[start:stop, :n] = part
+                    start = stop
+            elif isinstance(value, np.ndarray):
+                value = np.concatenate(parts)
+            setattr(kernel, name, value)
+        kernel._no_leak = bool((kernel._leakage == 0.0).all())
+        return kernel
+
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -6,18 +6,22 @@ per-device state as a numpy column — storage level / capacity / ledger
 totals, ``busy_until``, the charge bookkeeping (``t_charged`` /
 ``cum_charged``), and per-device event counts — and advancing all
 still-active devices one event-index step at a time.
-Construction materializes the devices in windows of at most the trace
-memo's cap: each window's seeded traces synthesize first as same-grid
-stacks (:func:`repro.sim.devices.prefetch_traces`, timed as the
-``batch.build.traces`` profiler phase), then every device materializes
-and hits the memo.
-Decision-independent quantities are precomputed per device up front
-exactly as :class:`~repro.sim.simulator.Simulator` does
-(cumulative harvested energy at event times via ``PowerTrace._cum_bulk``,
-windowed observed charge power via ``PowerTrace.mean_power``); the inner
-step then applies controller decisions across the device axis with fancy
-indexing through the batched controller groups of
-:mod:`repro.runtime.batched`.
+Construction builds the devices in windows of at most the trace memo's
+cap.  Per window it derives every device's four seeds once, synthesizes
+the window's seeded traces as same-grid stacks
+(:func:`repro.sim.devices.prefetch_traces`, timed as the
+``batch.build.traces`` profiler phase) and materializes every device,
+which hits the memo.  Then, while the window's traces exist, it takes
+everything it reads of them as columns (the ``batch.build.columns``
+phase): the decision-independent quantities
+:class:`~repro.sim.simulator.Simulator` precomputes — cumulative
+harvested energy at every event and the windowed observed charge power —
+as stacked gathers (:func:`repro.energy.traces.event_queries`) written
+straight into the (event, device) matrices, each trace's harvest
+summary, peak, duration and total energy, and the intermittent devices'
+padded kernel rows.  No trace outlives its window.  The inner step then
+applies controller decisions across the device axis with fancy indexing
+through the batched controller groups of :mod:`repro.runtime.batched`.
 
 Three device classes vectorize (everything a fleet spec can express):
 
@@ -45,7 +49,14 @@ enforces it:
 * both build their devices with :func:`repro.sim.devices.materialize`,
   so every device's random streams stay pinned to
   ``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — the same four
-  child seeds (trace, events, simulator, controller) on both paths;
+  child seeds (trace, events, simulator, controller) on both paths,
+  derived once per device per build
+  (:func:`~repro.sim.devices.device_seeds`) and handed to the trace
+  prefetch and to ``materialize``;
+* the event-time columns are one stacked gather per block of a window,
+  repeating ``PowerTrace._cum_bulk``'s arithmetic (and ``mean_power``'s
+  window) element for element, so every column equals its device's own
+  bulk queries byte for byte;
 * pooled variates are consumed through :class:`~repro.utils.rng.DrawBatch`
   — per-device 256-wide pools refilled with the exact sampler calls
   :class:`~repro.utils.rng.PooledDraws` makes, in each device's own call
@@ -101,9 +112,11 @@ interactive traffic on, enforced against the same goldens.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.energy.traces import _BLOCK_ELEMENTS, event_queries
 from repro.errors import ConfigError, SimulationError
 from repro.intermittent.kernel import IntermittentFleetKernel
 from repro.obs.recorder import get_recorder
@@ -111,6 +124,7 @@ from repro.runtime.batched import batch_continue_rules, batch_controllers, batch
 from repro.runtime.state import RuntimeStateBatch
 from repro.sim.devices import (
     _TRACE_CACHE_MAX,
+    device_seeds,
     harvest_percentiles,
     materialize,
     prefetch_traces,
@@ -131,55 +145,32 @@ _MISS_NONE, _MISS_BUSY, _MISS_ENERGY = 0, 1, 2
 _RESULT_QS = (50, 90, 99)
 
 class _Device:
-    """Materialized per-device objects + precomputed event-time queries."""
+    """One materialized device: what the engine keeps of it once its
+    build window is done.  Its trace lives on only as a summary (event
+    count, peak, duration, total energy and, set by the window, the
+    harvest percentiles) and as the engine's columns."""
 
     __slots__ = (
-        "index", "spec", "trace", "events", "profile", "storage", "mcu",
-        "controller", "sim_rng", "intermittent", "cum_at_event",
-        "charge_power", "exit_energy", "exit_time", "exit_acc",
+        "index", "spec", "profile", "storage", "mcu", "controller",
+        "sim_rng", "intermittent", "n_events", "peak_mw", "duration",
+        "total_env_mj", "harvest", "exit_energy", "exit_time", "exit_acc",
         "inc_energy", "inc_time",
     )
 
-    def __init__(self, index: int, spec, fleet_seed: int):
+    def __init__(self, index: int, spec, objs):
         self.index = int(index)
         self.spec = spec
-        (self.trace, events, self.profile, self.storage, self.mcu,
-         self.controller, sim_seed) = materialize(index, spec, fleet_seed)
-        self.events = np.asarray(events, dtype=np.float64)
-        if self.events.size and (
-            np.any(np.diff(self.events) < 0) or self.events[0] < 0
-        ):
-            raise SimulationError("events must be sorted and non-negative")
-        self.sim_rng = as_generator(sim_seed)
+        self.profile = objs.profile
+        self.storage = objs.storage
+        self.mcu = objs.mcu
+        self.controller = objs.controller
+        self.sim_rng = as_generator(objs.sim_seed)
         self.intermittent = spec.execution == "intermittent"
-        trace = self.trace
-        duration = trace.duration
-        if self.events.size:
-            clipped = np.minimum(duration, np.maximum(0.0, self.events))
-            self.cum_at_event = trace._cum_bulk(clipped)
-            if self.intermittent:
-                # The SONIC baseline never consults the observed charging
-                # power P, so skip the windowed query (like the scalar
-                # simulator does).
-                self.charge_power = np.zeros(self.events.size)
-            else:
-                # mean_power inlined so its _cum_bulk(t) shares the
-                # event-time evaluation above (same clipped times, same
-                # arithmetic).
-                t0 = np.maximum(0.0, clipped - spec.power_window_s)
-                span = clipped - t0
-                degenerate = span <= 0.0
-                windowed = (
-                    self.cum_at_event - trace._cum_bulk(t0)
-                ) / np.where(degenerate, 1.0, span)
-                if degenerate.any():
-                    windowed = np.where(
-                        degenerate, trace.power(clipped), windowed
-                    )
-                self.charge_power = windowed
-        else:
-            self.cum_at_event = np.empty(0)
-            self.charge_power = np.empty(0)
+        self.n_events = objs.events.size
+        self.peak_mw = float(np.max(objs.trace.samples_mw))
+        self.duration = objs.trace.duration
+        self.total_env_mj = objs.trace.total_energy_mj
+        self.harvest = None
         self.exit_energy = [float(e) for e in self.profile.exit_energy_mj]
         self.exit_time = [
             self.mcu.inference_time_s(f) for f in self.profile.exit_flops
@@ -191,6 +182,70 @@ class _Device:
         self.inc_time = [
             self.mcu.inference_time_s(f) for f in self.profile.incremental_flops
         ]
+
+
+class _TracedDevice(NamedTuple):
+    """An intermittent device while its build window lasts: the fields
+    :class:`~repro.intermittent.kernel.IntermittentFleetKernel` reads."""
+
+    trace: object
+    storage: object
+    mcu: object
+    profile: object
+    exit_energy: list
+    exit_acc: list
+
+
+def _materialize_window(specs, seeds) -> list:
+    """Every device of a build window, built in task order.
+
+    The events check runs over the whole window once it is built; when a
+    build raises, the devices before it are checked first, so errors
+    surface in task order, as if each device checked its own events
+    straight after its build.
+    """
+    objs = []
+    for spec, device in zip(specs, seeds):
+        try:
+            objs.append(materialize(spec, device))
+        except Exception:
+            _check_events([obj.events for obj in objs])
+            raise
+    _check_events([obj.events for obj in objs])
+    return objs
+
+
+def _check_events(events) -> None:
+    """Every device's events are sorted and non-negative: each event is
+    at least its predecessor in the same stream, the first at least 0."""
+    if not events:
+        return
+    flat = np.concatenate(events)
+    prev = np.empty_like(flat)
+    prev[1:] = flat[:-1]
+    counts = np.array([e.size for e in events])
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0.0
+    if (flat < prev).any():
+        raise SimulationError("events must be sorted and non-negative")
+
+
+def _blocks(counts, budget):
+    """Consecutive ``(start, end)`` runs of ``counts`` summing to at most
+    ``budget``; a run holds at least one entry, however large."""
+    start = total = 0
+    for end, n in enumerate(counts):
+        if total + n > budget and end > start:
+            yield start, end
+            start, total = end, 0
+        total += n
+    yield start, len(counts)
+
+
+def _with_rows(matrix, rows: int) -> np.ndarray:
+    """``matrix`` extended with zero rows to ``rows`` rows."""
+    grown = np.zeros((rows, matrix.shape[1]))
+    grown[:len(matrix)] = matrix
+    return grown
 
 
 class _RunState:
@@ -233,7 +288,8 @@ class BatchedFleetEngine:
     """Runs a list of ``(index, DeviceSpec, fleet_seed)`` tasks.
 
     Construction materializes every device (traces, profiles, controllers,
-    per-event precomputations); :meth:`run` plays all episodes in lockstep
+    per-event columns, a build window at a time); :meth:`run` plays all
+    episodes in lockstep
     and returns one :class:`~repro.sim.results.DeviceResult` per task,
     in task order.  The incremental twin — :meth:`begin` /
     :meth:`advance` / :meth:`finalize` — executes the same instruction
@@ -246,40 +302,36 @@ class BatchedFleetEngine:
             raise ConfigError("BatchedFleetEngine needs at least one device")
         prof = get_recorder().profiler
         t_build = time.perf_counter() if prof is not None else 0.0
-        # Materialize in windows the trace memo holds whole: a window's
-        # seeded traces synthesize as same-grid stacks, then each device's
-        # own build_trace call hits the memo.
+        m = len(tasks)
+        self._m = m
+        # Per-event matrices are (event, device) so the step loop reads
+        # *contiguous* rows instead of strided columns; each build window
+        # writes its devices' columns, zero-padded below their last event.
+        self._events = np.zeros((0, m))
+        self._cum_at_event = np.zeros((0, m))
+        self._charge_power = np.zeros((0, m))
         self.devices = []
-        for start in range(0, len(tasks), _TRACE_CACHE_MAX):
-            window = tasks[start:start + _TRACE_CACHE_MAX]
-            t_traces = time.perf_counter() if prof is not None else 0.0
-            prefetch_traces(window)
-            if prof is not None:
-                prof.add_wall(
-                    "batch.build.traces", time.perf_counter() - t_traces
-                )
-            self.devices.extend(_Device(i, spec, seed) for i, spec, seed in window)
+        kernels = []
+        for start in range(0, m, _TRACE_CACHE_MAX):
+            kernel = self._build_window(
+                start, tasks[start:start + _TRACE_CACHE_MAX], prof
+            )
+            if kernel is not None:
+                kernels.append(kernel)
         for dev in self.devices:
             if not dev.intermittent and not batchable(dev.controller):
                 raise ConfigError(
                     f"device {dev.spec.name!r}: controller cannot be batched"
                 )
-        m = len(self.devices)
-        self._m = m
-        max_ev = max(d.events.size for d in self.devices)
+        max_ev = self._events.shape[0]
+        self._n_events = np.array([d.n_events for d in self.devices], np.int64)
         max_exits = max(d.profile.num_exits for d in self.devices)
-        self._n_events = np.array([d.events.size for d in self.devices], np.int64)
         self._episodes = np.array([d.spec.episodes for d in self.devices], np.int64)
         self._n_exits = np.array(
             [d.profile.num_exits for d in self.devices], np.int64
         )
-        # Padded per-event and per-exit lookups.  Cost pads with +inf so a
-        # padded exit can never look affordable; accuracy/time pad with 0.
-        # Per-event matrices are (event, device) so the step loop reads
-        # *contiguous* rows instead of strided columns.
-        self._events = np.zeros((max_ev, m))
-        self._cum_at_event = np.zeros((max_ev, m))
-        self._charge_power = np.zeros((max_ev, m))
+        # Padded per-exit lookups.  Cost pads with +inf so a padded exit
+        # can never look affordable; accuracy/time pad with 0.
         self._exit_cost = np.full((m, max_exits), np.inf)
         self._exit_time = np.zeros((m, max_exits))
         self._exit_acc = np.zeros((m, max_exits))
@@ -287,10 +339,6 @@ class BatchedFleetEngine:
         self._inc_cost = np.full((m, inc_width), np.inf)
         self._inc_time = np.zeros((m, inc_width))
         for i, d in enumerate(self.devices):
-            n = d.events.size
-            self._events[:n, i] = d.events
-            self._cum_at_event[:n, i] = d.cum_at_event
-            self._charge_power[:n, i] = d.charge_power
             k = d.profile.num_exits
             self._exit_cost[i, :k] = d.exit_energy
             self._exit_time[i, :k] = d.exit_time
@@ -302,13 +350,9 @@ class BatchedFleetEngine:
         self._efficiency = np.array([d.storage.efficiency for d in self.devices])
         self._leakage = np.array([d.storage.leakage_mw for d in self.devices])
         self._initial = np.array([d.storage._initial_mj for d in self.devices])
-        self._peak = np.array(
-            [float(np.max(d.trace.samples_mw)) for d in self.devices]
-        )
-        self._duration = np.array([d.trace.duration for d in self.devices])
-        self._total_env = np.array(
-            [d.trace.total_energy_mj for d in self.devices]
-        )
+        self._peak = np.array([d.peak_mw for d in self.devices])
+        self._duration = np.array([d.duration for d in self.devices])
+        self._total_env = np.array([d.total_env_mj for d in self.devices])
         self._sim_draws = DrawBatch([d.sim_rng for d in self.devices])
         # Execution-model split: intermittent devices run through the
         # shared multi-cycle kernel and never consult a controller.
@@ -327,9 +371,7 @@ class BatchedFleetEngine:
         if self._has_int:
             int_rows = np.nonzero(self._exec_int)[0]
             self._int_rows = int_rows
-            self._int_kernel = IntermittentFleetKernel(
-                int_rows, [self.devices[r] for r in int_rows]
-            )
+            self._int_kernel = IntermittentFleetKernel.concat(kernels)
             self._int_events = np.ascontiguousarray(self._events[:, int_rows])
             self._int_cum = np.ascontiguousarray(self._cum_at_event[:, int_rows])
             self._int_nev = self._n_events[int_rows]
@@ -361,6 +403,79 @@ class BatchedFleetEngine:
         if prof is not None:
             prof.add_wall("batch.build", time.perf_counter() - t_build)
             prof.memory_probe("batch.build")
+
+    def _build_window(self, start, window, prof):
+        """Materialize one build window's devices and take their columns.
+
+        Each device's four seeds are derived once and handed to the trace
+        prefetch and to :func:`~repro.sim.devices.materialize`.  Then,
+        while the window's traces exist, the engine takes everything it
+        reads of them: the trace summaries, the event-time columns
+        (:meth:`_write_event_columns`) and the intermittent devices'
+        padded kernel rows, returned as this window's kernel (``None``
+        without intermittent devices).  No trace outlives its window.
+        """
+        seeds = [device_seeds(i, fleet_seed) for i, _, fleet_seed in window]
+        specs = [spec for _, spec, _ in window]
+        t_phase = time.perf_counter() if prof is not None else 0.0
+        prefetch_traces(specs, seeds)
+        if prof is not None:
+            prof.add_wall("batch.build.traces", time.perf_counter() - t_phase)
+        objs = _materialize_window(specs, seeds)
+        devices = [_Device(i, spec, obj) for (i, spec, _), obj in zip(window, objs)]
+        self.devices.extend(devices)
+        t_phase = time.perf_counter() if prof is not None else 0.0
+        traces = [obj.trace for obj in objs]
+        for dev, harvest in zip(devices, harvest_percentiles(traces)):
+            dev.harvest = harvest
+        self._write_event_columns(start, devices, traces, [o.events for o in objs])
+        kernel = None
+        if any(d.intermittent for d in devices):
+            kernel = IntermittentFleetKernel(
+                [start + c for c, d in enumerate(devices) if d.intermittent],
+                [
+                    _TracedDevice(
+                        trace, d.storage, d.mcu, d.profile, d.exit_energy, d.exit_acc
+                    )
+                    for trace, d in zip(traces, devices) if d.intermittent
+                ],
+            )
+        if prof is not None:
+            prof.add_wall("batch.build.columns", time.perf_counter() - t_phase)
+        return kernel
+
+    def _write_event_columns(self, start, devices, traces, events) -> None:
+        """Write a window's event times, the cumulative harvested energy
+        at each event and the observed charge power P into the engine's
+        columns ``start``..., a block of devices per stacked gather.
+
+        The gathers repeat each device's own ``_cum_bulk`` and
+        ``mean_power`` element for element
+        (:func:`~repro.energy.traces.event_queries`).  A block holds at
+        most ``_BLOCK_ELEMENTS`` queries (two per event: its time and its
+        window's start), or one device, which bounds the temporaries.
+        """
+        counts = [e.size for e in events]
+        rows = max(counts)
+        if rows > self._events.shape[0]:
+            self._events = _with_rows(self._events, rows)
+            self._cum_at_event = _with_rows(self._cum_at_event, rows)
+            self._charge_power = _with_rows(self._charge_power, rows)
+        windows = [d.spec.power_window_s for d in devices]
+        # The SONIC baseline never consults P, so intermittent columns
+        # keep zeros (the scalar simulator skips the windowed query).
+        reads_power = [not d.intermittent for d in devices]
+        for a, b in _blocks(counts, _BLOCK_ELEMENTS // 2):
+            block = counts[a:b]
+            flat = np.concatenate(events[a:b])
+            cum, power = event_queries(traces[a:b], block, flat, windows[a:b])
+            power = np.where(np.repeat(reads_power[a:b], block), power, 0.0)
+            offsets = np.cumsum(block) - block
+            at = (np.arange(flat.size) - np.repeat(offsets, block)) * self._m
+            at += np.repeat(np.arange(start + a, start + b), block)
+            np.put(self._events, at, flat)
+            np.put(self._cum_at_event, at, cum)
+            np.put(self._charge_power, at, power)
 
     # ------------------------------------------------------------------ #
     def run(self):
@@ -990,7 +1105,6 @@ class BatchedFleetEngine:
         fields = {name: column.tolist() for name, column in fields.items()}
         keys = [f"p{q:g}" for q in _RESULT_QS]
         latency, energy = points["latency"].tolist(), points["energy"].tolist()
-        harvest = harvest_percentiles([d.trace for d in self.devices])
         hist, n_exits = hist.tolist(), self._n_exits.tolist()
         out = []
         for i, d in enumerate(self.devices):
@@ -1004,7 +1118,7 @@ class BatchedFleetEngine:
                 profile=d.profile.name,
                 latency_percentiles=dict(zip(keys, latency[i])),
                 energy_percentiles=dict(zip(keys, energy[i])),
-                harvest_percentiles=harvest[i],
+                harvest_percentiles=d.harvest,
                 miss_counts={name: c for _, name, c in reasons},
                 exit_counts=hist[i][:n_exits[i]],
                 episodes=int(d.spec.episodes),

@@ -9,16 +9,20 @@ profile, capacitor, MCU and exit controller for both the batched engine
 seeded ``fleet_seed`` draws its four streams (trace, events, simulator,
 controller) from ``SeedSequence(fleet_seed, spawn_key=(index,))``
 (:func:`device_seeds`), computable inside any worker without the other
-devices.
+devices.  The caller derives those seeds once per device and hands them
+to :func:`materialize` (and, in the engine, to :func:`prefetch_traces`).
 
-Traces are memoized per process.  The engine fills the memo a window of
-devices at a time with :func:`prefetch_traces`, which synthesizes every
-missing seeded trace as same-grid stacks
-(:func:`repro.energy.traces.synthesize_stacks`); each device's own
-:func:`build_trace` call then hits the memo, and a trace the prefetch
-could not build synthesizes there, raising the builder's own error.
-:func:`harvest_percentiles` summarizes a list of traces the same way, a
-stack of same-grid traces at a time.
+Traces are memoized per process, except those whose params cannot key a
+deterministic result (a live Generator or a None seed).  The engine
+fills the memo a window of devices at a time with
+:func:`prefetch_traces`, which synthesizes every missing seeded trace as
+same-grid stacks (:func:`repro.energy.traces.synthesize_stacks`); each
+device's own :func:`build_trace` call then hits the memo, and a trace
+the prefetch could not build synthesizes there, raising the builder's
+own error.  The engine keeps no trace past its window: the memo's
+entries (at most its cap) are the only traces a built engine leaves
+alive.  :func:`harvest_percentiles` summarizes a window's traces a stack
+of same-grid traces at a time.
 
 The one lazy import: a ``zoo:<net>`` profile loads :mod:`repro.zoo` (and
 the training substrate behind it) on first use.
@@ -100,9 +104,10 @@ def _call_declarative(label: str, fn, *args, **kwargs):
 
 
 def _trace_cache_key(family: str, params: dict):
-    """Hashable cache key, or None when a param cannot key a deterministic
-    result (e.g. a live Generator, whose state advances between builds)."""
-    if not all(
+    """Hashable cache key, or None when the params cannot key a
+    deterministic result: a live Generator, whose state advances between
+    builds, or a None seed, which draws fresh OS entropy on every build."""
+    if params.get("seed", 0) is None or not all(
         value is None or isinstance(value, (bool, int, float, str))
         for value in params.values()
     ):
@@ -142,11 +147,12 @@ def build_trace(trace_spec: dict, fallback_seed: int) -> PowerTrace:
     return trace
 
 
-def prefetch_traces(tasks) -> None:
-    """Synthesize the seeded traces of ``tasks`` missing from the memo.
+def prefetch_traces(specs, seeds) -> None:
+    """Synthesize the seeded traces of ``specs`` missing from the memo.
 
-    ``tasks`` are ``(index, spec, fleet_seed)``, at most the memo's cap of
-    them, so every trace added here survives until its device's
+    ``seeds`` are each device's four stream seeds (:func:`device_seeds`),
+    the ones its :func:`materialize` call receives.  At most the memo's
+    cap of specs, so every trace added here survives until its device's
     :func:`build_trace` call reads it back.  Traces synthesize as
     same-grid stacks through the family builders directly (never through
     :func:`build_trace`, which stays one call per device).  Never raises:
@@ -155,13 +161,13 @@ def prefetch_traces(tasks) -> None:
     that build's error.
     """
     wanted: dict = {}
-    for index, spec, fleet_seed in tasks:
+    for spec, (trace_seed, *_) in zip(specs, seeds):
         try:
             params = dict(spec.trace)
             family = params.pop("family")
             if family not in _SEEDED_TRACE_BUILDERS:
                 continue
-            params.setdefault("seed", device_seeds(index, fleet_seed)[0])
+            params.setdefault("seed", trace_seed)
             key = _trace_cache_key(family, params)
             if key is None or key in _TRACE_CACHE:
                 continue
@@ -284,13 +290,14 @@ def device_seeds(index, fleet_seed) -> tuple:
     return tuple(int(s) for s in child.generate_state(4, np.uint32))
 
 
-def materialize(index, spec, fleet_seed) -> DeviceObjects:
-    """Build device ``index`` of a fleet seeded ``fleet_seed`` from ``spec``.
+def materialize(spec, seeds) -> DeviceObjects:
+    """Build a device from ``spec`` and its four stream seeds.
 
-    Derives the device's four streams, then calls the builders in one
-    fixed order: trace, events, profile, storage, MCU, controller.
+    ``seeds`` are the device's :func:`device_seeds`, derived once by the
+    caller.  The builders run in one fixed order: trace, events, profile,
+    storage, MCU, controller.
     """
-    trace_seed, event_seed, sim_seed, ctrl_seed = device_seeds(index, fleet_seed)
+    trace_seed, event_seed, sim_seed, ctrl_seed = seeds
     trace = build_trace(spec.trace, trace_seed)
     events = build_events(spec.events, trace.duration, event_seed)
     profile = resolve_profile(spec.profile)
@@ -329,13 +336,15 @@ def harvest_percentiles(traces) -> list:
     for (n, dt), members in grids.items():
         duration = traces[members[0]].duration
         i, frac = grid_position(_harvest_grid(duration), duration, dt, n)
+        above = i + 1
         for start in range(0, len(members), _HARVEST_BLOCK):
             block = members[start : start + _HARVEST_BLOCK]
             lower = np.empty((len(block), i.size))
             upper = np.empty((len(block), i.size))
             for row, r in enumerate(block):
-                np.take(traces[r].samples_mw, i, out=lower[row])
-                np.take(traces[r].samples_mw, i + 1, out=upper[row])
+                samples = traces[r].samples_mw
+                lower[row] = samples[i]
+                upper[row] = samples[above]
             power = (1 - frac) * lower + frac * upper
             power.sort(axis=1)
             for r, points in zip(block, percentile_rows(power, _HARVEST_QS).tolist()):

@@ -26,7 +26,12 @@ from repro.fleet.results import (
 from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
 from repro.sim.batch import BatchedFleetEngine
-from repro.sim.devices import harvest_percentiles, materialize
+from repro.sim.devices import (
+    build_trace,
+    device_seeds,
+    harvest_percentiles,
+    materialize,
+)
 from repro.sim.results import DeviceResult
 from repro.sim.simulator import Simulator, SimulatorConfig
 
@@ -41,7 +46,7 @@ def _payload(result) -> str:
 def _scalar_episodes(index, device, fleet_seed):
     """Every episode of one device through the scalar simulator, built the
     way ``run_device`` builds it (which keeps only the last episode)."""
-    objs = materialize(index, device, fleet_seed)
+    objs = materialize(device, device_seeds(index, fleet_seed))
     sim = Simulator(
         objs.trace,
         objs.profile,
@@ -311,9 +316,11 @@ class TestColumnarFinalize:
         )
         results = engine.run()
         for i, (got, d) in enumerate(zip(results, engine.devices)):
+            # The engine keeps no trace past its build window: rebuild it.
+            trace = build_trace(d.spec.trace, device_seeds(i, spec.seed)[0])
             want = DeviceResult.from_simulation(
                 d.index, d.spec.name, engine.records(i), d.profile,
-                harvest_percentiles=harvest_percentiles([d.trace])[0],
+                harvest_percentiles=harvest_percentiles([trace])[0],
                 episodes=d.spec.episodes,
             )
             # JSON without sort_keys: float bits, int/float types and

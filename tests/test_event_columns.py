@@ -11,14 +11,20 @@ per-event scalar queries (``_cum_at``, scalar ``mean_power``) are checked
 too, so the columns are held to arithmetic the bulk path does not share.
 """
 
+import gc
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.energy.traces import PowerTrace
+from repro.errors import ConfigError, SimulationError
 from repro.fleet import DeviceSpec
+from repro.intermittent.kernel import IntermittentFleetKernel
 from repro.sim import devices
 from repro.sim.batch import BatchedFleetEngine
 from repro.sim.devices import build_trace, device_seeds
@@ -111,9 +117,10 @@ def _assert_columns_match(tasks):
 
 
 FAMILIES = ("solar", "wind", "rf", "kinetic", "piezo", "constant")
-#: (duration, dt): inexact steps make ``duration / dt`` round either side
-#: of the last sample, which decides the past-the-end branch at the end.
-GRIDS = ((60.0, 1.0), (50.0, 0.5), (30.0, 0.3), (41.3, 0.7))
+#: (duration, dt).  On the 0.1 s grid the trace's end, 96 * 0.1, divides
+#: back to a hair above the last sample's index 96: the past-the-end
+#: branch, where interpolating would drift by an ulp.
+GRIDS = ((60.0, 1.0), (50.0, 0.5), (9.6, 0.1), (41.3, 0.7))
 EVENTS = st.one_of(
     st.builds(
         lambda count, edges: {"kind": "uniform", "count": count, "edges": edges},
@@ -127,8 +134,11 @@ EVENTS = st.one_of(
     ),
     st.builds(
         lambda bursts, per, edges: {
-            "kind": "burst", "num_bursts": bursts, "events_per_burst": per,
-            "burst_span": 25.0, "edges": edges,
+            "kind": "burst",
+            "num_bursts": bursts,
+            "events_per_burst": per,
+            "burst_span": 25.0,
+            "edges": edges,
         },
         st.integers(0, 3),
         st.integers(1, 4),
@@ -147,27 +157,125 @@ DEVICES = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(st.lists(DEVICES, min_size=1, max_size=10), st.integers(0, 10_000))
 def test_random_fleets_columns_equal_scalar_queries(cases, fleet_seed):
-    tasks = [
-        (i, _device(f"d{i}", *case), fleet_seed) for i, case in enumerate(cases)
-    ]
+    tasks = [(i, _device(f"d{i}", *case), fleet_seed) for i, case in enumerate(cases)]
     _assert_columns_match(tasks)
 
 
-def test_fleet_wider_than_a_build_window():
-    """300 devices span two build windows of the trace memo's cap."""
+def _mixed_fleet(n, seed=2024):
+    """``n`` devices cycling through families, grids, event kinds,
+    windows and both execution models."""
     tasks = []
-    for i in range(300):
+    for i in range(n):
+        edges = ("", "start", "end")[i % 3]
         events = (
-            {"kind": "uniform", "count": 4 + i % 5, "edges": ("", "start", "end")[i % 3]},
+            {"kind": "uniform", "count": 4 + i % 5, "edges": edges},
             {"kind": "poisson", "rate_hz": 0.1},
             {"kind": "burst", "num_bursts": 2, "events_per_burst": 3},
             {"kind": "uniform", "count": 0},
         )[i % 4]
+        window = (0.5, 30.0, 500.0)[i % 3]
+        intermittent = i % 7 == 3
         spec = _device(
-            f"w{i}", FAMILIES[i % 6], GRIDS[i % 4], events,
-            (0.5, 30.0, 500.0)[i % 3], i % 7 == 3,
+            f"w{i}", FAMILIES[i % 6], GRIDS[i % 4], events, window, intermittent
         )
-        tasks.append((i, spec, 2024))
+        tasks.append((i, spec, seed))
+    return tasks
+
+
+def test_fleet_wider_than_a_build_window():
+    """300 devices span two build windows of the trace memo's cap."""
+    tasks = _mixed_fleet(300)
     assert len(tasks) > devices._TRACE_CACHE_MAX
     engine = _assert_columns_match(tasks)
     assert engine._exec_int.any() and not engine._n_events.all()
+
+
+@pytest.mark.parametrize("budget", [2, 40])
+def test_columns_do_not_depend_on_the_gather_block(budget):
+    """Gather blocks of one device (a budget below every event stream)
+    and of a few devices write the same columns."""
+    with mock.patch("repro.sim.batch._BLOCK_ELEMENTS", budget):
+        _assert_columns_match(_mixed_fleet(40))
+
+
+def _live_traces() -> int:
+    gc.collect()
+    return sum(isinstance(obj, PowerTrace) for obj in gc.get_objects())
+
+
+def test_no_trace_outlives_its_build_window():
+    """An engine keeps its traces only as columns: once it is built, the
+    only new traces alive are the memo's (at most its cap)."""
+    tasks = _mixed_fleet(600)
+    before = _live_traces()
+    with _cold_memo(), _edge_events():
+        engine = BatchedFleetEngine(tasks)
+        alive = _live_traces() - before
+    assert engine._exec_int.any() and not engine._exec_int.all()
+    assert 0 < alive <= devices._TRACE_CACHE_MAX
+
+
+def test_window_kernels_join_into_one_fleet_kernel():
+    """Per-window intermittent kernels, joined, equal one kernel built
+    over every intermittent device at once (trace rows of several
+    lengths, padded to the longest)."""
+    tasks = _mixed_fleet(60)
+    with _edge_events(), mock.patch("repro.sim.batch._TRACE_CACHE_MAX", 8):
+        engine = BatchedFleetEngine(tasks)
+    rows = np.nonzero(engine._exec_int)[0]
+    views = []
+    for r in rows:
+        d = engine.devices[r]
+        view = SimpleNamespace(
+            trace=build_trace(d.spec.trace, device_seeds(r, 2024)[0]),
+            storage=d.storage,
+            mcu=d.mcu,
+            profile=d.profile,
+            exit_energy=d.exit_energy,
+            exit_acc=d.exit_acc,
+        )
+        views.append(view)
+    want = IntermittentFleetKernel(rows, views)
+    got = engine._int_kernel
+    assert len({v.trace.samples_mw.size for v in views}) > 1
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+        else:
+            assert getattr(got, name) == value, name
+
+
+def test_events_check_fails_in_task_order():
+    """Unsorted or negative event times fail the engine build with the
+    simulator's own error, and a device's bad events fail before a later
+    device's bad spec does (and after an earlier one's)."""
+
+    def build_events(events_spec, duration, seed):
+        params = dict(events_spec)
+        bad = params.pop("bad", "")
+        events = _build_events(params, duration, seed)
+        if bad == "unsorted":
+            return events[::-1]
+        if bad == "negative":
+            return np.concatenate([[-1.0], events])
+        return events
+
+    def engine(*cases):
+        specs = []
+        for i, case in enumerate(cases):
+            trace = {"family": "rf", "duration": 50.0, "dt": 1.0}
+            if case == "typo":
+                trace["mean_mww"] = 0.02
+            events = {"kind": "uniform", "count": 4, "bad": case}
+            specs.append(DeviceSpec(name=f"d{i}", trace=trace, events=events))
+        return BatchedFleetEngine([(i, spec, 9) for i, spec in enumerate(specs)])
+
+    with mock.patch.object(devices, "build_events", build_events):
+        for bad in ("unsorted", "negative"):
+            with pytest.raises(SimulationError, match="sorted and non-negative"):
+                engine("", bad, "typo", "")
+            with pytest.raises(ConfigError, match="mean_mww"):
+                engine("", "typo", bad)
+        assert engine("", "", "")._n_events.tolist() == [4, 4, 4]

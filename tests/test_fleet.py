@@ -120,6 +120,22 @@ class TestFleetSpec:
             with pytest.raises(ConfigError, match="fleet 'tiny': seed"):
                 FleetSpec.from_dict(data)
 
+    def test_pinned_stream_seeds_must_be_plain_ints(self):
+        """A trace ``seed`` or events ``rng`` pins a stream only as an
+        int: null draws fresh OS entropy on every build, and ``true``
+        would run as seed 1, so both are refused, naming device and field."""
+        for part, key in (("trace", "seed"), ("events", "rng")):
+            for value in (None, True, False, 1.5, "7"):
+                data = tiny_fleet().to_dict()
+                data["devices"][1][part][key] = value
+                with pytest.raises(
+                    ConfigError, match=f"device 'dev-1': {part} {key} must be an int"
+                ):
+                    FleetSpec.from_dict(data)
+            data = tiny_fleet().to_dict()
+            data["devices"][1][part][key] = 7
+            assert FleetSpec.from_dict(data).devices[1].to_dict()[part][key] == 7
+
     def test_unknown_top_level_field_rejected(self):
         data = tiny_fleet().to_dict()
         data["sed"] = 99  # misspelled "seed" must not silently vanish
@@ -252,6 +268,36 @@ class TestTraceCache:
         cold = run_device(task).to_dict()
         warm = run_device(task).to_dict()
         assert cold == warm
+
+
+class TestUnseededTrace:
+    """A None trace seed draws fresh OS entropy, so no memo may key it."""
+
+    SPEC = {"family": "rf", "duration": 50.0, "dt": 1.0, "seed": None}
+
+    def test_build_trace_never_memoizes_a_none_seed(self):
+        from repro.sim import devices
+
+        a = build_trace(dict(self.SPEC), fallback_seed=5)
+        b = build_trace(dict(self.SPEC), fallback_seed=5)
+        assert a is not b
+        assert all(a is not t and b is not t for t in devices._TRACE_CACHE.values())
+
+    def test_prefetch_never_memoizes_a_none_seed(self):
+        from types import SimpleNamespace
+
+        from repro.sim import devices
+
+        saved = dict(devices._TRACE_CACHE)
+        devices._TRACE_CACHE.clear()
+        try:
+            devices.prefetch_traces(
+                [SimpleNamespace(trace=dict(self.SPEC))], [devices.device_seeds(0, 1)]
+            )
+            assert devices._TRACE_CACHE == {}
+        finally:
+            devices._TRACE_CACHE.clear()
+            devices._TRACE_CACHE.update(saved)
 
 
 class TestRunner:

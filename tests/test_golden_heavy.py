@@ -6,8 +6,9 @@ synthesis block boundaries, and more than one build window of the
 engine's trace memo.  Each case here pins a full-scale fleet's serial
 report by the sha256 of its canonical JSON (``to_dict()``,
 ``indent=2``, ``sort_keys=True``) and its aggregate exactly, so a drift
-names the aggregate field that moved.  The lane runs them with
-``-m fleet_heavy``.
+names the aggregate field that moved; the megacity slice also runs
+sharded, as the sharded-megacity benchmark runs it, against the same
+aggregate.  The lane runs them with ``-m fleet_heavy``.
 
 If a change is intentional, regenerate the pins with::
 
@@ -23,6 +24,7 @@ import os
 import pytest
 
 from repro.fleet import SCENARIOS, FleetRunner, FleetSpec
+from repro.fleet.shards import ScenarioShardSource, run_sharded
 
 PINS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden", "heavy_pins.json"
@@ -72,6 +74,19 @@ def test_full_scale_serial_report_matches_pin(case):
     got = serial_pin(scenario, seed, overrides, episodes)
     assert got["aggregate"] == pin["aggregate"]
     assert got["report_sha256"] == pin["report_sha256"]
+
+
+@pytest.mark.fleet_heavy
+def test_sharded_megacity_matches_the_serial_pin(tmp_path):
+    """The sharded-megacity benchmark's own path: the 2000-device slice
+    in 8 shards, drained by 2 shard workers through a fresh ledger, merges
+    to the serial pin's aggregate."""
+    pin = _pins()["megacity-1m-2000dev-seed101"]
+    source = ScenarioShardSource(
+        pin["scenario"], {**pin["overrides"], "seed": pin["seed"]}
+    )
+    result = run_sharded(source, str(tmp_path / "ledger"), shards=8, workers=2)
+    assert result.aggregate() == pin["aggregate"]
 
 
 def test_every_case_is_pinned():

@@ -217,7 +217,8 @@ def test_replayed_episodes_keep_logical_tallies():
 def test_engine_phases_nest_inside_batch_run():
     """``batch.run`` spans the whole stepper, finalize included, so the
     lockstep, intermittent and finalize phases it encloses never add up
-    to more than it; ``batch.build.traces`` sits inside ``batch.build``."""
+    to more than it; ``batch.build.traces`` and ``batch.build.columns``
+    sit inside ``batch.build``."""
     spec = SCENARIOS.build("brownout-grid-256", num_devices=4)
     with recording(profile=True) as rec:
         FleetRunner(spec, workers=1).run()
@@ -227,6 +228,10 @@ def test_engine_phases_nest_inside_batch_run():
     assert 0.0 < inner <= wall["batch.run"]
     # Stack trace synthesis is timed inside the engine build.
     assert 0.0 < wall["batch.build.traces"] <= wall["batch.build"]
+    # So are the build windows' event-time columns and trace summaries.
+    build = wall["batch.build"]
+    assert 0.0 < wall["batch.build.columns"]
+    assert wall["batch.build.traces"] + wall["batch.build.columns"] <= build
 
 
 def test_event_batching_collapses_kernel_passes():

@@ -10,6 +10,7 @@ through ``build_trace``.
 """
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestStacksEqualScalarBuilds:
             specs.append(DeviceSpec(name=f"d{i}", trace=trace))
         tasks = [(i, spec, 77) for i, spec in enumerate(specs)]
         with _cold_memo():
-            prefetch_traces(tasks)
+            prefetch_traces(specs, [device_seeds(i, 77) for i in range(len(specs))])
             prefetched = dict(devices._TRACE_CACHE)
         assert len(prefetched) == len(specs)
         for i, spec, seed in tasks:
@@ -242,13 +243,13 @@ class TestStacksEqualScalarBuilds:
         in first out, and the memo never exceeds its cap."""
         rf = {"family": "rf", "duration": 50.0, "dt": 1.0}
         windows = [
-            [(0, DeviceSpec(name="d", trace={**rf, "seed": s}), 0) for s in seeds]
+            [DeviceSpec(name="d", trace={**rf, "seed": s}) for s in seeds]
             for seeds in ([1, 2, 3], [4, 5, 6])
         ]
         with _cold_memo(), mock.patch.object(devices, "_TRACE_CACHE_MAX", 4):
-            prefetch_traces(windows[0])
+            prefetch_traces(windows[0], [device_seeds(0, 0)] * 3)
             old = list(devices._TRACE_CACHE)
-            prefetch_traces(windows[1])
+            prefetch_traces(windows[1], [device_seeds(0, 0)] * 3)
             kept = list(devices._TRACE_CACHE)
         assert len(kept) == 4
         assert kept[0] == old[-1]
@@ -297,9 +298,11 @@ class TestPrefetchErrors:
         assert str(engine.value) == str(scalar.value)
 
     def test_unhashable_seed_keeps_the_per_device_path(self):
+        # DeviceSpec rejects a non-int trace seed; the prefetch takes any
+        # spec with a ``trace`` dict.
         trace = {**self.GOOD, "seed": np.random.default_rng(3)}
         with _cold_memo():
-            prefetch_traces([(0, DeviceSpec(name="live", trace=trace), 1)])
+            prefetch_traces([SimpleNamespace(trace=trace)], [device_seeds(0, 1)])
             assert devices._TRACE_CACHE == {}
 
 
