@@ -185,6 +185,8 @@ def _cum_and_power(traces, counts, t):
     interpolation on the way, which is :meth:`PowerTrace.power`'s.
     """
     if len(traces) == 1:
+        # One trace keeps its own scalars; broadcasting them rounds like
+        # a per-query column would.
         (trace,) = traces
         dt, last, total = trace.dt, trace.samples_mw.size - 1, trace._cum_energy[-1]
     else:
