@@ -199,19 +199,17 @@ class _TracedDevice(NamedTuple):
 def _materialize_window(specs, seeds) -> list:
     """Every device of a build window, built in task order.
 
-    The events check runs over the whole window once it is built; when a
-    build raises, the devices before it are checked first, so errors
-    surface in task order, as if each device checked its own events
-    straight after its build.
+    The events check runs once, over every device built.  When a build
+    raises, the devices before it are still checked, and a failed check
+    replaces the build's error: errors surface in task order, as if each
+    device checked its own events straight after its build.
     """
     objs = []
-    for spec, device in zip(specs, seeds):
-        try:
+    try:
+        for spec, device in zip(specs, seeds):
             objs.append(materialize(spec, device))
-        except Exception:
-            _check_events([obj.events for obj in objs])
-            raise
-    _check_events([obj.events for obj in objs])
+    finally:
+        _check_events([obj.events for obj in objs])
     return objs
 
 
