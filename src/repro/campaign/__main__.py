@@ -17,8 +17,9 @@ without executing anything.
 
 ``run`` also takes ``--trace-out`` (span JSONL, first line the run's
 provenance manifest) and ``--metrics-out`` (metrics summary JSON); every
-run stamps ``manifest.json`` into the store.  Observability never touches
-the simulation — reports stay byte-identical with it on or off.
+run stamps ``manifest.json`` into the store, the same manifest the trace
+and the metrics file carry.  Observability never touches the
+simulation — reports stay byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import argparse
 import os
 import sys
 
-import json
-
 from repro.campaign.builtins import CAMPAIGNS
 from repro.campaign.runner import CampaignRunner, report_from_store
 from repro.campaign.spec import CampaignSpec
@@ -36,8 +35,7 @@ from repro.campaign.store import CampaignStore
 from repro.errors import ConfigError, ReproError
 from repro.faults import FaultPlan, chaos
 from repro.fleet.__main__ import add_fault_flags, build_retry_policy
-from repro.obs.manifest import build_manifest
-from repro.obs.recorder import Recorder, recording
+from repro.obs.recorder import observed_run
 
 
 def _build_spec(args) -> CampaignSpec:
@@ -71,24 +69,11 @@ def _run(
         spec, store=store, workers=workers, resume=resume,
         retry=retry, shard_devices=shard_devices,
     )
-    recorder = manifest = None
-    if trace_out or metrics_out:
-        # One manifest per run: the trace and the metrics file embed it.
-        manifest = build_manifest(
-            campaign=spec.name,
-            campaign_digest=spec.digest(),
-            workers=workers,
-        )
-        recorder = Recorder(metrics=True, trace=trace_out)
-        if recorder.trace is not None:
-            recorder.trace.emit({"type": "manifest", **manifest})
-    with chaos(chaos_plan) as injector:
-        if recorder is None:
-            result = runner.run(progress=_progress)
-        else:
-            with recording(recorder):
-                result = runner.run(progress=_progress)
-            recorder.close()
+    # One manifest per run: the store, the trace and the metrics file.
+    with chaos(chaos_plan) as injector, observed_run(
+        lambda: runner.manifest, trace_out, metrics_out
+    ):
+        result = runner.run(progress=_progress)
     if chaos_plan is not None:
         fired = sum(injector.fired_summary().values())
         print(f"chaos: {len(chaos_plan)} fault(s) planned, {fired} injected")
@@ -112,16 +97,10 @@ def _run(
     if report_json:
         result.to_json(report_json)
         print(f"wrote report copy to {report_json}")
-    if recorder is not None:
-        if trace_out:
-            print(f"wrote trace to {trace_out}")
-        if metrics_out:
-            payload = {"manifest": manifest}
-            payload.update(recorder.to_dict())
-            with open(metrics_out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote metrics to {metrics_out}")
+    if trace_out:
+        print(f"wrote trace to {trace_out}")
+    if metrics_out:
+        print(f"wrote metrics to {metrics_out}")
     return 0
 
 

@@ -22,6 +22,7 @@ stays warm between cells that share harvesting environments (the same
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import replace
 from typing import Optional
@@ -32,6 +33,7 @@ from repro.campaign.store import CampaignStore
 from repro.errors import ConfigError, CorruptArtifactError
 from repro.faults.retry import RetryPolicy
 from repro.fleet.runner import FleetRunner, worker_pool
+from repro.obs.manifest import build_manifest
 from repro.obs.recorder import get_recorder
 from repro.obs.tracing import span
 from repro.fleet.scenarios import SCENARIOS
@@ -190,6 +192,18 @@ class CampaignRunner:
         #: artifacts with no ``"integrity"`` seal) during this run.
         self.legacy_unverified = 0
 
+    @functools.cached_property
+    def manifest(self) -> dict:
+        """This run's provenance, built on first use: the store's
+        ``manifest.json`` and a CLI run's trace and metrics file all
+        carry this one dict."""
+        return build_manifest(
+            campaign=self.spec.name,
+            campaign_digest=self.spec.digest(),
+            workers=self.workers,
+            resume=self.resume,
+        )
+
     def _load_checkpoint(self, cell, progress):
         """Load one finished cell; quarantine and signal re-run if corrupt.
 
@@ -220,12 +234,7 @@ class CampaignRunner:
         done = set()
         if self.store is not None:
             self.store.initialize(self.spec, resume=self.resume)
-            self.store.write_run_manifest(
-                campaign=self.spec.name,
-                campaign_digest=self.spec.digest(),
-                workers=self.workers,
-                resume=self.resume,
-            )
+            self.store.write_run_manifest(self.manifest)
             if self.resume:
                 done = self.store.completed_keys()
         payloads = {}

@@ -165,16 +165,15 @@ class CampaignStore:
     # ------------------------------------------------------------------ #
     # Run manifest (provenance of the latest run; never read by resume)
     # ------------------------------------------------------------------ #
-    def write_run_manifest(self, **extra) -> str:
-        """Stamp the store with this run's provenance (rewritten per run).
+    def write_run_manifest(self, manifest: dict) -> str:
+        """Stamp the store with this run's provenance ``manifest``
+        (rewritten per run; see :func:`repro.obs.manifest.build_manifest`).
 
         The manifest is observability metadata only — resume and report
         logic never consult it, so it carries wall-clock content without
         threatening report byte-identity.
         """
-        from repro.obs.manifest import build_manifest
-
-        atomic_write_json(self.manifest_path, build_manifest(**extra))
+        atomic_write_json(self.manifest_path, manifest)
         return self.manifest_path
 
     def load_run_manifest(self) -> dict:

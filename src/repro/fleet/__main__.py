@@ -22,7 +22,10 @@ completed shard into the ledger directory.  Kill the process — or any
 same ``--ledger`` (plus ``--resume`` once complete) re-runs only the
 unfinished shards; the merged report is byte-identical to an unsharded
 run.  ``--max-rss-mb`` bounds memory by halving the execution sub-batch
-width under pressure (results unchanged).
+width under pressure (results unchanged).  ``--shard-workers``,
+``--max-rss-mb`` and ``--lease-ttl`` configure sharded runs only, and
+``--workers`` and ``--chunksize`` unsharded runs only: a run refuses
+(exit 2) a flag it would otherwise ignore.
 
 Observability (all off by default, and guaranteed not to change results):
 ``--trace-out`` streams span records as JSON lines (first line: the run's
@@ -53,7 +56,7 @@ from repro.fleet.runner import FleetRunner
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import FleetSpec
 from repro.obs.manifest import build_manifest
-from repro.obs.recorder import Recorder, recording
+from repro.obs.recorder import observed_run
 
 
 def build_retry_policy(args) -> RetryPolicy | None:
@@ -81,7 +84,12 @@ def add_fault_flags(parser) -> None:
              "exceeds this (default: none, or 30s under --chaos)")
 
 
-def _build_spec(args) -> FleetSpec:
+def _build_spec(args, sharded: bool = False):
+    """The fleet a command names: a ``--spec`` file, or a registered
+    scenario rescaled by ``--devices/--seed/--duration``.  ``sharded``
+    returns it as a shard source, resolving a named scenario lazily: a
+    range-capable factory (megacity) materializes one shard's
+    DeviceSpecs at a time."""
     overrides = {}
     if args.devices is not None:
         overrides["num_devices"] = args.devices
@@ -89,6 +97,8 @@ def _build_spec(args) -> FleetSpec:
         overrides["seed"] = args.seed
     if args.duration is not None:
         overrides["duration"] = args.duration
+    if sharded:
+        from repro.fleet.shards import FleetShardSource, ScenarioShardSource
     if args.spec:
         if getattr(args, "scenario", None):
             raise ConfigError(
@@ -100,22 +110,43 @@ def _build_spec(args) -> FleetSpec:
                 "--devices/--seed/--duration rescale named scenarios only; "
                 "a --spec file pins its fleet exactly (edit the file instead)"
             )
-        return FleetSpec.from_json(args.spec)
+        spec = FleetSpec.from_json(args.spec)
+        return FleetShardSource(spec) if sharded else spec
+    if sharded:
+        return ScenarioShardSource(args.scenario, overrides)
     return SCENARIOS.build(args.scenario, **overrides)
 
 
-def _check_sharded_flags(args) -> None:
-    """The flag combinations a sharded run rejects."""
-    if args.ledger is None:
-        raise ConfigError(
-            "sharded execution checkpoints into a durable ledger; pass "
-            "--ledger DIR alongside --shards/--shard-width/--resume"
-        )
-    if args.workers > 1:
-        raise ConfigError(
-            "--workers parallelizes an unsharded run; sharded runs "
-            "scale out with --shard-workers instead"
-        )
+def _check_flags(args, sharded: bool) -> None:
+    """Reject the flags this kind of run would ignore (``run`` and
+    ``--explain`` share this check)."""
+    if sharded:
+        if args.ledger is None:
+            raise ConfigError(
+                "sharded execution checkpoints into a durable ledger; pass "
+                "--ledger DIR alongside --shards/--shard-width/--resume"
+            )
+        if args.workers > 1:
+            raise ConfigError(
+                "--workers parallelizes an unsharded run; sharded runs "
+                "scale out with --shard-workers instead"
+            )
+        if args.chunksize is not None:
+            raise ConfigError(
+                "--chunksize sizes an unsharded run's pool chunks; sharded "
+                "runs are cut with --shards/--shard-width instead"
+            )
+        return
+    for flag, given in (
+        ("--shard-workers", args.shard_workers != 1),
+        ("--max-rss-mb", args.max_rss_mb is not None),
+        ("--lease-ttl", args.lease_ttl is not None),
+    ):
+        if given:
+            raise ConfigError(
+                f"{flag} applies to sharded runs only; add --shards N (or "
+                f"--shard-width W) and --ledger DIR, or drop {flag}"
+            )
 
 
 def _episode_plan(device) -> str:
@@ -131,13 +162,11 @@ def _episode_plan(device) -> str:
 
 def _print_explain(args, sharded: bool) -> None:
     """One line per device, then the dispatch ``run`` would use with the
-    same flags (rejecting what ``run`` rejects; nothing simulated or
-    written)."""
+    same flags (nothing simulated or written)."""
     spec = _build_spec(args)
     if sharded:
         from repro.fleet.shards import ShardLedger
 
-        _check_sharded_flags(args)
         plan = ShardLedger(args.ledger).plan_for(spec, args.shards, args.shard_width)
         dispatch = (
             f"sharded, {plan.num_shards} shard(s) x {args.shard_workers} "
@@ -160,19 +189,13 @@ def _print_explain(args, sharded: bool) -> None:
     print(f"  dispatch: {dispatch}")
 
 
-def _run_manifest(spec: FleetSpec, args) -> dict:
-    return build_manifest(
-        fleet=spec.name,
-        devices=spec.num_devices,
-        seed=spec.seed,
-        scenario_digest=spec.digest(),
-        workers=args.workers,
-    )
-
-
-def _print_report(result, quiet: bool) -> None:
+def _print_report(result, args, sharded: bool) -> None:
     agg = result.aggregate()
-    print(f"fleet {agg['fleet']!r}: {agg['devices']} devices, seed {agg['seed']}")
+    where = f" — sharded x{result.num_shards} via {args.ledger}" if sharded else ""
+    print(
+        f"fleet {agg['fleet']!r}: {agg['devices']} devices, "
+        f"seed {agg['seed']}{where}"
+    )
     print(
         f"  events {agg['events']}  processed {agg['processed']}  "
         f"missed {agg['missed']} {agg['miss_counts']}  correct {agg['correct']}"
@@ -183,116 +206,88 @@ def _print_report(result, quiet: bool) -> None:
         f"device IEpmJ p10/p50/p90 "
         + "/".join(f"{v:.3f}" for v in agg["device_iepmj_percentiles"].values())
     )
+    if sharded:
+        print(
+            f"  shards: {result.shards_executed} executed, "
+            f"{result.shards_resumed} resumed from ledger, "
+            f"{result.shards_stolen} lease(s) stolen, "
+            f"{result.degraded} degradation(s); wall {result.wall_s:.2f}s "
+            f"with {result.workers} worker(s)"
+        )
+        return
     print(
         f"  wall {result.wall_s:.2f}s with {result.workers} worker(s) "
         f"({result.devices_per_second:.1f} devices/s)"
     )
-    if quiet:
-        return
-    print(f"  {'device':<18} {'profile':<18} {'IEpmJ':>7} {'acc':>6} "
-          f"{'proc':>5} {'miss':>5} {'p90 lat(s)':>11}")
-    for d in result.devices:
+    if not args.quiet:
+        print(f"  {'device':<18} {'profile':<18} {'IEpmJ':>7} {'acc':>6} "
+              f"{'proc':>5} {'miss':>5} {'p90 lat(s)':>11}")
+        for d in result.devices:
+            print(
+                f"  {d.name:<18} {d.profile:<18} {d.iepmj:7.3f} "
+                f"{d.average_accuracy:6.3f} {d.num_processed:5d} {d.num_missed:5d} "
+                f"{d.latency_percentiles.get('p90', 0.0):11.1f}"
+            )
+    for failure in result.failures:
         print(
-            f"  {d.name:<18} {d.profile:<18} {d.iepmj:7.3f} "
-            f"{d.average_accuracy:6.3f} {d.num_processed:5d} {d.num_missed:5d} "
-            f"{d.latency_percentiles.get('p90', 0.0):11.1f}"
+            f"  ! quarantined {failure.name} (device {failure.index}) "
+            f"after {failure.attempts} attempt(s) at stage "
+            f"{failure.stage}: {failure.error}",
+            file=sys.stderr,
         )
 
 
-def _run_sharded_cli(args, plan) -> int:
-    """The ``run --shards/--ledger`` path: ledger-checkpointed execution."""
-    from repro.fleet.shards import (
-        DEFAULT_LEASE_TTL_S,
-        FleetShardSource,
-        ScenarioShardSource,
-        run_sharded,
-    )
+def _run(args, plan, sharded: bool) -> int:
+    """Execute one fleet (serial, pooled or sharded) and report it."""
+    fleet = _build_spec(args, sharded)
+    retry = build_retry_policy(args)
+    if sharded:
+        from repro.fleet.shards import DEFAULT_LEASE_TTL_S, run_sharded
 
-    _check_sharded_flags(args)
-    if args.spec:
-        source = FleetShardSource(_build_spec(args))
+        ttl = DEFAULT_LEASE_TTL_S if args.lease_ttl is None else args.lease_ttl
     else:
-        # Resolve the scenario lazily: a range-capable factory (megacity)
-        # materializes only one shard's DeviceSpecs at a time.
-        overrides = {}
-        if args.devices is not None:
-            overrides["num_devices"] = args.devices
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.duration is not None:
-            overrides["duration"] = args.duration
-        source = ScenarioShardSource(args.scenario, overrides)
-    recorder = manifest = None
-    if args.trace_out or args.metrics_out or args.profile:
+        runner = FleetRunner(
+            fleet, workers=args.workers, chunksize=args.chunksize, retry=retry
+        )
+
+    def manifest() -> dict:
         # One manifest per run: the trace and the metrics file embed it.
-        manifest = build_manifest(
-            fleet=source.name,
-            devices=source.num_devices,
-            seed=source.seed,
-            scenario_digest=source.source_digest(),
-            workers=args.shard_workers,
+        return build_manifest(
+            fleet=fleet.name,
+            devices=fleet.num_devices,
+            seed=fleet.seed,
+            scenario_digest=fleet.source_digest() if sharded else fleet.digest(),
+            workers=args.shard_workers if sharded else args.workers,
         )
-        recorder = Recorder(
-            metrics=True, trace=args.trace_out, profile=args.profile
-        )
-        if recorder.trace is not None:
-            recorder.trace.emit({"type": "manifest", **manifest})
-    kwargs = dict(
-        shards=args.shards,
-        shard_width=args.shard_width,
-        workers=args.shard_workers,
-        resume=args.resume,
-        retry=build_retry_policy(args),
-        max_rss_mb=args.max_rss_mb,
-        lease_ttl_s=(
-            args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL_S
-        ),
-    )
-    with chaos(plan) as injector:
-        if recorder is None:
-            result = run_sharded(source, args.ledger, **kwargs)
+
+    with chaos(plan) as injector, observed_run(
+        manifest, args.trace_out, args.metrics_out, args.profile
+    ):
+        if sharded:
+            result = run_sharded(
+                fleet,
+                args.ledger,
+                shards=args.shards,
+                shard_width=args.shard_width,
+                workers=args.shard_workers,
+                resume=args.resume,
+                retry=retry,
+                max_rss_mb=args.max_rss_mb,
+                lease_ttl_s=ttl,
+            )
         else:
-            with recording(recorder):
-                result = run_sharded(source, args.ledger, **kwargs)
-            recorder.close()
-    if args.chaos:
+            result = runner.run()
+    if plan is not None:
         fired = sum(injector.fired_summary().values())
         print(f"chaos: {len(plan)} fault(s) planned, {fired} injected")
-    agg = result.aggregate()
-    print(
-        f"fleet {agg['fleet']!r}: {agg['devices']} devices, seed "
-        f"{agg['seed']} — sharded x{result.num_shards} via {args.ledger}"
-    )
-    print(
-        f"  events {agg['events']}  processed {agg['processed']}  "
-        f"missed {agg['missed']} {agg['miss_counts']}  correct {agg['correct']}"
-    )
-    print(
-        f"  fleet IEpmJ {agg['fleet_iepmj']:.4f}  "
-        f"avg accuracy {agg['average_accuracy']:.3f}  "
-        f"device IEpmJ p10/p50/p90 "
-        + "/".join(f"{v:.3f}" for v in agg["device_iepmj_percentiles"].values())
-    )
-    print(
-        f"  shards: {result.shards_executed} executed, "
-        f"{result.shards_resumed} resumed from ledger, "
-        f"{result.shards_stolen} lease(s) stolen, "
-        f"{result.degraded} degradation(s); wall {result.wall_s:.2f}s "
-        f"with {result.workers} worker(s)"
-    )
+    _print_report(result, args, sharded)
     if args.json:
         result.to_json(args.json, include_timing=args.timing)
         print(f"wrote JSON report to {args.json}")
-    if recorder is not None:
-        if args.trace_out:
-            print(f"wrote trace to {args.trace_out}")
-        if args.metrics_out:
-            payload = {"manifest": manifest}
-            payload.update(recorder.to_dict())
-            with open(args.metrics_out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote metrics to {args.metrics_out}")
+    if args.trace_out:
+        print(f"wrote trace to {args.trace_out}")
+    if args.metrics_out:
+        print(f"wrote metrics to {args.metrics_out}")
     return 0
 
 
@@ -316,7 +311,8 @@ def main(argv=None) -> int:
     run.add_argument("scenario", nargs="?", default=None, help="registered scenario name")
     run.add_argument("--spec", default=None, help="run a FleetSpec JSON file instead")
     run.add_argument("--workers", type=int, default=1, help="process count (<=1: serial)")
-    run.add_argument("--chunksize", type=int, default=None, help="devices per pool chunk")
+    run.add_argument("--chunksize", type=int, default=None,
+                     help="devices per pool chunk (unsharded runs only)")
     run.add_argument("--devices", type=int, default=None, help="override device count")
     run.add_argument("--seed", type=int, default=None, help="override fleet seed")
     run.add_argument("--duration", type=float, default=None, help="override trace duration (s)")
@@ -332,19 +328,20 @@ def main(argv=None) -> int:
                           "skips finished shards (crash-safe resume)")
     run.add_argument("--shard-workers", type=int, default=1, metavar="N",
                      help="drain the shard ledger with N work-stealing "
-                          "processes (sharded runs only)")
+                          "processes (sharded runs only; default 1)")
     run.add_argument("--resume", action="store_true",
                      help="allow re-merging an already-complete ledger; the "
                           "shard plan is read back from the ledger when "
                           "--shards/--shard-width are omitted")
     run.add_argument("--max-rss-mb", type=float, default=None, metavar="MB",
                      help="memory budget: halve the shard execution sub-batch "
-                          "width whenever peak RSS exceeds this (results "
-                          "unchanged; fleet.shard.degraded telemetry)")
+                          "width whenever peak RSS exceeds this (sharded runs "
+                          "only; results unchanged; fleet.shard.degraded "
+                          "telemetry)")
     run.add_argument("--lease-ttl", type=float, default=None, metavar="SECONDS",
                      help="shard lease time-to-live before another worker may "
-                          "steal it (default 120; must exceed one shard's "
-                          "runtime)")
+                          "steal it (sharded runs only; default 120; must "
+                          "exceed one shard's runtime)")
     run.add_argument("--json", default=None, help="dump the full JSON report to this path")
     run.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in the JSON report")
@@ -394,6 +391,7 @@ def main(argv=None) -> int:
             or args.ledger is not None
             or args.resume
         )
+        _check_flags(args, sharded)
         if args.explain:
             _print_explain(args, sharded)
             if plan is not None:
@@ -403,56 +401,7 @@ def main(argv=None) -> int:
                     f"across site(s) {', '.join(sites) if sites else '(none)'}"
                 )
             return 0
-        if sharded:
-            return _run_sharded_cli(args, plan)
-        spec = _build_spec(args)
-        runner = FleetRunner(
-            spec,
-            workers=args.workers,
-            chunksize=args.chunksize,
-            retry=build_retry_policy(args),
-        )
-        recorder = manifest = None
-        if args.trace_out or args.metrics_out or args.profile:
-            # One manifest per run: the trace and the metrics file embed it.
-            manifest = _run_manifest(spec, args)
-            recorder = Recorder(
-                metrics=True, trace=args.trace_out, profile=args.profile
-            )
-            if recorder.trace is not None:
-                recorder.trace.emit({"type": "manifest", **manifest})
-        with chaos(plan) as injector:
-            if recorder is None:
-                result = runner.run()
-            else:
-                with recording(recorder):
-                    result = runner.run()
-                recorder.close()
-        if args.chaos:
-            fired = sum(injector.fired_summary().values())
-            print(f"chaos: {len(plan)} fault(s) planned, {fired} injected")
-        _print_report(result, quiet=args.quiet)
-        for failure in result.failures:
-            print(
-                f"  ! quarantined {failure.name} (device {failure.index}) "
-                f"after {failure.attempts} attempt(s) at stage "
-                f"{failure.stage}: {failure.error}",
-                file=sys.stderr,
-            )
-        if args.json:
-            result.to_json(args.json, include_timing=args.timing)
-            print(f"wrote JSON report to {args.json}")
-        if recorder is not None:
-            if args.trace_out:
-                print(f"wrote trace to {args.trace_out}")
-            if args.metrics_out:
-                payload = {"manifest": manifest}
-                payload.update(recorder.to_dict())
-                with open(args.metrics_out, "w") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote metrics to {args.metrics_out}")
-        return 0
+        return _run(args, plan, sharded)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

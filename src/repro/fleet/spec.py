@@ -17,6 +17,7 @@ scenario wants several devices to share one environment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -29,6 +30,28 @@ from repro.sim.devices import EVENT_KINDS, NAMED_PROFILES, TRACE_FAMILIES
 
 #: Execution models (see repro.sim.simulator).
 EXECUTIONS = ("single-cycle", "intermittent")
+
+
+def _non_finite_path(params):
+    """Where the first NaN or infinite float sits in ``params`` (nested
+    dicts and lists), as ``".key"``/``"[i]"`` steps; ``None`` when every
+    number in it is finite."""
+    if isinstance(params, dict):
+        steps, step = params.items(), ".{}{}"
+    elif isinstance(params, (list, tuple)):
+        steps, step = enumerate(params), "[{}]{}"
+    else:
+        return None
+    for key, value in steps:
+        if isinstance(value, float):
+            rest = None if math.isfinite(value) else ""
+        elif isinstance(value, (dict, list, tuple)):
+            rest = _non_finite_path(value)
+        else:
+            continue
+        if rest is not None:
+            return step.format(key, rest)
+    return None
 
 
 @dataclass
@@ -131,10 +154,25 @@ class DeviceSpec:
                     f"device {self.name!r}: {part} {key} must be an int, "
                     f"got {params[key]!r}"
                 )
-        if self.power_window_s <= 0:
+        # JSON reads NaN and Infinity, but no builder parameter means
+        # either: they would crash deep in the engine or print as NaN.
+        for part in ("trace", "events", "storage", "mcu", "controller", "profile"):
+            where = _non_finite_path(getattr(self, part))
+            if where is not None:
+                raise ConfigError(
+                    f"device {self.name!r}: {part}{where} must be a finite "
+                    f"number"
+                )
+        window = self.power_window_s
+        if (
+            isinstance(window, bool)
+            or not isinstance(window, (int, float))
+            or not math.isfinite(window)
+            or window <= 0
+        ):
             raise ConfigError(
-                f"device {self.name!r}: power_window_s must be positive, "
-                f"got {self.power_window_s!r}"
+                f"device {self.name!r}: power_window_s must be a finite "
+                f"positive number, got {window!r}"
             )
 
     # ------------------------------------------------------------------ #

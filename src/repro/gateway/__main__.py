@@ -36,7 +36,7 @@ from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import VERBS
 from repro.gateway.server import GatewayServer
 from repro.obs.manifest import build_manifest
-from repro.obs.recorder import recording
+from repro.obs.recorder import observed_run
 
 
 def _serve(args) -> int:
@@ -53,22 +53,13 @@ def _serve(args) -> int:
         print(f"gateway listening on {endpoint}", flush=True)
         await server.serve_forever()
 
-    want_obs = bool(args.metrics_out or args.trace_out)
-    with chaos(plan):
-        if want_obs:
-            manifest = build_manifest(service="gateway")
-            with recording(trace_path=args.trace_out) as rec:
-                if rec.trace is not None:
-                    rec.trace.emit({"type": "manifest", **manifest})
-                asyncio.run(_run())
-            if args.metrics_out:
-                payload = {"manifest": manifest, **rec.to_dict()}
-                with open(args.metrics_out, "w") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote metrics to {args.metrics_out}")
-        else:
-            asyncio.run(_run())
+    def manifest() -> dict:
+        return build_manifest(service="gateway")
+
+    with chaos(plan), observed_run(manifest, args.trace_out, args.metrics_out):
+        asyncio.run(_run())
+    if args.metrics_out:
+        print(f"wrote metrics to {args.metrics_out}")
     return 0
 
 

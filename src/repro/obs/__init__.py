@@ -22,6 +22,10 @@ Turn it on with::
     with recording(trace_path="run.jsonl", profile=True) as rec:
         result = FleetRunner(spec).run()
     print(rec.metrics.to_dict())
+
+The CLIs scope a whole run with :func:`observed_run` instead: one
+manifest per run, written as the trace's first record and into the
+``--metrics-out`` payload.
 """
 
 from repro.obs.manifest import MANIFEST_SCHEMA, build_manifest, write_manifest
@@ -33,6 +37,7 @@ from repro.obs.recorder import (
     Recorder,
     get_recorder,
     obs_enabled,
+    observed_run,
     recording,
     set_recorder,
 )
@@ -53,6 +58,7 @@ __all__ = [
     "Recorder",
     "get_recorder",
     "obs_enabled",
+    "observed_run",
     "recording",
     "set_recorder",
     "TraceWriter",

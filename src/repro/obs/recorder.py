@@ -26,6 +26,7 @@ device results (see ``repro.fleet.runner._run_chunk_packed``).
 from __future__ import annotations
 
 import contextlib
+import json
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -131,3 +132,30 @@ def recording(
         set_recorder(previous)
         if owned:
             recorder.close()
+
+
+@contextlib.contextmanager
+def observed_run(manifest, trace_out=None, metrics_out=None, profile: bool = False):
+    """Scope one CLI run's observability sinks around its body.
+
+    Off unless ``trace_out``, ``metrics_out`` or ``profile`` is given: it
+    then yields ``None`` and never calls ``manifest``.  On, it calls
+    ``manifest()`` once, records the body into a fresh recorder whose
+    trace opens with that manifest, closes the recorder and, only if the
+    body returns, writes ``metrics_out`` as ``{"manifest", "metrics"}``
+    (plus ``"profiler"`` under ``profile``), so every sink of a run
+    carries the same dict.
+    """
+    if not (trace_out or metrics_out or profile):
+        yield None
+        return
+    header = manifest()
+    with recording(trace_path=trace_out, profile=profile) as recorder:
+        if recorder.trace is not None:
+            recorder.trace.emit({"type": "manifest", **header})
+        yield recorder
+    if metrics_out:
+        payload = {"manifest": header, **recorder.to_dict()}
+        with open(metrics_out, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -20,8 +20,9 @@ Record schema (one JSON object per line)::
     {"type": "span", "name": ..., "pid": ..., "tid": ..., "depth": ...,
      "parent": ... | null, "ts_unix": ..., "dur_s": ..., "tags": {...}}
 
-Manifests written alongside traces use ``{"type": "manifest", ...}`` —
-see :func:`repro.obs.manifest.build_manifest`.
+A CLI run's trace opens with its manifest as ``{"type": "manifest", ...}``
+(written by :func:`repro.obs.recorder.observed_run`; see
+:func:`repro.obs.manifest.build_manifest`).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ The expensive full-scale checks (``solar-farm-100`` end to end) carry the
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from repro.fleet import (
 from repro.fleet.runner import build_trace, resolve_profile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+NAN, INF = float("nan"), float("inf")
 
 
 def tiny_device(name="dev", **overrides) -> DeviceSpec:
@@ -135,6 +137,45 @@ class TestFleetSpec:
             data = tiny_fleet().to_dict()
             data["devices"][1][part][key] = 7
             assert FleetSpec.from_dict(data).devices[1].to_dict()[part][key] == 7
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["trace"].update(duration=NAN), "trace.duration"),
+            (lambda d: d["trace"].update(dt=INF), "trace.dt"),
+            (lambda d: d["trace"].update(peak_mw=NAN), "trace.peak_mw"),
+            (lambda d: d["events"].update(count=-INF), "events.count"),
+            (lambda d: d["storage"].update(capacity_mj=INF), "storage.capacity_mj"),
+            (lambda d: d["mcu"].update(throughput_mflops=NAN), "mcu.throughput_mflops"),
+            (lambda d: d["controller"].update(reserve_fraction=NAN),
+             "controller.reserve_fraction"),
+            (lambda d: d["controller"].update(
+                continue_rule={"kind": "threshold", "entropy_threshold": NAN}),
+             "controller.continue_rule.entropy_threshold"),
+            (lambda d: d.update(profile={
+                "name": "inline", "exit_accuracies": [0.7, 0.9],
+                "exit_energy_mj": [0.5, INF], "exit_flops": [1e5, 2e5]}),
+             "profile.exit_energy_mj[1]"),
+            (lambda d: d.update(power_window_s=NAN), "power_window_s"),
+            (lambda d: d.update(power_window_s=INF), "power_window_s"),
+            (lambda d: d.update(power_window_s=True), "power_window_s"),
+        ],
+        ids=["trace-duration", "trace-dt", "trace-peak", "events", "storage",
+             "mcu", "controller", "continue-rule", "inline-profile",
+             "window-nan", "window-inf", "window-bool"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, edit, field):
+        """Python's json reads NaN and Infinity, and no device parameter
+        means either (nor a JSON ``true`` as a power window): a spec file
+        holding one is refused, naming the device and the field path,
+        instead of crashing in the engine or printing NaN reports."""
+        data = tiny_fleet().to_dict()
+        edit(data["devices"][1])
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(data))  # writes NaN/Infinity tokens
+        message = re.escape(f"device 'dev-1': {field} must be a finite")
+        with pytest.raises(ConfigError, match=message):
+            FleetSpec.from_json(str(path))
 
     def test_unknown_top_level_field_rejected(self):
         data = tiny_fleet().to_dict()

@@ -2,10 +2,11 @@
 
 Covers the metrics registry (instruments, wire round-trip, merge
 semantics), the span/TraceWriter tracing layer, the phase profiler, the
-provenance manifest, and recorder scoping.  The merge property the whole
-parallel story rests on — splitting one serial observation stream across
-worker registries and merging them in dispatch order reproduces the
-serial registry bit-for-bit — is locked in with hypothesis.
+provenance manifest, recorder scoping and the CLI run scope.  The merge
+property the whole parallel story rests on — splitting one serial
+observation stream across worker registries and merging them in dispatch
+order reproduces the serial registry bit-for-bit — is locked in with
+hypothesis.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.obs import (
     get_recorder,
     memory_snapshot,
     obs_enabled,
+    observed_run,
     recording,
     set_recorder,
     span,
@@ -359,3 +361,66 @@ def test_set_recorder_returns_previous():
     finally:
         assert set_recorder(None) is rec
     assert get_recorder() is NULL_RECORDER
+
+
+# --------------------------------------------------------------------- #
+# Run scope
+# --------------------------------------------------------------------- #
+
+
+def _counting_manifest(calls: list):
+    def manifest() -> dict:
+        calls.append(1)
+        return build_manifest(fleet="unit")
+
+    return manifest
+
+
+def test_observed_run_off_builds_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    with observed_run(_counting_manifest(calls)) as rec:
+        assert rec is None
+        assert get_recorder() is NULL_RECORDER
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("profile", [False, True])
+def test_observed_run_sinks_share_one_manifest(tmp_path, profile):
+    calls = []
+    trace_path = tmp_path / "run.jsonl"
+    metrics_path = tmp_path / "metrics.json"
+    manifest = _counting_manifest(calls)
+    with observed_run(manifest, trace_path, metrics_path, profile) as rec:
+        assert get_recorder() is rec
+        assert (rec.profiler is not None) == profile
+        with span("body"):
+            pass
+    assert get_recorder() is NULL_RECORDER
+    assert calls == [1]
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    first = records[0]
+    assert first.pop("type") == "manifest"
+    assert [r["name"] for r in records[1:]] == ["body"]
+    payload = json.loads(metrics_path.read_text())
+    keys = {"manifest", "metrics"} | ({"profiler"} if profile else set())
+    assert set(payload) == keys
+    assert payload["manifest"] == first
+    assert payload["metrics"]["histograms"]["span.body.s"]["count"] == 1
+
+
+def test_observed_run_body_error_closes_trace_and_skips_metrics(tmp_path):
+    trace_path = tmp_path / "run.jsonl"
+    metrics_path = tmp_path / "metrics.json"
+    manifest = _counting_manifest([])
+    with pytest.raises(RuntimeError, match="boom"):
+        with observed_run(manifest, trace_path, metrics_path) as rec:
+            raise RuntimeError("boom")
+    assert get_recorder() is NULL_RECORDER
+    # The writer buffers its records: the manifest line is on disk while
+    # ``rec`` still holds the writer only because the scope closed it.
+    assert rec.trace is not None
+    first = json.loads(trace_path.read_text().splitlines()[0])
+    assert first["type"] == "manifest" and first["fleet"] == "unit"
+    assert not metrics_path.exists()

@@ -474,9 +474,11 @@ def test_campaign_cli_trace_and_metrics(tmp_path):
     assert names[-1] == "campaign.run"
     with open(metrics_path) as fh:
         payload = json.load(fh)
-    assert _trace_manifest(lines) == payload["manifest"]  # one per run
     assert payload["metrics"]["counters"]["campaign.cells.executed"] == 2
-    assert os.path.exists(os.path.join(str(out), "manifest.json"))
+    # One manifest per run: the store stamps the dict both sinks carry.
+    stored = CampaignStore(str(out)).load_run_manifest()
+    assert _trace_manifest(lines) == payload["manifest"] == stored
+    assert stored["resume"] is False
 
 
 def test_all_goldens_cover_obs_subset():

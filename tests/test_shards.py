@@ -561,6 +561,27 @@ class TestShardCLI:
                             "--workers", "4") == 2
         assert "--shard-workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shard-workers", "4"], ["--max-rss-mb", "10"], ["--lease-ttl", "5"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_sharding_flag_needs_a_sharded_run(self, capsys, flags):
+        """An unsharded run would ignore these, so it refuses them, and
+        so does its --explain."""
+        for extra in ([], ["--explain"]):
+            assert self.run_cli("run", "dev-smoke", "--quiet", *flags, *extra) == 2
+            err = capsys.readouterr().err
+            assert f"{flags[0]} applies to sharded runs only" in err
+
+    def test_chunksize_conflicts_with_sharding(self, tmp_path, capsys):
+        ledger = tmp_path / "led"
+        argv = ["run", "dev-smoke", "--shards", "2", "--ledger", str(ledger)]
+        for extra in ([], ["--explain"]):
+            assert self.run_cli(*argv, "--chunksize", "2", *extra) == 2
+            assert "--chunksize sizes an unsharded run" in capsys.readouterr().err
+        assert not ledger.exists()
+
     def test_explain_with_chaos_validates_and_lists_sites(
         self, tmp_path, capsys
     ):
