@@ -11,12 +11,13 @@ traces support ablations and heterogeneous fleet scenarios, and
 
 Each seeded family (solar, kinetic, wind, piezo, rf) has one
 implementation that builds a *stack* of traces sharing a sample grid: a
-per-row loop builds each row's generator and takes its draws in the
-scalar order, then the OU scan, envelopes, gust and duty-cycle shaping
-and the cumulative energy run once over the (rows x samples) stack.
-:func:`synthesize_stacks` builds a fleet's traces that way; the public
-builders (:func:`solar_trace` and its siblings) are a stack of one, and
-every stacked row equals its scalar build bit for bit.
+per-row loop takes each row's draws in the scalar order from its own
+generator, then the OU scan, envelopes, gust and duty-cycle shaping and
+the cumulative energy run once over the (rows x samples) stack.
+:func:`synthesize_stacks` builds a fleet's traces that way, seeding
+every row's generator in one vectorized pass; the public builders
+(:func:`solar_trace` and its siblings) are a stack of one, seeded by
+numpy itself, and every stacked row equals its scalar build bit for bit.
 
 A :class:`PowerTrace` stores power samples on a uniform grid and exposes
 interpolation, windowed means (the runtime's "charging efficiency" signal),
@@ -38,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro.errors import ConfigError, EnergyError
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, generators
 
 
 class PowerTrace:
@@ -447,7 +448,7 @@ def _finish(samples, dt, name: str, strict: bool) -> list:
 def _build_one(family: str, params: dict) -> PowerTrace:
     """A stack of one: the scalar build of a seeded family."""
     fam = _FAMILIES[family]
-    n, draws = fam.draw(params)
+    n, draws = fam.draw(params, params["seed"])
     samples = fam.shape([params], [draws], n, params["dt"])
     return _finish(samples, params["dt"], family, strict=True)[0]
 
@@ -483,8 +484,8 @@ def solar_trace(
     return _build_one("solar", locals())
 
 
-def _solar_draw(p):
-    gen = as_generator(p["seed"])
+def _solar_draw(p, rng):
+    gen = as_generator(rng)
     n = _samples(p["duration"], p["dt"])
     return n, (_ou_draw(n, gen), gen.normal(0.0, p["noise_mw"], size=n))
 
@@ -541,8 +542,8 @@ def kinetic_trace(
     return _build_one("kinetic", locals())
 
 
-def _kinetic_draw(p):
-    gen = as_generator(p["seed"])
+def _kinetic_draw(p, rng):
+    gen = as_generator(rng)
     duration, dt = p["duration"], p["dt"]
     n = _samples(duration, dt)
     power = np.full(n, p["base_mw"])
@@ -589,10 +590,10 @@ def wind_trace(
     return _build_one("wind", locals())
 
 
-def _wind_draw(p):
+def _wind_draw(p, rng):
     if p["mean_speed"] <= 0:
         raise ConfigError(f"mean_speed must be positive, got {p['mean_speed']}")
-    gen = as_generator(p["seed"])
+    gen = as_generator(rng)
     duration, dt = p["duration"], p["dt"]
     n = _samples(duration, dt)
     turbulence = _ou_draw(n, gen)
@@ -651,8 +652,8 @@ def piezo_trace(
     return _build_one("piezo", locals())
 
 
-def _piezo_draw(p):
-    gen = as_generator(p["seed"])
+def _piezo_draw(p, rng):
+    gen = as_generator(rng)
     duty_cycle = p["duty_cycle"]
     if not 0.0 < duty_cycle < 1.0:
         raise ConfigError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
@@ -693,8 +694,8 @@ def rf_trace(
     return _build_one("rf", locals())
 
 
-def _rf_draw(p):
-    gen = as_generator(p["seed"])
+def _rf_draw(p, rng):
+    gen = as_generator(rng)
     n = _samples(p["duration"], p["dt"])
     return n, (_ou_draw(n, gen),)
 
@@ -710,9 +711,11 @@ def _rf_shape(rows, draws, n, dt):
 class _Family(NamedTuple):
     """One seeded trace family, split at the stack boundary.
 
-    ``draw(params) -> (n, draws)`` builds one row's generator, validates
-    and takes every draw in the scalar order; ``shape(rows, draws, n, dt)``
-    turns a stack of rows sharing the grid into (rows, n) power samples.
+    ``draw(params, rng) -> (n, draws)`` validates one row and takes every
+    draw in the scalar order from ``rng`` (the row's seed, or a Generator
+    already built from it), coerced where the scalar build builds its
+    generator; ``shape(rows, draws, n, dt)`` turns a stack of rows
+    sharing the grid into (rows, n) power samples.
     ``theta`` names the per-row OU theta a stack must share (solar's
     ``cloud_theta``); the other families' theta is fixed.
     """
@@ -766,19 +769,21 @@ def synthesize_stacks(family: str, rows) -> list:
     Each row is a params dict for the family's builder (:func:`solar_trace`
     etc.), seed included.  Rows that share what shapes the arrays and the
     recurrence — sample count, ``dt`` and, for solar, ``cloud_theta`` —
-    form one stack; every other parameter is a per-row column.  A per-row
-    loop builds each row's generator and takes its draws in the scalar
-    order, then the OU scan, envelopes, gust and duty-cycle shaping and the
-    cumulative energy run once over a block of rows.  Every trace equals
-    the scalar builder's bit for bit, whatever the stack and block size.
+    form one stack; every other parameter is a per-row column.  Every
+    row's generator is seeded in one pass
+    (:func:`repro.utils.rng.generators`); a per-row loop takes its draws
+    in the scalar order, then the OU scan, envelopes, gust and duty-cycle
+    shaping and the cumulative energy run once over a block of rows.
+    Every trace equals the scalar builder's bit for bit, whatever the
+    stack and block size.
 
     Never raises: a row with an unknown parameter or a value a column
-    cannot hold, or whose grid, validation or draws fail, comes back
+    cannot hold, or whose grid, seed, validation or draws fail, comes back
     ``None``, and its scalar build raises the builder's own error.
     """
     fam = _FAMILIES[family]
     out = [None] * len(rows)
-    stacks: dict = {}
+    keyed = []
     for r, params in enumerate(rows):
         p = _stack_row(family, params)
         if p is None:
@@ -787,17 +792,25 @@ def synthesize_stacks(family: str, rows) -> list:
             n = _samples(p["duration"], p["dt"])
             if n < 2 or not p["dt"] > 0:
                 continue
-            key = (n, p["dt"], p[fam.theta] if fam.theta else None)
-            stacks.setdefault(key, []).append((r, p))
+            keyed.append(((n, p["dt"], p[fam.theta] if fam.theta else None), r, p))
         except Exception:
             continue
+    try:
+        rngs = generators([p["seed"] for _, _, p in keyed])
+    except Exception:
+        # A seed numpy refuses: each row's draw seeds its own generator,
+        # so only that row fails.
+        rngs = [p["seed"] for _, _, p in keyed]
+    stacks: dict = {}
+    for (key, r, p), rng in zip(keyed, rngs):
+        stacks.setdefault(key, []).append((r, p, rng))
     for (n, dt, _), members in stacks.items():
         width = max(1, _BLOCK_ELEMENTS // n)
         for start in range(0, len(members), width):
             drawn = []
-            for r, p in members[start:start + width]:
+            for r, p, rng in members[start:start + width]:
                 try:
-                    drawn.append((r, p, fam.draw(p)[1]))
+                    drawn.append((r, p, fam.draw(p, rng)[1]))
                 except Exception:
                     continue
             if not drawn:

@@ -397,7 +397,9 @@ class ShardAggregator:
             "device_latency_percentiles": percentile_dict(
                 self._column("mean_latency_s"), (10, 50, 90)
             ),
-            "miss_counts": dict(self._miss_counts),
+            # Reasons in sorted order: the order a fold first met them
+            # depends on how the devices were folded.
+            "miss_counts": dict(sorted(self._miss_counts.items())),
             "exit_counts": counts,
             "mean_exit_depth": (
                 0.0 if total_exits == 0

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.fleet.spec import DeviceSpec, FleetSpec
+from repro.fleet.spec import DeviceSpec, FleetSpec, check_seed
+from repro.utils.rng import generators
 
 
 class ScenarioRegistry:
@@ -65,8 +66,11 @@ class ScenarioRegistry:
             )
 
     def build(self, name: str, **overrides):
-        """Expand a named entry; ``overrides`` reach the factory."""
+        """Expand a named entry; ``overrides`` reach the factory (a
+        ``seed`` only once :func:`~repro.fleet.spec.check_seed` passes it)."""
         self._require(name)
+        if "seed" in overrides:
+            check_seed(f"{self.kind} {name!r}", "seed", overrides["seed"])
         try:
             return self._factories[name](**overrides)
         except TypeError as exc:
@@ -491,6 +495,22 @@ def duty_cycle_farm(num_devices: int = 512, seed: int = 53, duration: float = 18
     )
 
 
+#: Megacity layout streams seeded per call (bounds the live Generators).
+_LAYOUT_BLOCK = 4096
+
+
+def _layout_streams(seed: int, start: int, end: int):
+    """Megacity devices ``start``..``end - 1``'s layout Generators, from
+    ``SeedSequence(seed, spawn_key=(0xC171, i))``.  One independent
+    stream per device (not one sequential stream for the whole fleet) is
+    the property that makes slices independently computable by any shard
+    worker; they are seeded a block at a time in one vectorized pass
+    (:func:`repro.utils.rng.generators`)."""
+    for first in range(start, end, _LAYOUT_BLOCK):
+        last = min(end, first + _LAYOUT_BLOCK)
+        yield from generators(seed, (0xC171, range(first, last)))
+
+
 @SCENARIOS.register(
     "megacity-1m",
     "1,000,000 city-scale devices — the scale-out target for "
@@ -522,13 +542,7 @@ def megacity(
         {"kind": "fixed", "exit_index": 0},
     )
     devices = []
-    for i in range(start, end):
-        # One independent layout stream per device (not one sequential
-        # stream for the whole fleet) — the property that makes slices
-        # independently computable by any shard worker.
-        gen = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0xC171, i))
-        )
+    for i, gen in zip(range(start, end), _layout_streams(seed, start, end)):
         family = ("solar", "rf", "piezo", "wind")[i % 4]
         if family == "solar":
             trace = {

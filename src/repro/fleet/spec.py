@@ -32,6 +32,15 @@ from repro.sim.devices import EVENT_KINDS, NAMED_PROFILES, TRACE_FAMILIES
 EXECUTIONS = ("single-cycle", "intermittent")
 
 
+def check_seed(owner: str, field: str, value) -> None:
+    """A seed pins its streams only as an int >= 0: numpy seeds no
+    negative int, a null draws fresh OS entropy on every build, and a
+    JSON ``true`` would run as seed 1.  ``owner`` and ``field`` name it
+    in the :class:`ConfigError`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{owner}: {field} must be an int >= 0, got {value!r}")
+
+
 def _non_finite_path(params):
     """Where the first NaN or infinite float sits in ``params`` (nested
     dicts and lists), as ``".key"``/``"[i]"`` steps; ``None`` when every
@@ -141,19 +150,12 @@ class DeviceSpec:
                 f"device {self.name!r}: episodes must be a positive int, "
                 f"got {self.episodes!r}"
             )
-        # A pinned stream seed must reproduce its stream: null draws fresh
-        # OS entropy on every build, and a JSON true would run as seed 1.
         for part, params, key in (
             ("trace", dict(self.trace), "seed"),
             ("events", dict(self.events), "rng"),
         ):
-            if key in params and (
-                not isinstance(params[key], int) or isinstance(params[key], bool)
-            ):
-                raise ConfigError(
-                    f"device {self.name!r}: {part} {key} must be an int, "
-                    f"got {params[key]!r}"
-                )
+            if key in params:
+                check_seed(f"device {self.name!r}", f"{part} {key}", params[key])
         # JSON reads NaN and Infinity, but no builder parameter means
         # either: they would crash deep in the engine or print as NaN.
         for part in ("trace", "events", "storage", "mcu", "controller", "profile"):
@@ -224,10 +226,7 @@ class FleetSpec:
                     f"fleet {self.name!r}: devices must be DeviceSpec, "
                     f"got {type(d).__name__}"
                 )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(
-                f"fleet {self.name!r}: seed must be an int, got {self.seed!r}"
-            )
+        check_seed(f"fleet {self.name!r}", "seed", self.seed)
 
     @property
     def num_devices(self) -> int:

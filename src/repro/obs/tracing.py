@@ -53,6 +53,8 @@ class TraceWriter:
             self._stream = open(self.path, "w")
         json.dump(record, self._stream, separators=(",", ":"), sort_keys=True)
         self._stream.write("\n")
+        # On disk at once: a killed run keeps every record it emitted.
+        self._stream.flush()
         self.records_written += 1
 
     def flush(self) -> None:

@@ -7,8 +7,10 @@ totals, ``busy_until``, the charge bookkeeping (``t_charged`` /
 ``cum_charged``), and per-device event counts — and advancing all
 still-active devices one event-index step at a time.
 Construction builds the devices in windows of at most the trace memo's
-cap.  Per window it derives every device's four seeds once, synthesizes
-the window's seeded traces as same-grid stacks
+cap.  Per window it derives every device's four seeds in one vectorized
+pass and seeds the window's events and simulator Generators in another
+(:mod:`repro.utils.rng`), synthesizes the window's seeded traces as
+same-grid stacks
 (:func:`repro.sim.devices.prefetch_traces`, timed as the
 ``batch.build.traces`` profiler phase) and materializes every device,
 which hits the memo.  Then, while the window's traces exist, it takes
@@ -49,10 +51,13 @@ enforces it:
 * both build their devices with :func:`repro.sim.devices.materialize`,
   so every device's random streams stay pinned to
   ``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — the same four
-  child seeds (trace, events, simulator, controller) on both paths,
-  derived once per device per build
-  (:func:`~repro.sim.devices.device_seeds`) and handed to the trace
-  prefetch and to ``materialize``;
+  child seeds (trace, events, simulator, controller) on both paths.  The
+  oracle derives them with numpy itself
+  (:func:`~repro.sim.devices.device_seeds`); the engine derives a build
+  window's with :func:`~repro.utils.rng.seed_states` and seeds its
+  events, simulator and trace-draw Generators with
+  :func:`~repro.utils.rng.generators`, numpy's ``SeedSequence``
+  arithmetic over many seeds at once, equal to numpy word for word;
 * the event-time columns are one stacked gather per block of a window,
   repeating ``PowerTrace._cum_bulk``'s arithmetic (and ``mean_power``'s
   window) element for element, so every column equals its device's own
@@ -124,7 +129,6 @@ from repro.runtime.batched import batch_continue_rules, batch_controllers, batch
 from repro.runtime.state import RuntimeStateBatch
 from repro.sim.devices import (
     _TRACE_CACHE_MAX,
-    device_seeds,
     harvest_percentiles,
     materialize,
     prefetch_traces,
@@ -135,7 +139,7 @@ from repro.sim.results import (
     SimulationResult,
     percentile_rows,
 )
-from repro.utils.rng import DrawBatch, as_generator
+from repro.utils.rng import DrawBatch, as_generator, generators, seed_states
 
 #: miss_reason codes used in the packed record buffers (shared with
 #: repro.intermittent.kernel's REASON_* codes).
@@ -405,7 +409,12 @@ class BatchedFleetEngine:
     def _build_window(self, start, window, prof):
         """Materialize one build window's devices and take their columns.
 
-        Each device's four seeds are derived once and handed to the trace
+        The window's device seeds (:func:`~repro.sim.devices.device_seeds`
+        for every device) derive in one vectorized pass
+        (:func:`~repro.utils.rng.seed_states`), and its events and
+        simulator Generators seed in another
+        (:func:`~repro.utils.rng.generators`).  Each device's seeds, with
+        those two Generators in their seeds' places, go to the trace
         prefetch and to :func:`~repro.sim.devices.materialize`.  Then,
         while the window's traces exist, the engine takes everything it
         reads of them: the trace summaries, the event-time columns
@@ -413,7 +422,17 @@ class BatchedFleetEngine:
         padded kernel rows, returned as this window's kernel (``None``
         without intermittent devices).  No trace outlives its window.
         """
-        seeds = [device_seeds(i, fleet_seed) for i, _, fleet_seed in window]
+        states = seed_states(
+            [fleet_seed for _, _, fleet_seed in window],
+            ([index for index, _, _ in window],),
+        )
+        streams = generators(states[:, 1:3].ravel())
+        seeds = [
+            (trace, events, sim, ctrl)
+            for (trace, _, _, ctrl), events, sim in zip(
+                states.tolist(), streams[0::2], streams[1::2]
+            )
+        ]
         specs = [spec for _, spec, _ in window]
         t_phase = time.perf_counter() if prof is not None else 0.0
         prefetch_traces(specs, seeds)

@@ -7,10 +7,15 @@ profile, capacitor, MCU and exit controller for both the batched engine
 ``trace``, ``events``, ``profile``, ``storage``, ``mcu`` and
 ``controller`` attributes materializes.  Device ``index`` of a fleet
 seeded ``fleet_seed`` draws its four streams (trace, events, simulator,
-controller) from ``SeedSequence(fleet_seed, spawn_key=(index,))``
-(:func:`device_seeds`), computable inside any worker without the other
-devices.  The caller derives those seeds once per device and hands them
-to :func:`materialize` (and, in the engine, to :func:`prefetch_traces`).
+controller) from ``SeedSequence(fleet_seed, spawn_key=(index,))``,
+computable inside any worker without the other devices.  The scalar
+oracle derives them with numpy itself (:func:`device_seeds`).  The
+engine derives a build window's in one vectorized pass
+(:func:`repro.utils.rng.seed_states`) and seeds the window's events
+and simulator Generators in another (:func:`repro.utils.rng.generators`),
+handing each device's seeds, those two Generators in their seeds'
+places, to :func:`prefetch_traces` and :func:`materialize`.  Either way
+every stream is the one numpy seeds.
 
 Traces are memoized per process, except those whose params cannot key a
 deterministic result (a live Generator or a None seed).  The engine
@@ -150,9 +155,9 @@ def build_trace(trace_spec: dict, fallback_seed: int) -> PowerTrace:
 def prefetch_traces(specs, seeds) -> None:
     """Synthesize the seeded traces of ``specs`` missing from the memo.
 
-    ``seeds`` are each device's four stream seeds (:func:`device_seeds`),
-    the ones its :func:`materialize` call receives.  At most the memo's
-    cap of specs, so every trace added here survives until its device's
+    ``seeds`` are what each device's :func:`materialize` call receives;
+    the prefetch reads their trace seed.  At most the memo's cap of
+    specs, so every trace added here survives until its device's
     :func:`build_trace` call reads it back.  Traces synthesize as
     same-grid stacks through the family builders directly (never through
     :func:`build_trace`, which stays one call per device).  Never raises:
@@ -272,7 +277,8 @@ def build_controller(controller_spec: dict, profile, storage, seed: int):
 
 class DeviceObjects(NamedTuple):
     """One device's live objects, in the order :func:`materialize` builds
-    them, plus the seed of its simulator stream."""
+    them, plus its simulator stream: the seed, or a Generator already
+    seeded from it."""
 
     trace: PowerTrace
     events: np.ndarray
@@ -285,7 +291,9 @@ class DeviceObjects(NamedTuple):
 
 def device_seeds(index, fleet_seed) -> tuple:
     """Device ``index``'s four stream seeds: trace, events, simulator and
-    controller, from ``SeedSequence(fleet_seed, spawn_key=(index,))``."""
+    controller, from ``SeedSequence(fleet_seed, spawn_key=(index,))``.
+    numpy's own derivation, which the engine's bulk seeding
+    (:func:`repro.utils.rng.seed_states`) equals word for word."""
     child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
     return tuple(int(s) for s in child.generate_state(4, np.uint32))
 
@@ -294,8 +302,10 @@ def materialize(spec, seeds) -> DeviceObjects:
     """Build a device from ``spec`` and its four stream seeds.
 
     ``seeds`` are the device's :func:`device_seeds`, derived once by the
-    caller.  The builders run in one fixed order: trace, events, profile,
-    storage, MCU, controller.
+    caller; its events and simulator entries may be Generators already
+    seeded from them (the engine seeds a window's in one pass), which the
+    builders take as they are.  The builders run in one fixed order:
+    trace, events, profile, storage, MCU, controller.
     """
     trace_seed, event_seed, sim_seed, ctrl_seed = seeds
     trace = build_trace(spec.trace, trace_seed)

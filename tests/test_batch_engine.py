@@ -27,6 +27,7 @@ from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
 from repro.sim.batch import BatchedFleetEngine
 from repro.sim.devices import (
+    _TRACE_CACHE_MAX,
     build_trace,
     device_seeds,
     harvest_percentiles,
@@ -546,6 +547,36 @@ def tiny_fleets(draw):
         name="hyp-fleet", seed=draw(st.integers(min_value=0, max_value=2**16)),
         devices=devices,
     )
+
+
+class TestSeedPaths:
+    """Seeds on and off the vectorized seeding path.  The engine seeds a
+    build window's device seeds, events and simulator streams, and its
+    trace rows, in bulk when every word is in [0, 2**32), and hands any
+    other seed to numpy: either way it equals the scalar oracle, which
+    seeds every stream through numpy itself."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32 + 1])
+    def test_fleet_seed(self, seed, oracle):
+        spec = SCENARIOS.build("dev-smoke", seed=seed)
+        assert spec.seed == seed
+        assert _payload(FleetRunner(spec).run()) == _payload(oracle(spec))
+
+    @pytest.mark.parametrize("value", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("part,key", [("trace", "seed"), ("events", "rng")])
+    def test_pinned_stream_seed(self, part, key, value, oracle):
+        devices = [
+            dataclasses.replace(d, **{part: {**getattr(d, part), key: value}})
+            if i % 2 else d
+            for i, d in enumerate(SCENARIOS.build("dev-smoke", seed=11).devices)
+        ]
+        spec = FleetSpec(name="pinned", seed=11, devices=devices)
+        assert _payload(FleetRunner(spec).run()) == _payload(oracle(spec))
+
+    def test_fleet_spanning_two_build_windows(self, oracle):
+        spec = SCENARIOS.build("megacity-1m", num_devices=300)
+        assert spec.num_devices > _TRACE_CACHE_MAX
+        assert _payload(FleetRunner(spec).run()) == _payload(oracle(spec))
 
 
 class TestPropertyEquivalence:

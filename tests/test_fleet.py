@@ -138,6 +138,24 @@ class TestFleetSpec:
             data["devices"][1][part][key] = 7
             assert FleetSpec.from_dict(data).devices[1].to_dict()[part][key] == 7
 
+    def test_negative_seeds_rejected(self):
+        """numpy seeds no negative int: a negative fleet seed, trace
+        ``seed`` or events ``rng`` is refused, naming the fleet or device
+        and the field, instead of failing inside the engine build."""
+        data = tiny_fleet().to_dict()
+        data["seed"] = -5
+        with pytest.raises(ConfigError, match="fleet 'tiny': seed must be an int >= 0"):
+            FleetSpec.from_dict(data)
+        for part, key, value in (("trace", "seed", -1), ("events", "rng", -3)):
+            data = tiny_fleet().to_dict()
+            data["devices"][1][part][key] = value
+            with pytest.raises(
+                ConfigError, match=f"device 'dev-1': {part} {key} must be an int >= 0"
+            ):
+                FleetSpec.from_dict(data)
+            data["devices"][1][part][key] = 0
+            assert FleetSpec.from_dict(data).devices[1].to_dict()[part][key] == 0
+
     @pytest.mark.parametrize(
         "edit, field",
         [
@@ -221,6 +239,13 @@ class TestScenarioRegistry:
     def test_unknown_override_raises_config_error(self):
         with pytest.raises(ConfigError, match="dev-smoke"):
             SCENARIOS.build("dev-smoke", bogus=1)
+
+    @pytest.mark.parametrize("name", ["dev-smoke", "solar-farm-100", "megacity-1m"])
+    def test_negative_seed_override_rejected_before_the_factory(self, name):
+        """A negative seed never reaches a factory, whose layout draws
+        would fail inside numpy first."""
+        with pytest.raises(ConfigError, match=f"scenario '{name}': seed must be"):
+            SCENARIOS.build(name, num_devices=4, seed=-5)
 
     def test_duplicate_registration_rejected(self):
         registry = ScenarioRegistry()

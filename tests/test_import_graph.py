@@ -174,6 +174,14 @@ def test_fleet_and_gateway_processes_load_only_numpy(entry_point):
     assert heavy(loaded_modules(f"import {entry_point}")) == []
 
 
+@pytest.mark.parametrize("entry_point", [*LEAN_ENTRY_POINTS, "repro.sim.batch"])
+def test_numpy_random_loads_with_the_first_generator(entry_point):
+    """numpy imports ``numpy.random`` lazily (~15 ms); the bulk seeding
+    in ``repro.utils.rng`` plugs into its ``ISeedSequence`` interface
+    only when it first builds a Generator, so set-up does not pay it."""
+    assert "numpy.random" not in loaded_modules(f"import {entry_point}")
+
+
 def test_store_sits_below_every_artifact_writer():
     """The sealed-artifact layer loads none of the packages that use it."""
     writers = ("repro.fleet", "repro.sim", "repro.campaign", "repro.gateway")

@@ -187,6 +187,19 @@ def test_trace_writer_path_lazy_and_jsonl(tmp_path):
     assert lines[0] == '{"a":2,"b":1,"type":"manifest"}'
 
 
+def test_trace_writer_emit_reaches_disk_before_close(tmp_path):
+    """Each record is on disk once ``emit`` returns, so a run killed
+    before ``close`` (SIGKILL, a crashed gateway) keeps its manifest and
+    every span it emitted."""
+    path = tmp_path / "trace.jsonl"
+    writer = TraceWriter(path)
+    writer.emit({"type": "manifest", "b": 1, "a": 2})
+    assert path.read_text() == '{"a":2,"b":1,"type":"manifest"}\n'
+    writer.emit({"type": "span", "name": "x"})
+    assert len(path.read_text().splitlines()) == 2
+    writer.close()
+
+
 def test_span_is_noop_without_recorder():
     assert get_recorder() is NULL_RECORDER
     with span("nothing", tag=1):

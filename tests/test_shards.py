@@ -122,6 +122,19 @@ class TestPackedJsonable:
         # (percentiles included) must be byte-equal, not just close.
         assert canonical(agg_a.aggregate()) == canonical(agg_b.aggregate())
 
+    def test_miss_counts_in_one_order_for_every_fold(self):
+        """Folding DeviceResults (serial and pooled runs) and packed
+        shards (sharded merges) gives one miss_counts order, sorted by
+        reason, so every kind of run prints the same report lines."""
+        spec = SCENARIOS.build("brownout-grid-256", num_devices=8)
+        devices = FleetRunner(spec).run().devices
+        assert list(devices[0].miss_counts) == ["energy", "busy"]
+        folded, merged = (ShardAggregator(spec.name, spec.seed) for _ in range(2))
+        folded.add_devices(devices)
+        merged.add_packed(json.loads(json.dumps(pack_device_results(devices))))
+        orders = [list(agg.aggregate()["miss_counts"]) for agg in (folded, merged)]
+        assert orders[0] == orders[1] == ["busy", "energy"]
+
 
 # --------------------------------------------------------------------- #
 # Ledger mechanics
@@ -580,6 +593,34 @@ class TestShardCLI:
         for extra in ([], ["--explain"]):
             assert self.run_cli(*argv, "--chunksize", "2", *extra) == 2
             assert "--chunksize sizes an unsharded run" in capsys.readouterr().err
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("scenario", ["dev-smoke", "megacity-1m"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, scenario):
+        """A negative --seed is a ConfigError naming the scenario and the
+        field for run and --explain, serial and sharded, before any
+        engine or shard starts."""
+        ledger = tmp_path / "led"
+        argv = ["run", scenario, "--quiet", "--devices", "16", "--seed", "-5"]
+        sharded = ["--shards", "2", "--ledger", str(ledger)]
+        for extra in ([], ["--explain"], sharded, [*sharded, "--explain"]):
+            assert self.run_cli(*argv, *extra) == 2
+            err = capsys.readouterr().err
+            assert f"scenario {scenario!r}: seed must be an int >= 0" in err
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("part,key", [("trace", "seed"), ("events", "rng")])
+    def test_negative_pinned_seed_in_spec_exits_2(self, tmp_path, capsys, part, key):
+        data = tiny_fleet().to_dict()
+        data["devices"][2][part][key] = -3
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(data))
+        ledger = tmp_path / "led"
+        sharded = ["--shards", "2", "--ledger", str(ledger)]
+        for extra in ([], ["--explain"], sharded, [*sharded, "--explain"]):
+            assert self.run_cli("run", "--spec", str(path), "--quiet", *extra) == 2
+            err = capsys.readouterr().err
+            assert f"device 'dev-2': {part} {key} must be an int >= 0" in err
         assert not ledger.exists()
 
     def test_explain_with_chaos_validates_and_lists_sites(

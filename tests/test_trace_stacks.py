@@ -297,6 +297,16 @@ class TestPrefetchErrors:
         assert type(engine.value) is type(scalar.value)
         assert str(engine.value) == str(scalar.value)
 
+    def test_a_seed_numpy_refuses_fails_only_its_row(self):
+        """The stacks seed every row's generator in one pass; a seed numpy
+        refuses leaves just that row to its scalar build."""
+        params = {"duration": 200.0, "dt": 1.0}
+        rows = [{**params, "seed": seed} for seed in (3, -1, 2**64 + 5, 1.5)]
+        got = synthesize_stacks("rf", rows)
+        assert got[1] is None and got[3] is None
+        for row, trace in zip(rows[::2], got[::2]):
+            assert _same_trace(trace, traces.rf_trace(**row))
+
     def test_unhashable_seed_keeps_the_per_device_path(self):
         # DeviceSpec rejects a non-int trace seed; the prefetch takes any
         # spec with a ``trace`` dict.
