@@ -189,6 +189,73 @@ class TestIntermittentEquivalence:
         processed = result.aggregate()["processed"]
         assert processed > 0
 
+    def _pass_fleet(self, regime):
+        """Fleets for the kernel's pass structure: ``busy-runs`` bursts
+        events closer together than a job's latency, so runs of events
+        miss busy (to the end of the stream for some devices);
+        ``saturating`` harvests above the draw on a small capacitor, so
+        compute lanes clamp at capacity, fall under it as the RF harvest
+        fades, and clamp again; ``mixed`` puts both in one kernel beside
+        a starved device that runs into the trace end."""
+        def device(name, mean_mw, capacity, events, duration=1000.0):
+            return DeviceSpec(
+                name=name,
+                trace={"family": "rf", "duration": duration, "dt": 1.0,
+                       "mean_mw": mean_mw},
+                profile="sonic-single-exit",
+                controller={"kind": "fixed", "exit_index": 0},
+                storage={"capacity_mj": capacity, "initial_fraction": 0.0},
+                events=events,
+                execution="intermittent",
+            )
+
+        bursts = {"kind": "burst", "num_bursts": 6, "events_per_burst": 6,
+                  "burst_span": 8.0}
+        busy = [device(f"b{i}", 0.01 + 0.01 * i, 1.0, bursts) for i in range(4)]
+        steady = {"kind": "uniform", "count": 15}
+        saturating = [
+            device(f"s{i}", mean_mw, capacity, steady, duration=600.0)
+            for i, (mean_mw, capacity) in enumerate(
+                [(0.09, 0.15), (0.1, 0.2), (0.12, 0.3), (0.2, 0.3)]
+            )
+        ]
+        starved = [device("late", 0.003, 1.0, {"kind": "poisson", "rate_hz": 0.02})]
+        devices = {
+            "busy-runs": busy,
+            "saturating": saturating,
+            "mixed": busy[:2] + saturating[:2] + starved,
+        }[regime]
+        return FleetSpec(name=f"pass-{regime}", seed=47, devices=devices)
+
+    @pytest.mark.parametrize("regime", ["busy-runs", "saturating", "mixed"])
+    def test_pass_structure_fleets_bit_identical(self, regime, oracle):
+        """Serial == scalar oracle == ``advance(k)``, on fleets whose
+        lanes end passes at busy runs, same-pass job closes and
+        saturation entries."""
+        spec = self._pass_fleet(regime)
+        expected = _payload(oracle(spec))
+        assert _payload(FleetRunner(spec, workers=1).run()) == expected
+        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+        engine = BatchedFleetEngine(tasks)
+        while not engine.finished:
+            engine.advance(3)
+        stepped = FleetResult(
+            fleet_name=spec.name, seed=spec.seed, devices=engine.finalize()
+        )
+        assert _payload(stepped) == expected
+
+    def test_busy_runs_fleet_misses_runs_of_events(self):
+        """The busy-runs fleet is not vacuous: devices miss three or more
+        events in a row, and one misses every event after its last job."""
+        spec = self._pass_fleet("busy-runs")
+        tails = []
+        for i, device in enumerate(spec.devices):
+            run = _scalar_episodes(i, device, spec.seed)[-1]
+            marks = "".join("b" if r.miss_reason == "busy" else "." for r in run.records)
+            assert "bbb" in marks
+            tails.append(marks.endswith("bb"))
+        assert any(tails)
+
     def _episode_fleet(self):
         """Intermittent devices at 7, 3 and 1 episodes beside a learning
         device at 3, so later episodes drop devices out.  The 7-episode

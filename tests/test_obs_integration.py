@@ -250,6 +250,31 @@ def test_event_batching_collapses_kernel_passes():
     assert physical * 2 <= micro
 
 
+#: Every logical ``intermittent.*`` tally of city-block-1k at 200 devices
+#: (seed 31): the scalar-equivalent work, whatever passes run it.
+CITY_BLOCK_200_TALLIES = {
+    "micro_passes": 3380,
+    "boundary_lanes": 1000,
+    "compute_lanes": 11893,
+    "recharge_lanes": 49855,
+    "completed": 287,
+    "deadline_misses": 19,
+    "shutdown_transitions": 220,
+    "wake_transitions": 204,
+}
+
+
+def test_kernel_passes_fall_while_logical_tallies_hold():
+    """The gateway-session fleet: the kernel's logical work is pinned
+    tally for tally."""
+    spec = SCENARIOS.build("city-block-1k", num_devices=200)
+    with recording(profile=True) as rec:
+        FleetRunner(spec, workers=1).run()
+    counts = rec.profiler.counts
+    logical = {name: counts[f"intermittent.{name}"] for name in CITY_BLOCK_200_TALLIES}
+    assert logical == CITY_BLOCK_200_TALLIES
+
+
 # --------------------------------------------------------------------- #
 # Fleet CLI
 # --------------------------------------------------------------------- #

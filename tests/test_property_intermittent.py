@@ -24,13 +24,15 @@ from hypothesis import strategies as st
 from repro.energy.storage import EnergyStorage
 from repro.energy.traces import constant_trace, rf_trace
 from repro.intermittent.kernel import (
+    REASON_BUSY,
     REASON_ENERGY,
     REASON_NONE,
     IntermittentFleetKernel,
     run_job_scalar,
 )
 from repro.intermittent.mcu import MSP432
-from repro.utils.rng import DrawBatch
+from repro.obs.profiler import PhaseProfiler
+from repro.utils.rng import DrawBatch, PooledDraws
 
 
 class _KernelDevice:
@@ -182,3 +184,237 @@ def test_kernel_never_overdraws(cases, seed):
     initial = np.array([d.storage._initial_mj for d in devices])
     rec, level, drawn, _ = _run_kernel_episode(kernel, devices, cases, seed)
     assert np.all(drawn <= initial + rec["charged"] + 1e-9)
+
+
+# --------------------------------------------------------------------- #
+# Whole episodes: many events per device, against the scalar event loop
+# --------------------------------------------------------------------- #
+
+#: The slice a device computes per ``dt`` at full power, per unit ``dt``.
+SLICE_MJ = MSP432.active_power_mw
+
+TRACE_S = 600.0
+
+
+class _ClampLog(EnergyStorage):
+    """EnergyStorage that logs, per charge, whether the capacity clamped."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.clamps = []
+
+    def charge(self, harvested_mj):
+        stored = super().charge(harvested_mj)
+        self.clamps.append(stored < harvested_mj * self.efficiency)
+        return stored
+
+
+@st.composite
+def episode_device(draw):
+    """One device and its events, in one of the regimes the kernel's pass
+    structure treats specially:
+
+    * ``dense`` — events spaced closer than a job's latency, so runs of
+      consecutive events miss busy, often to the end of the stream;
+    * ``exact`` — jobs a whole number of slices long, so a job's last
+      full slice can end a fused compute run;
+    * ``saturating`` — harvest above the draw on a small capacitor, so a
+      compute lane clamps at capacity, falls back under it as the
+      harvest fades, and enters saturation from below again;
+    * ``trace-end`` — events near, at or past the trace end, so jobs run
+      into the deadline.
+    """
+    regime = draw(st.sampled_from(["dense", "exact", "saturating", "trace-end"]))
+    dt = draw(st.sampled_from([1.0, 0.5]))
+    kind = draw(st.sampled_from(["constant", "rf"]))
+    frac = draw(st.floats(0.0, 1.0))
+    leak = draw(st.sampled_from([0.0, 0.0005]))
+    job = draw(st.floats(0.2, 3.0))
+    if regime == "saturating":
+        power = draw(st.floats(0.09, 0.2))
+        cap = draw(st.floats(0.1, 0.4))
+    else:
+        power = draw(st.floats(0.004, 0.12))
+        cap = draw(st.floats(0.3, 3.0))
+    if regime == "exact":
+        job = draw(st.integers(1, 40)) * SLICE_MJ * dt
+    n = draw(st.integers(1, 10))
+    if regime == "trace-end":
+        start = TRACE_S - draw(st.floats(0.0, 60.0))
+        gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 20.0]), min_size=n - 1, max_size=n - 1))
+    elif regime == "dense":
+        start = draw(st.floats(0.0, 500.0))
+        gaps = draw(st.lists(st.floats(0.0, 4.0), min_size=n - 1, max_size=n - 1))
+    else:
+        start = draw(st.floats(0.0, 400.0))
+        gaps = draw(st.lists(st.floats(0.0, 90.0), min_size=n - 1, max_size=n - 1))
+    events = np.cumsum([start, *gaps])
+    if regime == "trace-end" and draw(st.booleans()):
+        events[-1] = TRACE_S  # an event exactly at the trace end
+    return kind, dt, power, cap, frac, leak, job, events
+
+
+def _episode_devices(cases, seed, storage_cls=EnergyStorage):
+    devices = []
+    for i, (kind, dt, power, cap, frac, leak, job, _events) in enumerate(cases):
+        if kind == "constant":
+            trace = constant_trace(power, TRACE_S, dt=dt)
+        else:
+            trace = rf_trace(duration=TRACE_S, dt=dt, mean_mw=power, seed=seed + i)
+        storage = storage_cls(
+            cap, efficiency=0.8, leakage_mw=leak, initial_mj=cap * frac
+        )
+        devices.append(_KernelDevice(trace, storage, job))
+    return devices
+
+
+def _kernel_episode(cases, seed, prof=None):
+    """One kernel episode over ``cases``: records plus end state."""
+    devices = _episode_devices(cases, seed)
+    kernel = IntermittentFleetKernel(np.arange(len(devices)), devices)
+    k = len(devices)
+    n_events = np.array([len(c[7]) for c in cases], np.int64)
+    events = np.zeros((n_events.max(), k))
+    cum = np.zeros((n_events.max(), k))
+    for i, (device, case) in enumerate(zip(devices, cases)):
+        trace = device.trace
+        events[: n_events[i], i] = case[7]
+        cum[: n_events[i], i] = trace._cum_bulk(np.clip(case[7], 0.0, trace.duration))
+    state = [np.array([d.storage._initial_mj for d in devices])]
+    state += [np.zeros(k) for _ in range(4)]
+    draws = DrawBatch([np.random.default_rng(seed + 100 + i) for i in range(k)])
+    rec = kernel.run_episode(np.ones(k, bool), events, cum, n_events, *state, draws, prof=prof)
+    return rec, state
+
+
+def _scalar_episode(device, events, seed):
+    """The scalar simulator's intermittent event loop over one device:
+    busy check, charge to the event, ``run_job_scalar``, ledger resume,
+    and the completion draws.  Returns per-event records and end state."""
+    storage, trace = device.storage, device.trace
+    draws = PooledDraws(np.random.default_rng(seed))
+    cum_at_event = trace._cum_bulk(np.clip(events, 0.0, trace.duration)).tolist()
+    rows = []
+    t_charged = cum_charged = busy_until = 0.0
+    for j, te in enumerate(events.tolist()):
+        if te < busy_until:
+            rows.append((-1, REASON_BUSY, 0.0, 0.0, 1, False, 1.0))
+            continue
+        if te > t_charged:
+            storage.charge(max(cum_at_event[j] - cum_charged, 0.0))
+            storage.leak(te - t_charged)
+            t_charged, cum_charged = te, cum_at_event[j]
+        run = run_job_scalar(
+            trace, MSP432, trace.dt, device.exit_energy[0], te, storage,
+            deadline=trace.duration,
+        )
+        if run.completed:
+            correct = draws.random() < device.exit_acc[0]
+            entropy = draws.beta(2.0, 8.0) if correct else draws.beta(5.0, 3.0)
+            energy = run.energy_consumed_mj + run.overhead_energy_mj
+            rows.append((0, REASON_NONE, run.latency_s, energy, run.power_cycles,
+                         bool(correct), entropy))
+        else:
+            rows.append((-1, REASON_ENERGY, run.latency_s, 0.0, run.power_cycles,
+                         False, 1.0))
+        busy_until = t_charged = run.finish_time
+        cum_charged = trace._cum_at(trace._clip_time(busy_until))
+    end = (storage.level_mj, storage.total_drawn_mj, t_charged, cum_charged, busy_until)
+    return rows, end
+
+
+def _kernel_rows(rec, i, n):
+    return [
+        (int(rec["exit"][e, i]), int(rec["reason"][e, i]), rec["latency"][e, i],
+         rec["energy"][e, i], int(rec["cycles"][e, i]), bool(rec["correct"][e, i]),
+         rec["entropy"][e, i])
+        for e in range(n)
+    ]
+
+
+def _assert_episode_matches_scalar(cases, seed):
+    rec, state = _kernel_episode(cases, seed)
+    devices = _episode_devices(cases, seed)
+    for i, (device, case) in enumerate(zip(devices, cases)):
+        rows, end = _scalar_episode(device, case[7], seed + 100 + i)
+        assert _kernel_rows(rec, i, len(rows)) == rows, i
+        assert tuple(column[i] for column in state) == end, i
+        assert rec["charged"][i] == device.storage.total_charged_mj
+        assert rec["wasted"][i] == device.storage.total_wasted_mj
+    # Profiling counts work; it never changes a record or a state column.
+    prof = PhaseProfiler()
+    profiled, profiled_state = _kernel_episode(cases, seed, prof=prof)
+    for name in ("exit", "correct", "latency", "energy", "entropy", "reason", "cycles"):
+        assert np.array_equal(profiled[name], rec[name]), name
+    for a, b in zip(profiled_state, state):
+        assert np.array_equal(a, b)
+    assert prof.counts["intermittent.kernel_passes"] > 0
+
+
+@given(cases=st.lists(episode_device(), min_size=1, max_size=5), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_kernel_episode_matches_scalar_event_loop(cases, seed):
+    """Many events per device: every record, draw and end-of-episode
+    state column equals the scalar simulator's event loop, in every
+    regime at once (lanes of different regimes share the passes)."""
+    _assert_episode_matches_scalar(cases, seed)
+
+
+def _regime_fleet(regime):
+    """Hand-built devices that surely exercise ``regime``."""
+    if regime == "busy-runs":
+        # A 3 mJ job on weak harvest outlasts the 2 s event spacing; the
+        # second device's last events all fall inside its final job.
+        return [
+            ("constant", 1.0, 0.02, 1.0, 0.2, 0.0, 3.0, 20.0 + 2.0 * np.arange(8)),
+            ("rf", 1.0, 0.03, 1.0, 0.5, 0.0005, 3.0,
+             np.array([10.0, 400.0, 401.0, 402.5, 404.0, 405.0])),
+        ]
+    if regime == "exact":
+        return [
+            ("constant", dt, 0.3, 2.0, 1.0, 0.0, n * SLICE_MJ * dt,
+             np.array([5.0, 100.0, 200.0]))
+            for dt, n in ((1.0, 7), (0.5, 13), (1.0, 40))
+        ]
+    if regime == "saturating":
+        return [
+            ("rf", 1.0, power, cap, 0.0, leak, 3.0, np.arange(1.0, TRACE_S, 60.0))
+            for power, cap, leak in ((0.09, 0.15, 0.0), (0.1, 0.2, 0.0005), (0.12, 0.3, 0.0))
+        ]
+    # trace-end: jobs still running when the trace ends, and events at
+    # and past it.
+    return [
+        ("constant", 1.0, 0.01, 1.0, 0.1, 0.0, 3.0, np.array([560.0, 599.0, 600.0])),
+        ("rf", 1.0, 0.05, 2.0, 0.0, 0.0, 3.0, np.array([590.0, 600.0, 601.0])),
+    ]
+
+
+REGIMES = ("busy-runs", "exact", "saturating", "trace-end")
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_kernel_episode_matches_scalar_in_each_regime(regime):
+    _assert_episode_matches_scalar(_regime_fleet(regime), seed=5)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_fleets_reach_their_regime(regime):
+    """The hand-built fleets are not vacuous: the scalar loop shows each
+    one doing what its regime is for."""
+    cases = _regime_fleet(regime)
+    devices = _episode_devices(cases, 5, storage_cls=_ClampLog)
+    runs = [_scalar_episode(d, c[7], 0) for d, c in zip(devices, cases)]
+    reasons = [[row[1] for row in rows] for rows, _ in runs]
+    if regime == "busy-runs":
+        assert "BBB" in "".join("B" if r == REASON_BUSY else "." for r in reasons[0])
+        assert reasons[1][-3:] == [REASON_BUSY] * 3
+    elif regime == "exact":
+        assert all(r == REASON_NONE for rs in reasons for r in rs)
+    elif regime == "saturating":
+        for device in devices:
+            entries = np.diff(np.array(device.storage.clamps, int)) == 1
+            assert entries.sum() >= 10  # clamps begin again and again
+        assert all(rs.count(REASON_NONE) >= 8 for rs in reasons)
+    else:
+        assert reasons[0] == [REASON_ENERGY, REASON_BUSY, REASON_ENERGY]
+        assert reasons[1] == [REASON_ENERGY] * 3
