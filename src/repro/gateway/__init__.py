@@ -21,18 +21,37 @@ Start here:
 * ``python -m repro.gateway serve`` / ``examples/gateway_demo.py``.
 """
 
-from repro.gateway.checkpoint import load_checkpoint, save_checkpoint
-from repro.gateway.client import GatewayClient
-from repro.gateway.protocol import PROTOCOL_VERSION, VERBS
-from repro.gateway.server import GatewayServer
-from repro.gateway.twin import FleetTwin
+import importlib
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "VERBS",
-    "FleetTwin",
-    "GatewayClient",
-    "GatewayServer",
-    "load_checkpoint",
-    "save_checkpoint",
-]
+#: Public name -> the module that defines it.  Nothing is imported here:
+#: each name loads on first access (PEP 562), so a client process
+#: (:mod:`repro.gateway.client`, ``python -m repro.gateway client``)
+#: loads the standard library, :mod:`repro.errors` and
+#: :mod:`repro.gateway.protocol` only, never NumPy or the engine behind
+#: the server.
+_EXPORTS = {
+    "PROTOCOL_VERSION": "repro.gateway.protocol",
+    "VERBS": "repro.gateway.protocol",
+    "FleetTwin": "repro.gateway.twin",
+    "GatewayClient": "repro.gateway.client",
+    "GatewayServer": "repro.gateway.server",
+    "load_checkpoint": "repro.gateway.checkpoint",
+    "save_checkpoint": "repro.gateway.checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+        globals()[name] = value
+        return value
+    # A submodule not yet imported; importing binds it on this package.
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,16 +30,19 @@ import json
 import sys
 
 from repro.errors import ReproError
-from repro.faults.injector import chaos
-from repro.faults.plan import FaultPlan
 from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import VERBS
-from repro.gateway.server import GatewayServer
-from repro.obs.manifest import build_manifest
-from repro.obs.recorder import observed_run
 
 
 def _serve(args) -> int:
+    # The server's engine, chaos and observability stack load here, so
+    # ``client`` runs on the standard library alone.
+    from repro.faults.injector import chaos
+    from repro.faults.plan import FaultPlan
+    from repro.gateway.server import GatewayServer
+    from repro.obs.manifest import build_manifest
+    from repro.obs.recorder import observed_run
+
     plan = FaultPlan.from_json(args.chaos) if args.chaos else None
     server = GatewayServer(
         host=args.host, port=args.port, unix_path=args.unix

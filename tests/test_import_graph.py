@@ -88,6 +88,19 @@ spec = types.SimpleNamespace(
 (result,) = BatchedFleetEngine([(0, spec, 7)]).run()
 assert result.num_events == 20, result
 """
+#: A gateway client process, with numpy made unimportable.
+CLIENT_ONLY = """
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises
+from repro.gateway.client import GatewayClient
+from repro.gateway.__main__ import main
+
+try:
+    main(["client", "--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
 
 
 @functools.cache
@@ -203,6 +216,16 @@ def test_the_engine_runs_without_the_fleet_layer():
     loaded = loaded_modules(ENGINE_ONLY)
     above = [m for m in loaded if package_of(m) in ("fleet", "gateway", "campaign")]
     assert above == []
+
+
+def test_the_gateway_client_loads_no_engine():
+    """A client talks JSON over a socket: it runs without numpy and
+    loads none of the engine, fleet, fault or observability layers the
+    server runs on."""
+    loaded = loaded_modules(CLIENT_ONLY)
+    engine = [m for m in loaded if package_of(m) in ("sim", "fleet", "faults", "obs")]
+    assert engine == []
+    assert "repro.gateway.client" in loaded
 
 
 @pytest.mark.skipif(
