@@ -26,6 +26,19 @@ that loop's arithmetic:
   (``np.cumsum`` over float64 is a strict sequential left fold, so the
   fused prefix reproduces ``t += dt`` / ``level += stored`` exactly).
 
+A pass ends a lane's work only where the scalar loop crosses a power
+boundary.  At an event boundary a lane marks its whole run of
+consecutive busy-missed events and starts the next job's inference in
+the same pass; a powered-off lane's recharge run and stopping step may
+wake it, and a woken lane computes in the same pass; a compute run
+takes a first slice clamped at a full store in its stride (and the
+one-slice transient into a saturated store's fixed point), runs at most
+:data:`FUSE_HORIZON` slices and never past the job's remaining full
+slices; and the loop-top test that closes the pass closes every job it
+finished or ran past the deadline.  So a lane's pass ends at a shutdown,
+a clamp that starts or ends saturation, a full horizon or a job's close:
+city-block-1k runs 56 passes for its 3,475 scalar loop iterations.
+
 Determinism contract
 --------------------
 The batched form is **bit-identical** to :func:`run_job_scalar` driven by
@@ -80,12 +93,13 @@ _LOGICAL_TALLIES = (
     "shutdown_transitions",
 )
 
-#: Micro-steps a pure-numpy fused run may commit per pass and lane.  Long
-#: recharge runs on the profiled shapes span ~50-250 ``dt``'s between
-#: power transitions and saturated compute runs go longer still; 128 is
-#: the empirical sweet spot on the profiled city-block shape (64 pays
-#: too many passes, 256+ too much wasted tail past a run's first
-#: violation).
+#: Micro-steps a pure-numpy fused run may commit per pass and lane: the
+#: cap on a recharge run, and on a compute run, whose arrays are sized to
+#: the longest remaining job below it.  Long recharge runs on the
+#: profiled shapes span ~50-250 ``dt``'s between power transitions and
+#: saturated compute runs go longer still; 128 is the empirical sweet
+#: spot on the profiled city-block shape (64 pays too many passes, 256+
+#: too much wasted tail past a run's first violation).
 FUSE_HORIZON = 128
 
 
@@ -341,6 +355,17 @@ class IntermittentFleetKernel:
         later episode with :meth:`replay_episode` over the returned
         records.
 
+        Each pass runs, for every lane that needs them: the event
+        boundary (the lane's whole run of busy-missed events, then the
+        charge to the next event and its job start), one recharge run
+        and its stopping step, one compute run (at most
+        :data:`FUSE_HORIZON` slices) and its stopping step — a lane that
+        woke computes in the same pass — and the loop-top test, which
+        closes every job the pass finished or ran past the deadline.  A
+        lane's operations keep the scalar loop's order, so only the
+        number of passes (``intermittent.kernel_passes``) depends on
+        this schedule.
+
         ``part`` masks kernel rows; ``events`` / ``cum_at_event`` are
         ``(max_events, k)`` per-device columns; the five state columns are
         ``(k,)`` views the caller owns (mutated in place).  ``draws`` is
@@ -399,29 +424,69 @@ class IntermittentFleetKernel:
             n_rech, n_done = tally["recharge_lanes"], tally["completed"]
             n_dead = tally["deadline_misses"]
 
+        def close(k):
+            """The scalar loop-top test over in-flight lanes ``k``: close
+            each finished job (completion draws, records, ledger resume),
+            then each job past the deadline."""
+            done = work[k] <= _WORK_EPS
+            if done.any():
+                ci = k[done]
+                if prof is not None:
+                    n_done[ci] += 1
+                    steps_log[ci] += 1
+                correct, entropy = self._completion_draws(ci, draws)
+                e = ev[ci]
+                r_exit[e, ci] = self._job_exit[ci]
+                r_correct[e, ci] = correct
+                r_latency[e, ci] = t[ci] - start[ci]
+                r_energy[e, ci] = consumed[ci] + overhead[ci]
+                r_entropy[e, ci] = entropy
+                r_cycles[e, ci] = cycles[ci]
+                self._close_inference(
+                    ci, t, busy_until, t_charged, cum_charged, in_inf, ev
+                )
+                k = k[~done]
+            late = t[k] >= self._duration[k]
+            if late.any():
+                di = k[late]
+                if prof is not None:
+                    n_dead[di] += 1
+                    steps_log[di] += 1
+                e = ev[di]
+                r_reason[e, di] = REASON_ENERGY
+                r_latency[e, di] = t[di] - start[di]
+                r_cycles[e, di] = cycles[di]
+                self._close_inference(
+                    di, t, busy_until, t_charged, cum_charged, in_inf, ev
+                )
+
         pending = part & (ev < n_events)
         while pending.any():
             if prof is not None:
                 n_pass += 1
-            # ---- event boundaries: miss check, charge-to-event, job start
+            # ---- event boundaries: busy runs, charge-to-event, job start
             bnd = pending & ~in_inf
             if bnd.any():
-                bi = np.nonzero(bnd)[0]
-                if prof is not None:
-                    n_bnd[bi] += 1
-                te = events[ev[bi], bi]
-                busy = te < busy_until[bi]
+                go = np.nonzero(bnd)[0]
+                te = events[ev[go], go]
+                busy = te < busy_until[go]
                 if busy.any():
-                    mi = bi[busy]
-                    r_reason[ev[mi], mi] = REASON_BUSY
-                    ev[mi] += 1
+                    mi = go[busy]
+                    skipped = self._skip_busy(
+                        mi, events, n_events, busy_until, ev, r_reason
+                    )
                     if prof is not None:
-                        steps_log[mi] += 1
-                go = bi[~busy]
+                        n_bnd[mi] += skipped
+                        steps_log[mi] += skipped
+                    # A lane whose run of busy events ended before its
+                    # last event starts that event's job now.
+                    go = np.concatenate((go[~busy], mi[ev[mi] < n_events[mi]]))
+                    te = events[ev[go], go]
                 if go.size:
-                    te_go = te[~busy]
+                    if prof is not None:
+                        n_bnd[go] += 1
                     ce = cum_at_event[ev[go], go]
-                    charging = te_go > t_charged[go]
+                    charging = te > t_charged[go]
                     if charging.any():
                         cg = go[charging]
                         inc = np.maximum(ce[charging] - cum_charged[cg], 0.0)
@@ -429,124 +494,90 @@ class IntermittentFleetKernel:
                         if not self._no_leak:
                             self._leak(
                                 cg,
-                                te_go[charging] - t_charged[cg],
+                                te[charging] - t_charged[cg],
                                 level,
                                 leaked,
                             )
-                        t_charged[cg] = te_go[charging]
+                        t_charged[cg] = te[charging]
                         cum_charged[cg] = ce[charging]
                     work[go] = self._job_energy[go]
                     consumed[go] = 0.0
                     overhead[go] = 0.0
                     cycles[go] = 0
-                    t[go] = te_go
-                    start[go] = te_go
+                    t[go] = te
+                    start[go] = te
                     on[go] = level[go] > self._shutdown[go]
                     in_inf[go] = True
-            # ---- one multi-cycle loop iteration for in-flight inferences
-            inf = np.nonzero(in_inf & part)[0]
-            if inf.size:
-                # Loop-top termination test first, like the scalar while.
-                done = work[inf] <= _WORK_EPS
-                if done.any():
-                    ci = inf[done]
+                    # Loop-top test first, like the scalar while.
+                    close(go)
+            # ---- one multi-cycle loop iteration for in-flight inferences,
+            # then the next loop-top test, which closes the jobs it ended.
+            run = np.nonzero(in_inf)[0]
+            if run.size:
+                off = run[~on[run]]
+                if off.size:
+                    # Fused run: commit every consecutive recharge dt that
+                    # cannot wake, clamp, or cross the deadline, then take
+                    # the stopping step (wake / clamp handling) through
+                    # the one-step form.
+                    j_off = self._advance_recharge(off, level, t, charged, leaked)
                     if prof is not None:
-                        n_done[ci] += 1
-                        steps_log[ci] += 1
-                    correct, entropy = self._completion_draws(ci, draws)
-                    e = ev[ci]
-                    r_exit[e, ci] = self._job_exit[ci]
-                    r_correct[e, ci] = correct
-                    r_latency[e, ci] = t[ci] - start[ci]
-                    r_energy[e, ci] = consumed[ci] + overhead[ci]
-                    r_entropy[e, ci] = entropy
-                    r_cycles[e, ci] = cycles[ci]
-                    self._close_inference(
-                        ci, t, busy_until, t_charged, cum_charged, in_inf, ev
-                    )
-                act = inf[~done]
-                if act.size:
-                    late = t[act] >= self._duration[act]
-                    if late.any():
-                        di = act[late]
+                        n_rech[off] += j_off
+                        steps_log[off] += j_off
+                    ps = off[t[off] < self._duration[off]]
+                    if ps.size:
                         if prof is not None:
-                            n_dead[di] += 1
-                            steps_log[di] += 1
-                        e = ev[di]
-                        r_reason[e, di] = REASON_ENERGY
-                        r_latency[e, di] = t[di] - start[di]
-                        r_cycles[e, di] = cycles[di]
-                        self._close_inference(
-                            di, t, busy_until, t_charged, cum_charged, in_inf, ev
+                            n_rech[ps] += 1
+                            steps_log[ps] += 1
+                        self._recharge_step(
+                            ps,
+                            level,
+                            drawn,
+                            t,
+                            on,
+                            cycles,
+                            overhead,
+                            charged,
+                            leaked,
+                            wasted,
+                            tally=tally,
                         )
-                    run = act[~late]
-                    if run.size:
-                        on_run = on[run]
-                        off = run[~on_run]
-                        if off.size:
-                            # Fused run: commit every consecutive recharge
-                            # dt that cannot wake, clamp, or cross the
-                            # deadline, then take the stopping step (wake /
-                            # clamp handling) through the one-step form.
-                            j_off = self._advance_recharge(
-                                off, level, t, charged, leaked
-                            )
-                            if prof is not None:
-                                n_rech[off] += j_off
-                                steps_log[off] += j_off
-                            ps = off[t[off] < self._duration[off]]
-                            if ps.size:
-                                if prof is not None:
-                                    n_rech[ps] += 1
-                                    steps_log[ps] += 1
-                                self._recharge_step(
-                                    ps,
-                                    level,
-                                    drawn,
-                                    t,
-                                    on,
-                                    cycles,
-                                    overhead,
-                                    charged,
-                                    leaked,
-                                    wasted,
-                                    tally=tally,
-                                )
-                        comp = run[on_run]
-                        if comp.size:
-                            # Same shape for compute slices: the fused run
-                            # stops before any partial slice, affordability
-                            # clamp, or shutdown checkpoint.
-                            j_comp = self._advance_compute(
-                                comp, level, drawn, t, cycles, work,
-                                consumed, charged, leaked, wasted,
-                            )
-                            if prof is not None:
-                                n_comp[comp] += j_comp
-                                steps_log[comp] += j_comp
-                            cs = comp[
-                                (work[comp] > _WORK_EPS)
-                                & (t[comp] < self._duration[comp])
-                            ]
-                            if cs.size:
-                                if prof is not None:
-                                    n_comp[cs] += 1
-                                    steps_log[cs] += 1
-                                self._compute_step(
-                                    cs,
-                                    level,
-                                    drawn,
-                                    t,
-                                    on,
-                                    cycles,
-                                    work,
-                                    consumed,
-                                    overhead,
-                                    charged,
-                                    leaked,
-                                    wasted,
-                                    tally=tally,
-                                )
+                # A lane that just woke computes in the same pass.
+                comp = run[on[run]]
+                if comp.size:
+                    # Same shape for compute slices: the fused run stops
+                    # before any partial slice, affordability clamp, or
+                    # shutdown checkpoint.
+                    j_comp = self._advance_compute(
+                        comp, level, drawn, t, cycles, work,
+                        consumed, charged, leaked, wasted,
+                    )
+                    if prof is not None:
+                        n_comp[comp] += j_comp
+                        steps_log[comp] += j_comp
+                    cs = comp[
+                        (work[comp] > _WORK_EPS) & (t[comp] < self._duration[comp])
+                    ]
+                    if cs.size:
+                        if prof is not None:
+                            n_comp[cs] += 1
+                            steps_log[cs] += 1
+                        self._compute_step(
+                            cs,
+                            level,
+                            drawn,
+                            t,
+                            on,
+                            cycles,
+                            work,
+                            consumed,
+                            overhead,
+                            charged,
+                            leaked,
+                            wasted,
+                            tally=tally,
+                        )
+                close(run)
             pending = part & (in_inf | (ev < n_events))
         rec = {
             "exit": r_exit,
@@ -623,6 +654,37 @@ class IntermittentFleetKernel:
         return correct, entropy
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _skip_busy(mi, events, n_events, busy_until, ev, r_reason) -> np.ndarray:
+        """Mark each lane's run of consecutive busy-missed events.
+
+        Lanes ``mi`` are at an event that arrives while the device is still
+        busy.  Each lane's run reaches up to its first event at or after
+        ``busy_until`` (or its last event); every event of the run is
+        recorded as a busy miss and ``ev`` moves past it.  Windows of
+        each lane's next events double in width, so a run of ``r`` events
+        costs about ``log2(r)`` scans.  Returns the run lengths.
+        """
+        skipped = np.zeros(mi.size, np.int64)
+        last = events.shape[0] - 1
+        lanes = np.arange(mi.size)
+        width = 2
+        while lanes.size:
+            k = mi[lanes]
+            at = ev[k][:, None] + np.arange(width)
+            busy = at < n_events[k][:, None]
+            busy &= events[np.minimum(at, last), k[:, None]] < busy_until[k][:, None]
+            run = np.where(busy.all(axis=1), width, busy.argmin(axis=1))
+            marked = np.arange(width) < run[:, None]
+            r_reason[at[marked], np.broadcast_to(k[:, None], at.shape)[marked]] = (
+                REASON_BUSY
+            )
+            ev[k] += run
+            skipped[lanes] += run
+            lanes = lanes[run == width]
+            width *= 2
+        return skipped
+
     def _close_inference(
         self, k, t, busy_until, t_charged, cum_charged, in_inf, ev
     ) -> None:
@@ -712,27 +774,33 @@ class IntermittentFleetKernel:
 
         Mutates the state columns in place and returns committed
         micro-steps per lane.  ``overhead`` is untouched: a boring slice
-        never checkpoints.  Two fusable regimes exist:
+        never checkpoints.  A run is at most :data:`FUSE_HORIZON` slices
+        and never longer than the longest job's remaining full slices
+        (plus the partial slice that stops it), so the arrays are sized
+        to the work left.  Two fusable regimes exist:
 
-        * **free** — the capacity ``min`` never clamps, so the level is a
-          plain interleaved cumsum chain and ``wasted`` stays untouched;
+        * **free** — the capacity ``min`` clamps on the first slice at
+          most (a job that starts on a full store), so the level is a
+          plain interleaved cumsum chain and only that slice wastes;
         * **saturated** — harvest outpaces draw and *every* charge
-          clamps.  After the (per-step) transient, the post-draw level
-          reaches an exact bitwise fixed point ``L`` where each step
-          stores ``room = capacity - L``, leaks ``l``, draws a full
-          slice, and lands back on ``L`` — all per-lane constants, so
-          the ledgers are cumsum chains of constants (``wasted`` gets
-          the varying ``banked - room``) and the level provably never
-          moves.  Without this regime a saturated device pays one kernel
-          pass per micro-step and re-serializes the whole fleet.
+          clamps.  The post-draw level reaches an exact bitwise fixed
+          point ``L`` where each step stores ``room = capacity - L``,
+          leaks ``l``, draws a full slice, and lands back on ``L`` — all
+          per-lane constants, so the ledgers are cumsum chains of
+          constants (``wasted`` gets the varying ``banked - room``) and
+          the level provably never moves.  The run's first slice may be
+          the one-slice transient into ``L`` (a lane entering saturation
+          from below lands a rounding step away from it), stored with
+          its own room.  Without this regime a saturated device pays one
+          kernel pass per micro-step and re-serializes the whole fleet.
         """
         fresh = comp[cycles[comp] == 0]
         if fresh.size:
             cycles[fresh] = 1  # started on the initial charge, no restore
-        horizon = FUSE_HORIZON
         n = comp.size
         step_work = self._active_power[comp] * self._dt[comp]
         step_time = step_work / self._active_power[comp]
+        horizon = min(FUSE_HORIZON, int((work[comp] / step_work).max()) + 1)
         sw = step_work[:, None]
         # Time + remaining-work chains share one stacked cumsum dispatch.
         tw = np.empty((2 * n, horizon + 1))
@@ -748,10 +816,16 @@ class IntermittentFleetKernel:
         ).reshape(n, horizon + 1)
         banked = (cum[:, 1:] - cum[:, :-1]) * self._efficiency[comp, None]
         lost = (self._leakage[comp] * step_time)[:, None]
+        lvl0 = level[comp]
+        room0 = self._capacity[comp] - lvl0
+        # The first slice stores what the scalar ``min`` lets it, so a job
+        # starting on a full store runs on past its clamped first slice.
+        stored = banked.copy()
+        stored[:, 0] = np.minimum(banked[:, 0], room0)
         # Free-regime level chain with three slots per step.
         chain = np.empty((n, 3 * horizon + 1))
-        chain[:, 0] = level[comp]
-        chain[:, 1::3] = banked
+        chain[:, 0] = lvl0
+        chain[:, 1::3] = stored
         chain[:, 2::3] = -lost
         chain[:, 3::3] = -sw
         np.cumsum(chain, axis=1, out=chain)
@@ -761,8 +835,9 @@ class IntermittentFleetKernel:
         prev = chain[:, 0:-1:3]  # post-draw level entering each step
         late = tch[:, :-1] >= self._duration[comp, None]  # deadline check
         partial = wch[:, :-1] < sw  # partial (or finished) slice
-        viol = partial | late
-        viol |= banked > self._capacity[comp, None] - prev  # capacity clamp
+        viol = banked > self._capacity[comp, None] - prev  # capacity clamp
+        viol[:, 0] = False  # the first slice's clamp is exact
+        viol |= partial | late
         viol |= post_charge < lost  # leak min() clamp
         viol |= post_leak < sw  # affordability epsilon / max(0) draw guard
         viol |= (wch[:, 1:] > _WORK_EPS) & (
@@ -770,62 +845,60 @@ class IntermittentFleetKernel:
         )  # shutdown transition
         j = np.where(viol.any(axis=1), viol.argmax(axis=1), horizon)
         # Saturated regime: replay one clamped scalar step from the
-        # entering level; a lane whose post-draw level lands exactly back
-        # on it is at the fixed point and fuses on constants.
-        lvl0 = level[comp]
-        room = self._capacity[comp] - lvl0
-        sat_charge = lvl0 + room
+        # entering level to ``L``, and a second from ``L``; a lane whose
+        # second step lands exactly back on ``L`` fuses on constants from
+        # its first slice on.
         l1 = lost[:, 0]
-        sat_leak = sat_charge - l1
-        sat_draw = sat_leak - step_work
-        fp = (banked[:, 0] > room) & (sat_charge >= l1)
-        fp &= (sat_leak >= step_work) & (sat_draw == lvl0)
-        has_fp = bool(fp.any())
-        if has_fp:
-            sviol = partial | late
-            sviol |= banked < room[:, None]  # clamp releases: regime ends
+        charge0 = lvl0 + room0
+        fixed = charge0 - l1 - step_work
+        room = self._capacity[comp] - fixed
+        charge1 = fixed + room
+        fp = (banked[:, 0] > room0) & (charge0 >= l1) & (charge0 - l1 >= step_work)
+        fp &= (charge1 >= l1) & (charge1 - l1 >= step_work)
+        fp &= charge1 - l1 - step_work == fixed
+        sat = fp
+        if fp.any():
+            release = banked < room[:, None]  # clamp releases: regime ends
+            release[:, 0] = False  # the first slice clamps (``fp``)
+            sviol = partial | late | release
             sviol |= (wch[:, 1:] > _WORK_EPS) & (
-                sat_draw <= self._shutdown[comp]
+                fixed <= self._shutdown[comp]
             )[:, None]  # shutdown at the fixed point
             j_sat = np.where(sviol.any(axis=1), sviol.argmax(axis=1), horizon)
-            j = np.where(fp, j_sat, j)
+            # A lane takes whichever regime commits more; past its first
+            # slice a saturated lane stores ``room``.
+            sat = fp & (j_sat > j)
+            stored[sat, 1:] = room[sat, None]
+            j = np.where(sat, j_sat, j)
         lanes = np.arange(n)
-        level[comp] = np.where(fp, lvl0, chain[lanes, 3 * j])
+        level[comp] = np.where(sat, fixed, chain[lanes, 3 * j])
         t[comp] = tch[lanes, j]
         work[comp] = wch[lanes, j]
-        # Three-to-five ledgers, one stacked cumsum: drawn/consumed add
-        # the full slice, charged the (possibly clamped) stored energy,
-        # leaked (when the fleet leaks at all) the constant loss, and
-        # wasted — saturated lanes only — the clamped-off
-        # ``banked - room``.
-        m = 3 + (not self._no_leak) + has_fp
+        # Four or five ledgers, one stacked cumsum: drawn/consumed add the
+        # full slice, charged the stored energy, wasted the clamped-off
+        # ``banked - stored`` (exactly 0.0 on an unclamped slice, as in
+        # the scalar ledger), and leaked (when the fleet leaks at all) the
+        # constant loss.
+        m = 4 + (not self._no_leak)
         led = np.empty((m * n, horizon + 1))
         led[:n, 0] = drawn[comp]
         led[:n, 1:] = sw
         led[n:2 * n, 0] = consumed[comp]
         led[n:2 * n, 1:] = sw
         led[2 * n:3 * n, 0] = charged[comp]
-        led[2 * n:3 * n, 1:] = (
-            np.where(fp[:, None], room[:, None], banked) if has_fp else banked
-        )
-        row = 3 * n
+        led[2 * n:3 * n, 1:] = stored
+        led[3 * n:4 * n, 0] = wasted[comp]
+        np.subtract(banked, stored, out=led[3 * n:4 * n, 1:])
         if not self._no_leak:
-            led[row:row + n, 0] = leaked[comp]
-            led[row:row + n, 1:] = lost
-            row += n
-        if has_fp:
-            led[row:, 0] = wasted[comp]
-            led[row:, 1:] = banked - room[:, None]
+            led[4 * n:, 0] = leaked[comp]
+            led[4 * n:, 1:] = lost
         np.cumsum(led, axis=1, out=led)
         drawn[comp] = led[lanes, j]
         consumed[comp] = led[n + lanes, j]
         charged[comp] = led[2 * n + lanes, j]
+        wasted[comp] = led[3 * n + lanes, j]
         if not self._no_leak:
-            leaked[comp] = led[3 * n + lanes, j]
-        if has_fp:
-            wasted[comp] = np.where(
-                fp, led[(m - 1) * n + lanes, j], wasted[comp]
-            )
+            leaked[comp] = led[4 * n + lanes, j]
         return j
 
     def _recharge_step(
