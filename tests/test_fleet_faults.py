@@ -285,39 +285,50 @@ class TestPooledChaos:
     def test_sigkill_a_pool_child_mid_run(self):
         """The integration test: a child process is SIGKILLed from outside
         mid-dispatch; the fleet must complete bit-identically with the
-        retries visible in counters (and the pool must not wedge)."""
-        # Slow devices (20k events of q-learning each, ~0.4s per chunk)
-        # keep both workers busy long enough that the kill lands mid-chunk.
+        retries visible in counters (and the pool must not wedge).  A
+        kill-free control run of the same runner and policy records no
+        timeout and no retry, so the killed run's counters can only come
+        from the kill."""
+        # Each 2-device chunk (3k events of q-learning a device) runs in
+        # ~0.2 s, a tenth of the 2 s watchdog; the four chunks keep both
+        # workers busy for ~0.5 s, so the kill lands mid-chunk.
         devices = [
             DeviceSpec(
                 name=f"slow-{i}",
                 trace={
                     "family": "solar",
-                    "duration": 40000.0,
+                    "duration": 6000.0,
                     "dt": 1.0,
                     "peak_mw": 0.03,
                 },
                 controller={"kind": "qlearning"},
-                events={"kind": "uniform", "count": 20000},
+                events={"kind": "uniform", "count": 3000},
             )
             for i in range(8)
         ]
         spec = FleetSpec(name="sigkill", seed=21, devices=devices)
         clean = run_clean(spec)
 
-        # A SIGKILL can take the pool's shared task-queue lock down with
-        # the worker, wedging every later dispatch — the ladder then walks
-        # each chunk down to the in-parent serial attempt.  A short
-        # watchdog keeps that worst case fast; recovery must still be
-        # bit-identical.
-        def run_with_assassin():
-            runner = FleetRunner(
+        def runner():
+            return FleetRunner(
                 spec,
                 workers=2,
                 parallel_threshold=1,
                 chunksize=2,
-                retry=RetryPolicy(max_retries=1, worker_timeout=0.5, backoff_s=0.0),
+                retry=RetryPolicy(max_retries=1, worker_timeout=2.0, backoff_s=0.0),
             )
+
+        with recording(Recorder(metrics=True)) as rec:
+            result = runner().run()
+        assert aggregate_of(result) == clean
+        assert rec.metrics.counter_value("fleet.retry.timeouts") == 0
+        assert rec.metrics.counter_value("fleet.retry.attempts") == 0
+
+        # A SIGKILL can take the pool's shared task-queue lock down with
+        # the worker, wedging every later dispatch — the ladder then walks
+        # each chunk down to the in-parent serial attempt.  Recovery must
+        # still be bit-identical.
+        def run_with_assassin():
             stop = threading.Event()
 
             def assassin():
@@ -336,7 +347,7 @@ class TestPooledChaos:
             with recording(Recorder(metrics=True)) as rec:
                 thread.start()
                 try:
-                    result = runner.run()
+                    result = runner().run()
                 finally:
                     stop.set()
                     thread.join()
