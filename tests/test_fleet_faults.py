@@ -290,8 +290,10 @@ class TestPooledChaos:
         timeout and no retry, so the killed run's counters can only come
         from the kill."""
         # Each 2-device chunk (3k events of q-learning a device) runs in
-        # ~0.2 s, a tenth of the 2 s watchdog; the four chunks keep both
-        # workers busy for ~0.5 s, so the kill lands mid-chunk.
+        # ~0.2 s. All four are dispatched at once, so a chunk's watchdog
+        # clock includes its wait behind another; the kill-free run takes
+        # ~0.55 s, under a fifth of the 3 s watchdog.  The chunks keep both
+        # workers busy for that long, so the kill lands mid-chunk.
         devices = [
             DeviceSpec(
                 name=f"slow-{i}",
@@ -315,7 +317,7 @@ class TestPooledChaos:
                 workers=2,
                 parallel_threshold=1,
                 chunksize=2,
-                retry=RetryPolicy(max_retries=1, worker_timeout=2.0, backoff_s=0.0),
+                retry=RetryPolicy(max_retries=1, worker_timeout=3.0, backoff_s=0.0),
             )
 
         with recording(Recorder(metrics=True)) as rec:
