@@ -549,8 +549,16 @@ class IntermittentFleetKernel:
                     # before any partial slice, affordability clamp, or
                     # shutdown checkpoint.
                     j_comp = self._advance_compute(
-                        comp, level, drawn, t, cycles, work,
-                        consumed, charged, leaked, wasted,
+                        comp,
+                        level,
+                        drawn,
+                        t,
+                        cycles,
+                        work,
+                        consumed,
+                        charged,
+                        leaked,
+                        wasted,
                     )
                     if prof is not None:
                         n_comp[comp] += j_comp
@@ -675,10 +683,8 @@ class IntermittentFleetKernel:
             busy = at < n_events[k][:, None]
             busy &= events[np.minimum(at, last), k[:, None]] < busy_until[k][:, None]
             run = np.where(busy.all(axis=1), width, busy.argmin(axis=1))
-            marked = np.arange(width) < run[:, None]
-            r_reason[at[marked], np.broadcast_to(k[:, None], at.shape)[marked]] = (
-                REASON_BUSY
-            )
+            row, col = np.nonzero(np.arange(width) < run[:, None])
+            r_reason[at[row, col], k[row]] = REASON_BUSY
             ev[k] += run
             skipped[lanes] += run
             lanes = lanes[run == width]

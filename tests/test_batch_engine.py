@@ -251,7 +251,8 @@ class TestIntermittentEquivalence:
         tails = []
         for i, device in enumerate(spec.devices):
             run = _scalar_episodes(i, device, spec.seed)[-1]
-            marks = "".join("b" if r.miss_reason == "busy" else "." for r in run.records)
+            busy = [r.miss_reason == "busy" for r in run.records]
+            marks = "".join("b" if b else "." for b in busy)
             assert "bbb" in marks
             tails.append(marks.endswith("bb"))
         assert any(tails)
