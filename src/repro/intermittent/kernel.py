@@ -806,7 +806,7 @@ class IntermittentFleetKernel:
         n = comp.size
         step_work = self._active_power[comp] * self._dt[comp]
         step_time = step_work / self._active_power[comp]
-        horizon = min(FUSE_HORIZON, int((work[comp] / step_work).max()) + 1)
+        horizon = int(min(FUSE_HORIZON - 1, (work[comp] / step_work).max())) + 1
         sw = step_work[:, None]
         # Time + remaining-work chains share one stacked cumsum dispatch.
         tw = np.empty((2 * n, horizon + 1))
