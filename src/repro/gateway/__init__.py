@@ -43,6 +43,7 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
+    """Resolve a public name, or a submodule, on first access."""
     module = _EXPORTS.get(name)
     if module is not None:
         value = getattr(importlib.import_module(module), name)
