@@ -17,10 +17,9 @@ rebuilt from checkpoints is byte-identical to the one produced live.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ConfigError
 from repro.sim.results import reduce_summaries, summary_delta
+from repro.store import write_json
 
 #: Fleet-aggregate metrics the comparative reductions run over.
 COMPARE_METRICS = (
@@ -167,7 +166,7 @@ class CampaignResult:
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            write_json(fh, self.to_dict())
             fh.write("\n")
 
     def render_text(self) -> str:

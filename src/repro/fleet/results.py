@@ -31,82 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sim.results import DeviceResult, percentile_dict
-from repro.store import seal, unseal
-
-
-#: Scalar DeviceResult fields, one list column each in the packed form,
-#: in (attribute, type) order.
-_PACK_SCALARS = (
-    ("index", int), ("num_events", int), ("num_processed", int),
-    ("num_missed", int), ("num_correct", int),
-    ("iepmj", float), ("average_accuracy", float),
-    ("processed_accuracy", float), ("mean_latency_s", float),
-    ("mean_inference_energy_mj", float),
-    ("total_env_energy_mj", float), ("total_consumed_mj", float),
-    ("duration_s", float), ("episodes", int), ("wall_s", float),
+# The packed form lives with DeviceResult in repro.sim.results; it stays
+# importable from here, where pool, shard and test code address it.
+from repro.sim.results import (
+    DeviceColumns,
+    DeviceResult,
+    _unpack_dict_column,
+    pack_device_results as pack_device_results,
+    percentile_dict,
+    unpack_device_results as unpack_device_results,
 )
-
-#: Dict-valued DeviceResult fields, packed as key list + value rows.
-_PACK_DICTS = (
-    ("latency_percentiles", float),
-    ("energy_percentiles", float),
-    ("harvest_percentiles", float),
-    ("miss_counts", int),
-)
-
-
-def _pack_dict_column(dicts, caster):
-    """Pack per-device dicts; one (keys, rows) table when keys align."""
-    keys = list(dicts[0])
-    if all(list(d) == keys for d in dicts):
-        return {"keys": keys, "values": [[caster(d[k]) for k in keys] for d in dicts]}
-    return {"raw": [dict(d) for d in dicts]}
-
-
-def _unpack_dict_column(packed, i, caster):
-    if "raw" in packed:
-        return dict(packed["raw"][i])
-    return {k: caster(v) for k, v in zip(packed["keys"], packed["values"][i])}
-
-
-def pack_device_results(results) -> dict:
-    """Column form of a list of :class:`DeviceResult`: plain int/float lists.
-
-    The one packed form of device results: shard artifacts store it and
-    pool chunks ship it, both sealed by :mod:`repro.store`.  Python's
-    ``json`` writes floats via ``repr``, which round-trips every float
-    bit-exactly, so ``unpack_device_results(pack_device_results(rs))``
-    reproduces every field bit-for-bit, through JSON or a pickle.
-    Exit histograms are zero-padded to the widest one, with the true
-    widths alongside.
-    """
-    out = {"n": len(results), "names": [r.name for r in results],
-           "profiles": [r.profile for r in results]}
-    for attr, caster in _PACK_SCALARS:
-        out[attr] = [caster(getattr(r, attr)) for r in results]
-    for attr, caster in _PACK_DICTS:
-        out[attr] = _pack_dict_column([getattr(r, attr) for r in results], caster)
-    counts = [r.exit_counts for r in results]
-    width = max((len(c) for c in counts), default=0)
-    out["exit_counts"] = [[int(x) for x in c] + [0] * (width - len(c)) for c in counts]
-    out["exit_widths"] = [len(c) for c in counts]
-    return out
-
-
-def unpack_device_results(packed: dict) -> list:
-    """Rebuild :class:`DeviceResult` objects from the packed form."""
-    results = []
-    for i in range(packed["n"]):
-        fields = {"name": packed["names"][i], "profile": packed["profiles"][i]}
-        for attr, caster in _PACK_SCALARS:
-            fields[attr] = caster(packed[attr][i])
-        for attr, caster in _PACK_DICTS:
-            fields[attr] = _unpack_dict_column(packed[attr], i, caster)
-        width = packed["exit_widths"][i]
-        fields["exit_counts"] = [int(c) for c in packed["exit_counts"][i][:width]]
-        results.append(DeviceResult(**fields))
-    return results
+from repro.store import ColumnRows, seal, unseal, write_json
 
 
 def seal_payload(packed: dict) -> dict:
@@ -276,13 +211,8 @@ class FleetResult:
             out["failures"] = [f.to_dict() for f in self.failures]
         return out
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        """JSON-safe report: the aggregate plus one row per device;
-        ``include_timing`` adds the wall-clock section."""
-        out = {
-            "aggregate": self.aggregate(),
-            "devices": [d.to_dict(include_timing) for d in self.devices],
-        }
+    def _report(self, devices, include_timing: bool) -> dict:
+        out = {"aggregate": self.aggregate(), "devices": devices}
         if include_timing:
             out["timing"] = {
                 "workers": self.workers,
@@ -291,12 +221,27 @@ class FleetResult:
             }
         return out
 
-    def to_json(self, path: str, include_timing: bool = False) -> None:
-        """Write :meth:`to_dict` as canonical JSON to ``path``."""
-        import json
+    def to_dict(self, include_timing: bool = False) -> dict:
+        """JSON-safe report: the aggregate plus one row per device;
+        ``include_timing`` adds the wall-clock section."""
+        rows = [d.to_dict(include_timing) for d in self.devices]
+        return self._report(rows, include_timing)
 
+    def to_json(self, path: str, include_timing: bool = False) -> None:
+        """Write :meth:`to_dict` as canonical JSON to ``path``.
+
+        The bytes are ``json.dump(self.to_dict(include_timing), fh,
+        indent=2, sort_keys=True)``'s; the device rows are encoded from
+        the packed columns, a block at a time
+        (:class:`repro.store.ColumnRows`), without building their dicts.
+        """
+        columns = DeviceColumns.from_results(self.devices)
+        rows = ColumnRows(
+            len(columns),
+            lambda start, stop: columns.report_columns(include_timing, start, stop),
+        )
         with open(path, "w") as fh:
-            json.dump(self.to_dict(include_timing), fh, indent=2, sort_keys=True)
+            write_json(fh, self._report(rows, include_timing))
 
 
 class ShardAggregator:

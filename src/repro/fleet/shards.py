@@ -85,6 +85,7 @@ from repro.store import (
     publish_once,
     quarantine,
     read_sealed,
+    write_json,
 )
 
 #: Default lease time-to-live.  There is no lease renewal: the TTL must
@@ -723,9 +724,9 @@ class ShardedFleetResult:
         return out
 
     def to_json(self, path: str, include_timing: bool = False) -> None:
-        """Write :meth:`to_dict` as JSON to ``path``."""
+        """Write :meth:`to_dict` as canonical JSON to ``path``."""
         with open(path, "w") as fh:
-            json.dump(self.to_dict(include_timing), fh, indent=2, sort_keys=True)
+            write_json(fh, self.to_dict(include_timing))
             fh.write("\n")
 
 

@@ -19,6 +19,7 @@ the aggregates — edits to a snapshot do not flow back into the columns).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -560,4 +561,202 @@ class DeviceResult:
         }
         if include_timing:
             out["wall_s"] = self.wall_s
+        return out
+
+
+# ---------------------------------------------------------------------- #
+# The packed form
+# ---------------------------------------------------------------------- #
+#: Scalar DeviceResult fields, one list column each in the packed form,
+#: in (attribute, type) order.
+_PACK_SCALARS = (
+    ("index", int), ("num_events", int), ("num_processed", int),
+    ("num_missed", int), ("num_correct", int),
+    ("iepmj", float), ("average_accuracy", float),
+    ("processed_accuracy", float), ("mean_latency_s", float),
+    ("mean_inference_energy_mj", float),
+    ("total_env_energy_mj", float), ("total_consumed_mj", float),
+    ("duration_s", float), ("episodes", int), ("wall_s", float),
+)
+
+#: Dict-valued DeviceResult fields, packed as key list + value rows.
+_PACK_DICTS = (
+    ("latency_percentiles", float),
+    ("energy_percentiles", float),
+    ("harvest_percentiles", float),
+    ("miss_counts", int),
+)
+
+#: (row key, packed column) of every plain value in a
+#: :meth:`DeviceResult.to_dict` row but ``wall_s``.
+_ROW_COLUMNS = (
+    ("index", "index"), ("name", "names"), ("profile", "profiles"),
+    ("events", "num_events"), ("processed", "num_processed"),
+    ("missed", "num_missed"), ("correct", "num_correct"),
+    ("iepmj", "iepmj"), ("average_accuracy", "average_accuracy"),
+    ("processed_accuracy", "processed_accuracy"),
+    ("mean_latency_s", "mean_latency_s"),
+    ("mean_inference_energy_mj", "mean_inference_energy_mj"),
+    ("total_env_energy_mj", "total_env_energy_mj"),
+    ("total_consumed_mj", "total_consumed_mj"),
+    ("duration_s", "duration_s"), ("episodes", "episodes"),
+)
+
+
+def pack_dict_column(dicts, caster) -> dict:
+    """Pack per-device dicts: one ``{"keys", "values"}`` table when every
+    dict has the same keys in the same order, else ``{"raw": dicts}``."""
+    keys = list(dicts[0]) if dicts else []
+    if all(list(d) == keys for d in dicts):
+        return {"keys": keys, "values": [[caster(d[k]) for k in keys] for d in dicts]}
+    return {"raw": [dict(d) for d in dicts]}
+
+
+def _unpack_dict_column(packed, i, caster):
+    if "raw" in packed:
+        return dict(packed["raw"][i])
+    return {k: caster(v) for k, v in zip(packed["keys"], packed["values"][i])}
+
+
+def _join_dict_columns(columns) -> dict:
+    """One packed dict column over ``columns`` (canonical, non-empty), in
+    order: what :func:`pack_dict_column` gives their concatenated dicts."""
+    keys = columns[0].get("keys")
+    if all(c.get("keys") == keys for c in columns):
+        return {"keys": keys, "values": [row for c in columns for row in c["values"]]}
+    raw = []
+    for c in columns:
+        if "raw" in c:
+            raw.extend(c["raw"])
+        else:
+            raw.extend(dict(zip(c["keys"], row)) for row in c["values"])
+    return {"raw": raw}
+
+
+def _dict_block(column, start: int, stop: int):
+    """Rows ``start``..``stop - 1`` of a packed dict column, as a
+    report column: the row dicts (``raw``) or one value list per key."""
+    if "raw" in column:
+        return column["raw"][start:stop]
+    values = column["values"][start:stop]
+    return {key: [row[j] for row in values] for j, key in enumerate(column["keys"])}
+
+
+def pack_device_results(results) -> dict:
+    """The packed form of device results: plain int/float list columns.
+
+    ``results`` is a list of :class:`DeviceResult` (or a
+    :class:`DeviceColumns`, whose packed form is returned as it is).
+    Shard artifacts store this form and pool chunks ship it, both sealed
+    by :mod:`repro.store`.  Python's ``json`` writes floats via ``repr``,
+    which round-trips every float bit-exactly, so
+    ``unpack_device_results(pack_device_results(rs))`` reproduces every
+    field bit-for-bit, through JSON or a pickle.  Exit histograms are
+    zero-padded to the widest one, with the true widths alongside.
+    """
+    if isinstance(results, DeviceColumns):
+        return results.packed
+    out = {"n": len(results), "names": [r.name for r in results],
+           "profiles": [r.profile for r in results]}
+    for attr, caster in _PACK_SCALARS:
+        out[attr] = [caster(getattr(r, attr)) for r in results]
+    for attr, caster in _PACK_DICTS:
+        out[attr] = pack_dict_column([getattr(r, attr) for r in results], caster)
+    counts = [r.exit_counts for r in results]
+    width = max((len(c) for c in counts), default=0)
+    out["exit_counts"] = [[int(x) for x in c] + [0] * (width - len(c)) for c in counts]
+    out["exit_widths"] = [len(c) for c in counts]
+    return out
+
+
+def _unpack_row(packed: dict, i: int) -> DeviceResult:
+    fields = {"name": packed["names"][i], "profile": packed["profiles"][i]}
+    for attr, caster in _PACK_SCALARS:
+        fields[attr] = caster(packed[attr][i])
+    for attr, caster in _PACK_DICTS:
+        fields[attr] = _unpack_dict_column(packed[attr], i, caster)
+    width = packed["exit_widths"][i]
+    fields["exit_counts"] = [int(c) for c in packed["exit_counts"][i][:width]]
+    return DeviceResult(**fields)
+
+
+def unpack_device_results(packed: dict) -> list:
+    """Rebuild :class:`DeviceResult` objects from the packed form."""
+    return [_unpack_row(packed, i) for i in range(packed["n"])]
+
+
+class DeviceColumns(Sequence):
+    """Device results in their packed form, read as a sequence of rows.
+
+    ``packed`` is the plain-list column dict :func:`pack_device_results`
+    builds (see there); this is the form
+    :meth:`repro.sim.batch.BatchedFleetEngine.finalize` emits, pool
+    chunks seal, shard artifacts store and fleet reports are written
+    from.  Indexing or iterating builds :class:`DeviceResult` rows on
+    demand; :meth:`join` concatenates parts without building any.
+    """
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: dict):
+        self.packed = packed
+
+    @classmethod
+    def from_results(cls, results) -> "DeviceColumns":
+        """The packed columns of a list of :class:`DeviceResult`."""
+        return cls(pack_device_results(results))
+
+    @classmethod
+    def join(cls, parts) -> "DeviceColumns":
+        """``parts`` (each in device order) concatenated in order: the
+        packed form :func:`pack_device_results` gives their rows, built
+        column by column.  A dict column keeps its ``keys`` table only
+        when every part has the same keys, and exit histograms are
+        re-padded to the widest part."""
+        packs = [part.packed for part in parts if part.packed["n"]]
+        if len(packs) == 1:
+            return cls(packs[0])
+        if not packs:
+            return cls(pack_device_results([]))
+        out = {"n": sum(p["n"] for p in packs)}
+        for key in ("names", "profiles", *(attr for attr, _ in _PACK_SCALARS)):
+            out[key] = [value for p in packs for value in p[key]]
+        for attr, _ in _PACK_DICTS:
+            out[attr] = _join_dict_columns([p[attr] for p in packs])
+        width = max(len(p["exit_counts"][0]) for p in packs)
+        out["exit_counts"] = [
+            row if len(row) == width else row + [0] * (width - len(row))
+            for p in packs for row in p["exit_counts"]
+        ]
+        out["exit_widths"] = [w for p in packs for w in p["exit_widths"]]
+        return cls(out)
+
+    def __len__(self) -> int:
+        return self.packed["n"]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("device index out of range")
+        return _unpack_row(self.packed, i % n)
+
+    def __iter__(self):
+        return (_unpack_row(self.packed, i) for i in range(len(self)))
+
+    def report_columns(self, include_timing: bool, start: int, stop: int) -> dict:
+        """Rows ``start``..``stop - 1`` of :meth:`DeviceResult.to_dict`,
+        as :class:`repro.store.ColumnRows` reads them: one list of
+        values (or one nested mapping) per row key."""
+        p = self.packed
+        out = {key: p[attr][start:stop] for key, attr in _ROW_COLUMNS}
+        if include_timing:
+            out["wall_s"] = p["wall_s"][start:stop]
+        for attr, _ in _PACK_DICTS:
+            out[attr] = _dict_block(p[attr], start, stop)
+        out["exit_counts"] = [
+            row[:width] for row, width in
+            zip(p["exit_counts"][start:stop], p["exit_widths"][start:stop])
+        ]
         return out

@@ -1,4 +1,4 @@
-"""Sealed JSON artifacts: the one module that knows their format.
+"""Sealed JSON artifacts and the canonical JSON text they are written in.
 
 Campaign cells (:mod:`repro.campaign.store`), shard-ledger artifacts
 (:mod:`repro.fleet.shards`) and gateway checkpoints
@@ -11,17 +11,31 @@ the verified read (:func:`read_sealed`) and the quarantine move
 (:func:`quarantine`) — so callers only map their keys to paths and name
 their chaos sites.  Pool chunks (:mod:`repro.fleet.runner`) cross the
 process boundary as :func:`seal` bodies and are checked with
-:func:`unseal`.  It sits below every package that writes artifacts and
-loads only :mod:`repro.errors` and the fault injector.
+:func:`unseal`.
+
+It also owns the canonical JSON *text* every artifact and report file is
+written in: :func:`write_json` (and :func:`canonical_json`, its string
+form) writes exactly what ``json.dump(value, fh, indent=2,
+sort_keys=True)`` writes.  ``indent`` sends the json module to its
+pure-Python encoder, a generator per container that yields a token at a
+time; this encoder builds each container's text with one ``join`` and
+encodes a list of plain ints, floats or strings with one ``map``.  A
+:class:`ColumnRows` value — a JSON array of objects held as columns, the
+shape of a fleet report's device rows — is encoded a block of rows at a
+time, through one ``%`` template per block, without building the row
+dicts.  It sits below every package that writes artifacts and loads
+only :mod:`repro.errors` and the fault injector.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from typing import Optional
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Callable, Optional
 
 from repro.errors import ConfigError, CorruptArtifactError, IntegrityError
 from repro.faults.injector import get_fault_injector
@@ -35,13 +49,197 @@ LOAD_ATTEMPTS = 4
 #: that holds them (``cells/x.json`` → ``quarantine/x.json``).
 QUARANTINE_DIR = "quarantine"
 
+#: Rows of a :class:`ColumnRows` value encoded (and written) at a time.
+ROW_BLOCK = 256
+
+_INDENT = "  "
+_INF = float("inf")
+
+
+class ColumnRows:
+    """A JSON array of objects, held as columns until it is encoded.
+
+    ``columns(start, stop)`` returns rows ``start``..``stop - 1`` as a
+    mapping from each object key to either a list of that key's values,
+    one per row, or a nested mapping of the same kind (an object whose
+    keys every row shares).  :func:`write_json` encodes the array a
+    :data:`ROW_BLOCK` of rows at a time, as the list of row dicts would
+    encode, so the rows never exist as dicts and the text of the whole
+    array never exists as one string.
+    """
+
+    __slots__ = ("n", "columns")
+
+    def __init__(self, n: int, columns: Callable[[int, int], dict]):
+        self.n = int(n)
+        self.columns = columns
+
+    def _chunks(self, level: int):
+        if not self.n:
+            yield "[]"
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        yield "[" + inner
+        for start in range(0, self.n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, self.n)
+            rows = _rows_text(self.columns(start, stop), stop - start, level + 1)
+            yield ("," + inner).join(rows)
+            if stop < self.n:
+                yield "," + inner
+        yield "\n" + _INDENT * level + "]"
+
+
+def _float_text(value) -> str:
+    """A float as ``json`` writes it (``repr``, or its non-finite names)."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: strings as they are, and
+    floats, bools, None and ints by their JSON spelling, in quotes."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _float_text(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return _encode_str(key)
+
+
+def _items_text(values, level: int) -> list:
+    """The text of each of ``values``, each placed at ``level``.
+
+    A list of plain floats, ints or strings (exact types: bools and
+    numpy scalars take the general path) encodes in one ``map``.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if all(map(math.isfinite, values)):
+            return list(map(float.__repr__, values))
+        return list(map(_float_text, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(_encode_str, values))
+    return [_text(value, level) for value in values]
+
+
+def _text(value, level: int) -> str:
+    """``value``'s canonical JSON text, its first line at ``level``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        items = _items_text(value, level + 1)
+        return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + _INDENT * (level + 1)
+        items = [
+            _key_text(key) + ": " + _text(item, level + 1)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "}"
+    raise TypeError(
+        f"Object of type {value.__class__.__name__} is not JSON serializable"
+    )
+
+
+def _row_template(columns: dict, level: int) -> tuple:
+    """``(template, leaves)`` for rows of ``columns`` placed at ``level``:
+    the row text with a ``%s`` for every leaf column, and the leaf
+    columns with the level their values sit at, in template order."""
+    if not columns:
+        return "{}", []
+    inner = "\n" + _INDENT * (level + 1)
+    parts, leaves = [], []
+    for key, column in sorted(columns.items()):
+        head = _key_text(key).replace("%", "%%") + ": "
+        if isinstance(column, dict):
+            sub, sub_leaves = _row_template(column, level + 1)
+            parts.append(head + sub)
+            leaves.extend(sub_leaves)
+        else:
+            parts.append(head + "%s")
+            leaves.append((column, level + 1))
+    text = "{" + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + "}"
+    return text, leaves
+
+
+def _rows_text(columns: dict, n: int, level: int) -> list:
+    """The text of each of ``n`` rows given as ``columns``, at ``level``."""
+    template, leaves = _row_template(columns, level)
+    if not leaves:
+        return [template % ()] * n
+    texts = [_items_text(column, column_level) for column, column_level in leaves]
+    return [template % row for row in zip(*texts)]
+
+
+def _chunks(value, level: int):
+    """Canonical JSON text of ``value`` in pieces; :class:`ColumnRows`
+    values (at any depth of dicts) are encoded a block at a time."""
+    if isinstance(value, ColumnRows):
+        yield from value._chunks(level)
+    elif isinstance(value, dict) and value:
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            yield sep + _key_text(key) + ": "
+            yield from _chunks(item, level + 1)
+            sep = "," + inner
+        yield "\n" + _INDENT * level + "}"
+    else:
+        yield _text(value, level)
+
+
+def write_json(fh, value) -> None:
+    """Write ``value`` to the text file ``fh`` as canonical JSON: the
+    bytes ``json.dump(value, fh, indent=2, sort_keys=True)`` writes."""
+    for chunk in _chunks(value, 0):
+        fh.write(chunk)
+
+
+def canonical_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, through this
+    module's encoder (see :func:`write_json`)."""
+    return "".join(_chunks(value, 0))
+
 
 def _dump_temp(directory: str, payload: dict) -> str:
     """Write ``payload`` as canonical JSON to a new temp file; its path."""
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            write_json(fh, payload)
             fh.write("\n")
     except BaseException:
         # Includes KeyboardInterrupt: never leave a half-written temp file
