@@ -13,6 +13,7 @@ import dataclasses
 import json
 
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -648,7 +649,7 @@ class TestSeedPaths:
 
 
 class TestPropertyEquivalence:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=examples(12), deadline=None)
     @given(spec=tiny_fleets())
     def test_random_small_fleets_agree(self, spec, oracle):
         batched = FleetRunner(spec, workers=1).run()

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,7 +150,7 @@ def campaign_specs(draw):
 
 
 @given(spec=campaign_specs())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_cell_count_is_product_of_axes(spec):
     cells = spec.cells()
     assert len(cells) == spec.num_cells
@@ -159,7 +160,7 @@ def test_cell_count_is_product_of_axes(spec):
 
 
 @given(spec=campaign_specs())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_cell_keys_are_unique_and_safe(spec):
     keys = [c.key for c in spec.cells()]
     assert len(set(keys)) == len(keys)
@@ -168,7 +169,7 @@ def test_cell_keys_are_unique_and_safe(spec):
 
 
 @given(spec=campaign_specs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_json_roundtrip_is_exact(spec, tmp_path_factory):
     clone = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert clone.to_dict() == spec.to_dict()

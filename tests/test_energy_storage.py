@@ -1,6 +1,7 @@
 """Energy-storage invariants, including a property-based random walk."""
 
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,7 +99,7 @@ class TestReset:
         max_size=60,
     )
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_level_always_within_bounds(ops):
     """Property: level stays in [0, capacity] under any operation sequence."""
     storage = EnergyStorage(2.0, efficiency=0.8, leakage_mw=0.01, initial_mj=1.0)

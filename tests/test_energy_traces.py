@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,7 @@ class TestVectorizedOU:
         sigma=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_matches_loop_reference(self, n, dt, theta, sigma, seed):
         fast = _ou_process(n, dt, theta, sigma, np.random.default_rng(seed))
         slow = _ou_reference(n, dt, theta, sigma, np.random.default_rng(seed))
@@ -83,7 +84,7 @@ class TestPowerTrace:
     @given(
         st.floats(0, 50), st.floats(0, 50), st.floats(0, 50)
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_energy_additivity(self, a, b, c):
         trace = solar_trace(duration=50.0, dt=0.5, seed=1)
         t0, t1, t2 = sorted((a, b, c))

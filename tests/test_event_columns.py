@@ -18,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,7 +155,7 @@ DEVICES = st.tuples(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.lists(DEVICES, min_size=1, max_size=10), st.integers(0, 10_000))
 def test_random_fleets_columns_equal_scalar_queries(cases, fleet_seed):
     tasks = [(i, _device(f"d{i}", *case), fleet_seed) for i, case in enumerate(cases)]

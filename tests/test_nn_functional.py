@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,7 +174,7 @@ class TestAvgPool:
         np.testing.assert_allclose(dx, 0.25)
 
     @given(st.integers(2, 4))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_mean_preserved(self, k):
         rng = np.random.default_rng(1)
         size = k * 3

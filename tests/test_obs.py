@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,7 +132,7 @@ _CHUNKS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(chunks=_CHUNKS)
 def test_merged_worker_registries_equal_serial(chunks):
     """Dispatch-order merge of per-chunk registries == one serial registry.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 
+from deep import examples
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -71,7 +72,11 @@ def clean_bytes(n_devices: int, seed: int) -> str:
     return _CLEAN_CACHE[key]
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=examples(15),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(
     n_devices=st.integers(min_value=1, max_value=5),
     fleet_seed=st.integers(min_value=0, max_value=3),
@@ -91,7 +96,11 @@ def test_serial_fleet_survives_any_recoverable_plan(
     assert canonical(result) == clean_bytes(n_devices, fleet_seed)
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=examples(5),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(
     plan_seed=st.integers(min_value=0, max_value=10_000),
     n_faults=st.integers(min_value=1, max_value=MAX_RETRIES),
@@ -126,7 +135,7 @@ def clean_report(tmp_path) -> bytes:
 
 
 @settings(
-    max_examples=6,
+    max_examples=examples(6),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )

@@ -18,6 +18,7 @@ column arithmetic.  Two families of properties keep that honest:
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,7 +121,7 @@ def _run_kernel_episode(kernel, devices, cases, seed):
 
 
 @given(cases=CASES, seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_kernel_matches_scalar_loop_bit_for_bit(cases, seed):
     """One event per device: the kernel's outcome must be the scalar
     charge-to-event + run_job_scalar sequence, value for value."""
@@ -159,7 +160,7 @@ def test_kernel_matches_scalar_loop_bit_for_bit(cases, seed):
 
 
 @given(cases=CASES, seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_kernel_conserves_energy_ledger(cases, seed):
     """Across power-loss boundaries (checkpoint, off, restore), the
     column ledger must balance exactly like EnergyStorage's."""
@@ -176,7 +177,7 @@ def test_kernel_conserves_energy_ledger(cases, seed):
 
 
 @given(cases=CASES, seed=st.integers(0, 2**16))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_kernel_never_overdraws(cases, seed):
     """Total drawn energy never exceeds what was ever available:
     initial charge plus everything banked."""
@@ -372,7 +373,7 @@ def _assert_episode_matches_scalar(cases, seed):
     cases=st.lists(episode_device(), min_size=1, max_size=5),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_kernel_episode_matches_scalar_event_loop(cases, seed):
     """Many events per device: every record, draw and end-of-episode
     state column equals the scalar simulator's event loop, in every

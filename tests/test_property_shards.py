@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import tempfile
 
+from deep import examples
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -89,7 +90,7 @@ def clean_run(n_devices: int, seed: int):
 
 
 @settings(
-    max_examples=12, deadline=None,
+    max_examples=examples(12), deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(

@@ -13,6 +13,7 @@ or loses energy.  Properties enforced over arbitrary operation sequences:
 import math
 
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,14 +67,14 @@ def _apply(storage, ops):
 
 
 @given(storage=STORAGES, ops=OPS)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_level_stays_within_capacity(storage, ops):
     _apply(storage, ops)
     assert 0.0 <= storage.level_mj <= storage.capacity_mj + 1e-9
 
 
 @given(storage=STORAGES, ops=OPS)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_energy_ledger_conserves(storage, ops):
     initial = storage.level_mj
     leaked = _apply(storage, ops)
@@ -86,7 +87,7 @@ def test_energy_ledger_conserves(storage, ops):
 
 
 @given(storage=STORAGES, ops=OPS)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_reset_restores_initial_state(storage, ops):
     initial = storage.level_mj
     _apply(storage, ops)
@@ -101,7 +102,7 @@ def test_reset_restores_initial_state(storage, ops):
     storage=STORAGES,
     fractions=st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=20),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_affordable_draws_never_raise(storage, fractions):
     """``can_afford`` is a guarantee, not a hint."""
     storage.charge(storage.capacity_mj)  # start with something in the bank

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +52,7 @@ class TestKeptChannelIndices:
         assert len(kept_channel_indices(w, 0.01)) == 1
 
     @given(st.floats(0.05, 1.0), st.integers(2, 16))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_count_is_ceil_alpha_c(self, alpha, c):
         w = np.random.default_rng(1).normal(size=(4, c, 1, 1))
         kept = kept_channel_indices(w, alpha)

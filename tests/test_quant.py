@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ class TestQuantizeWeights:
         np.testing.assert_allclose(q1, q2)
 
     @given(st.integers(2, 8))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_values_on_grid(self, bits):
         rng = np.random.default_rng(0)
         w = rng.normal(size=100)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ class TestDiscretize:
         assert discretize(5.0, 10) == 9
 
     @given(st.floats(0, 1, allow_nan=False), st.integers(1, 32))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_always_valid_bin(self, value, bins):
         assert 0 <= discretize(value, bins) < bins
 

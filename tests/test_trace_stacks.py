@@ -15,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,7 +190,7 @@ class TestStacksEqualScalarBuilds:
     size) equals N scalar builds through ``build_trace`` on a cold memo."""
 
     @pytest.mark.parametrize("family", sorted(_GRIDS))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(data=st.data())
     def test_stack_rows_equal_scalar_builds(self, family, data):
         rows = data.draw(_stacks(family))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -25,7 +26,7 @@ finite_rows = arrays(
 
 class TestSoftmax:
     @given(finite_rows)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_rows_sum_to_one(self, logits):
         probs = softmax(logits, axis=1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-9)
@@ -41,7 +42,7 @@ class TestSoftmax:
         assert probs[0, 0] > 0.999
 
     @given(finite_rows)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_log_softmax_consistent(self, logits):
         np.testing.assert_allclose(
             np.exp(log_softmax(logits, axis=1)), softmax(logits, axis=1), atol=1e-9
@@ -72,7 +73,7 @@ class TestEntropy:
 
 class TestClamp:
     @given(st.floats(-100, 100, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_within_bounds(self, x):
         assert -1.0 <= clamp(x, -1.0, 1.0) <= 1.0
 

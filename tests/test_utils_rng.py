@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from deep import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,7 +213,7 @@ class TestBulkSeeding:
     """``seed_states`` and ``generators`` against numpy's SeedSequence
     and ``default_rng``, word for word."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(
         data=st.data(),
         n=st.integers(1, 6),
@@ -237,7 +238,7 @@ class TestBulkSeeding:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seeds=st.lists(WORDS, min_size=1, max_size=5))
     def test_generators_equal_default_rng(self, seeds):
         gens = generators(seeds)
@@ -245,7 +246,7 @@ class TestBulkSeeding:
         for seed, gen in zip(seeds, gens):
             _same_stream(gen, np.random.default_rng(seed))
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(seed=WORDS, start=st.integers(0, 2**32 - 4))
     def test_keyed_generators_equal_numpy(self, seed, start):
         """The megacity layout streams: one shared key word, one per seed."""
@@ -256,7 +257,7 @@ class TestBulkSeeding:
             )
             _same_stream(gen, ref)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(
         value=st.one_of(
             st.integers(2**32, 2**70),
