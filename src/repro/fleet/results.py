@@ -1,23 +1,30 @@
 """Fleet-level result aggregation.
 
-Every fleet path produces compact :class:`DeviceResult` summaries
-(counts, metrics, percentiles) instead of full per-event records — a
-100-device fleet ships kilobytes across the process boundary, not
-megabytes.  The engine defines them (:mod:`repro.sim.results`; this
-module re-exports the class).  They have one packed form, one seal and
-one reduction:
+Every fleet path produces compact per-device results (counts, metrics,
+percentiles) instead of full per-event records — a 100-device fleet
+ships kilobytes across the process boundary, not megabytes.  They stay
+in one packed form from the engine to the report file:
 
-* :func:`pack_device_results` turns a list of them into plain int/float
-  list columns.  Shard artifacts store that form and pool chunks ship
-  it, both sealed by :mod:`repro.store` (:func:`seal_payload` /
-  :func:`verify_payload` are the pool wire's two calls).
-* :class:`ShardAggregator` folds device results in device-index order —
-  live objects or packed columns — and reduces them to fleet-level
-  IEpmJ, miss-reason breakdowns, exit histograms and cross-device
-  percentile spreads.  :class:`FleetResult` reads its numbers from one,
-  so the aggregate is bit-identical however many workers or shards
-  produced the parts — the property the CLI acceptance check
-  (``--workers 4`` vs ``--workers 1``) relies on.
+* the packed form — plain int/float list columns, ``keys``/``raw`` dict
+  tables, zero-padded exit histograms — lives in
+  :mod:`repro.sim.results` beside :class:`DeviceResult` (this module
+  re-exports both, with :func:`pack_device_results` and
+  :func:`unpack_device_results`).  The engine's ``finalize`` emits it as
+  a :class:`DeviceColumns`; pool chunks ship it sealed by
+  :mod:`repro.store` (:func:`seal_payload` / :func:`verify_payload` are
+  the wire's two calls) and the dispatcher joins verified chunks without
+  unpacking them; shard artifacts and gateway cohorts carry it too.
+* :class:`ShardAggregator` folds packed columns in device-index order, a
+  column at a time, and reduces them to fleet-level IEpmJ, miss-reason
+  breakdowns, exit histograms and cross-device percentile spreads.
+  :class:`FleetResult` reads its numbers from one, so the aggregate is
+  bit-identical however many workers or shards produced the parts — the
+  property the CLI acceptance check (``--workers 4`` vs ``--workers 1``)
+  relies on.
+* :class:`FleetResult` holds a run's columns and writes its report from
+  them through :func:`repro.store.write_json`; :class:`DeviceResult`
+  rows are built only when :attr:`FleetResult.devices` or
+  :meth:`FleetResult.to_dict` is read.
 * :func:`record_outcome_metrics` records the ``fleet.*`` outcome
   metrics from that fold for serial, pooled and sharded runs alike.
 
@@ -27,7 +34,7 @@ Wall-clock timing lives outside the deterministic payload.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +43,6 @@ import numpy as np
 from repro.sim.results import (
     DeviceColumns,
     DeviceResult,
-    _unpack_dict_column,
     pack_device_results as pack_device_results,
     percentile_dict,
     unpack_device_results as unpack_device_results,
@@ -86,32 +92,57 @@ class DeviceFailure:
         }
 
 
-@dataclass
 class FleetResult:
     """Aggregate outcome of one fleet run.
 
-    Every fleet-level number is read from one cached
-    :class:`ShardAggregator` over :attr:`devices` (folded on first read),
-    the same reduction a sharded merge runs, so serial, pooled and
-    sharded runs share one arithmetic.
+    ``devices`` is a :class:`DeviceColumns` in device-index order (what
+    the engine's ``finalize`` and the pool dispatcher produce) or any
+    iterable of :class:`DeviceResult` (packed here, sorted by index).
+    The result keeps the packed columns (:attr:`columns`): every
+    fleet-level number is read from one cached :class:`ShardAggregator`
+    folded over them on first read, the same reduction a sharded merge
+    runs, so serial, pooled and sharded runs share one arithmetic, and
+    :meth:`to_json` writes the device rows straight from them.  The
+    :class:`DeviceResult` rows are built only when :attr:`devices` or
+    :meth:`to_dict` is read.
     """
 
-    fleet_name: str
-    seed: int
-    devices: list = field(default_factory=list)  # DeviceResult, index order
-    workers: int = 1
-    wall_s: float = 0.0
-    failures: list = field(default_factory=list)  # DeviceFailure, index order
-
-    def __post_init__(self):
-        self.devices = sorted(self.devices, key=lambda d: d.index)
-        self.failures = sorted(self.failures, key=lambda f: f.index)
+    def __init__(
+        self,
+        fleet_name: str,
+        seed: int,
+        devices=(),
+        workers: int = 1,
+        wall_s: float = 0.0,
+        failures=(),
+    ):
+        if not isinstance(devices, DeviceColumns):
+            devices = DeviceColumns.from_results(
+                sorted(devices, key=lambda d: d.index)
+            )
+        self.fleet_name = fleet_name
+        self.seed = seed
+        #: The device results as packed columns, device-index order.
+        self.columns = devices
+        self.workers = workers
+        self.wall_s = wall_s
+        #: :class:`DeviceFailure` records, device-index order.
+        self.failures = sorted(failures, key=lambda f: f.index)
+        self._devices = None
         self._agg = None
+
+    @property
+    def devices(self) -> list:
+        """The :class:`DeviceResult` rows, device-index order (built on
+        first read)."""
+        if self._devices is None:
+            self._devices = list(self.columns)
+        return self._devices
 
     def _aggregator(self) -> "ShardAggregator":
         if self._agg is None:
             self._agg = ShardAggregator(self.fleet_name, self.seed)
-            self._agg.add_devices(self.devices)
+            self._agg.add_packed(self.columns.packed)
         return self._agg
 
     def _summary(self) -> dict:
@@ -121,7 +152,7 @@ class FleetResult:
     @property
     def num_devices(self) -> int:
         """Devices that completed (quarantined devices excluded)."""
-        return len(self.devices)
+        return len(self.columns)
 
     @property
     def num_failures(self) -> int:
@@ -235,7 +266,7 @@ class FleetResult:
         the packed columns, a block at a time
         (:class:`repro.store.ColumnRows`), without building their dicts.
         """
-        columns = DeviceColumns.from_results(self.devices)
+        columns = self.columns
         rows = ColumnRows(
             len(columns),
             lambda start, stop: columns.report_columns(include_timing, start, stop),
@@ -248,10 +279,11 @@ class ShardAggregator:
     """The one deterministic reduction of device results to the fleet
     aggregate.
 
-    Fold devices in global index order — :class:`DeviceResult` objects
-    with :meth:`add_devices`, packed columns (a shard artifact's
-    ``devices``) with :meth:`add_packed`, both through one per-device
-    fold — and :meth:`aggregate` reduces them.  :class:`FleetResult`
+    Fold devices in global index order — packed columns (a pool chunk's,
+    a shard artifact's ``devices``, a whole fleet's) with
+    :meth:`add_packed`, :class:`DeviceResult` objects with
+    :meth:`add_devices`, which packs them first — and :meth:`aggregate`
+    reduces them.  :class:`FleetResult`
     reads its numbers from one, so a serial run, a pooled run and a
     sharded merge over the same devices aggregate byte-identically.  The
     subtlety this class exists for: numpy's ``sum`` uses pairwise
@@ -283,34 +315,32 @@ class ShardAggregator:
 
     def add_devices(self, devices) -> None:
         """Fold :class:`DeviceResult` objects (device-index order)."""
-        for d in devices:
-            self._fold(
-                [getattr(d, attr) for attr in self._cols],
-                d.miss_counts,
-                d.exit_counts,
-            )
+        self.add_packed(pack_device_results(list(devices)))
 
     def add_packed(self, packed: dict) -> None:
-        """Fold one shard's packed columns (device-index order within)."""
-        columns = [packed[attr] for attr in self._cols]
-        misses, exits = packed["miss_counts"], packed["exit_counts"]
-        for i in range(packed["n"]):
-            self._fold(
-                [column[i] for column in columns],
-                _unpack_dict_column(misses, i, int),
-                exits[i][:packed["exit_widths"][i]],
-            )
+        """Fold packed columns — a pool chunk's, a shard artifact's
+        ``devices`` or a whole fleet's — in device-index order, a column
+        at a time."""
+        self.num_devices += packed["n"]
+        for attr, column in self._cols.items():
+            column.extend(packed[attr])
+        misses = packed["miss_counts"]
+        if "raw" in misses:
+            for row in misses["raw"]:
+                for reason, count in row.items():
+                    self._add_misses(reason, int(count))
+        else:
+            for reason, counts in zip(misses["keys"], zip(*misses["values"])):
+                self._add_misses(reason, sum(counts))
+        rows = packed["exit_counts"]
+        width = len(rows[0]) if rows else 0
+        if width > len(self._exit_totals):
+            self._exit_totals.extend([0] * (width - len(self._exit_totals)))
+        for j, counts in enumerate(zip(*rows)):
+            self._exit_totals[j] += sum(counts)
 
-    def _fold(self, values, misses: dict, exits) -> None:
-        self.num_devices += 1
-        for column, value in zip(self._cols.values(), values):
-            column.append(value)
-        for reason, count in misses.items():
-            self._miss_counts[reason] = self._miss_counts.get(reason, 0) + int(count)
-        if len(exits) > len(self._exit_totals):
-            self._exit_totals.extend([0] * (len(exits) - len(self._exit_totals)))
-        for j, count in enumerate(exits):
-            self._exit_totals[j] += int(count)
+    def _add_misses(self, reason: str, count: int) -> None:
+        self._miss_counts[reason] = self._miss_counts.get(reason, 0) + count
 
     def _column(self, attr: str) -> np.ndarray:
         return np.array(self._cols[attr], dtype=self._COLUMNS[attr])

@@ -42,13 +42,12 @@ from repro.errors import ConfigError, InjectedFault, IntegrityError
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.fleet.results import (
+    DeviceColumns,
     DeviceFailure,
     DeviceResult,
     FleetResult,
-    pack_device_results,
     record_outcome_metrics,
     seal_payload,
-    unpack_device_results,
     verify_payload,
 )
 from repro.fleet.spec import FleetSpec
@@ -151,7 +150,7 @@ def _sealed_chunk(tasks, ops) -> dict:
     ``corrupt_payload`` directives then flip bits in the sealed body, as
     a damaged wire would, so :func:`verify_payload` must catch them.
     """
-    body = seal_payload(pack_device_results(BatchedFleetEngine(tasks).run()))
+    body = seal_payload(BatchedFleetEngine(tasks).run().packed)
     for op in ops:
         if op["op"] != "corrupt_payload":
             continue
@@ -193,7 +192,7 @@ def _run_chunk_packed(args) -> tuple:
     return body, wire
 
 
-def _run_chunk_inline(tasks, ops) -> list:
+def _run_chunk_inline(tasks, ops) -> DeviceColumns:
     """Run one chunk in the calling process under fault directives.
 
     The production serial path never comes here (it runs the engine
@@ -207,7 +206,7 @@ def _run_chunk_inline(tasks, ops) -> list:
         return BatchedFleetEngine(tasks).run()
     _apply_worker_faults(ops, in_worker=False)
     packed, _ = verify_payload(_sealed_chunk(tasks, ops))
-    return unpack_device_results(packed)
+    return DeviceColumns(packed)
 
 
 def _merge_worker_obs(rec, wires) -> None:
@@ -255,6 +254,10 @@ class _FaultTolerantDispatch:
     pooled chunk arrives sealed by :mod:`repro.store`, and a straggler
     that completes after its replacement must match the accepted digest
     bit-for-bit or the run fails with :class:`IntegrityError`.
+
+    Accepted chunks stay packed: whole chunks, split devices and
+    serial-rung devices are kept as :class:`DeviceColumns` parts and
+    joined in device order once, without unpacking any.
     """
 
     POLL_S = 0.005
@@ -265,7 +268,7 @@ class _FaultTolerantDispatch:
         self.injector = get_fault_injector()
         self.rec = get_recorder()
         self.metrics = self.rec.metrics
-        self.results: dict = {}  # device index -> DeviceResult
+        self.parts: list = []  # (job order, DeviceColumns) of accepted jobs
         self.failures: list = []  # DeviceFailure
         self._obs_wires: list = []  # (job order, wire) of accepted chunks
         self._accepted_digests: dict = {}  # device-index tuple -> digest
@@ -275,7 +278,8 @@ class _FaultTolerantDispatch:
     # Entry
     # ------------------------------------------------------------------ #
     def run(self, chunks) -> tuple:
-        """Execute ``chunks``; returns (results-by-index, failures)."""
+        """Execute ``chunks``; returns ``(DeviceColumns, failures)``, the
+        accepted devices joined in device order."""
         jobs = deque(_ChunkJob((i,), chunk) for i, chunk in enumerate(chunks))
         if self.pool is None:
             self._run_serial(jobs)
@@ -285,7 +289,10 @@ class _FaultTolerantDispatch:
             self._obs_wires.sort(key=lambda item: item[0])
             _merge_worker_obs(self.rec, [wire for _, wire in self._obs_wires])
         self.failures.sort(key=lambda f: f.index)
-        return self.results, self.failures
+        # Chunks are contiguous and a split job's order extends its
+        # parent's, so job order is device order.
+        self.parts.sort(key=lambda item: item[0])
+        return DeviceColumns.join(part for _, part in self.parts), self.failures
 
     def _inc(self, name: str, n=1) -> None:
         if self.metrics is not None:
@@ -374,15 +381,14 @@ class _FaultTolerantDispatch:
     # ------------------------------------------------------------------ #
     # Acceptance
     # ------------------------------------------------------------------ #
-    def _accept_devices(self, job, devices) -> None:
-        for device in devices:
-            self.results[device.index] = device
+    def _accept_devices(self, job, columns) -> None:
+        self.parts.append((job.order, columns))
 
     def _accept_payload(self, job, packed: dict, digest: str, wire) -> None:
         if wire:
             self._obs_wires.append((job.order, wire))
         self._accepted_digests[job.indices()] = digest
-        self._accept_devices(job, unpack_device_results(packed))
+        self._accept_devices(job, DeviceColumns(packed))
 
     # ------------------------------------------------------------------ #
     # The recovery ladder
@@ -710,11 +716,11 @@ class FleetRunner:
         return fanout, len(self._batch_chunks(tasks, fanout))
 
     def _dispatch(self, tasks, pool) -> tuple:
-        """Run chunks through the fault-tolerant dispatcher."""
+        """Run chunks through the fault-tolerant dispatcher; returns
+        ``(DeviceColumns, failures)``."""
         fanout = self._pool_fanout(pool) if pool is not None else 1
         dispatch = _FaultTolerantDispatch(self.retry, pool)
-        results, failures = dispatch.run(self._batch_chunks(tasks, fanout))
-        return [results[i] for i in sorted(results)], failures
+        return dispatch.run(self._batch_chunks(tasks, fanout))
 
     def run(self, pool=None) -> FleetResult:
         """Execute the fleet; ``pool`` reuses an external :func:`worker_pool`.
@@ -746,20 +752,20 @@ class FleetRunner:
         ):
             if not self.last_run_parallel:
                 if not get_fault_injector().enabled:
-                    device_results = BatchedFleetEngine(tasks).run()
+                    columns = BatchedFleetEngine(tasks).run()
                 else:
-                    device_results, failures = self._dispatch(tasks, None)
+                    columns, failures = self._dispatch(tasks, None)
             elif pool is not None:
                 workers_used = self._pool_fanout(pool)
-                device_results, failures = self._dispatch(tasks, pool)
+                columns, failures = self._dispatch(tasks, pool)
             else:
                 workers_used = max(self.workers, 1)
                 with worker_pool(self.workers) as owned:
-                    device_results, failures = self._dispatch(tasks, owned)
+                    columns, failures = self._dispatch(tasks, owned)
         result = FleetResult(
             fleet_name=self.spec.name,
             seed=self.spec.seed,
-            devices=device_results,
+            devices=columns,
             workers=workers_used,
             wall_s=time.perf_counter() - t0,
             failures=failures,

@@ -69,8 +69,8 @@ from repro.errors import ConfigError, CorruptArtifactError
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.fleet.results import (
+    DeviceColumns,
     ShardAggregator,
-    pack_device_results,
     record_outcome_metrics,
 )
 from repro.fleet.scenarios import SCENARIOS
@@ -611,11 +611,11 @@ class _ShardExecutor:
                 (start + j, spec, self.source.seed)
                 for j, spec in enumerate(specs)
             ]
-            results = []
+            parts = []
             pos = 0
             while pos < len(tasks):
                 width = self._effective_width(len(tasks) - pos)
-                results.extend(self._run_batch(tasks[pos:pos + width]))
+                parts.append(self._run_batch(tasks[pos:pos + width]))
                 pos += width
         return {
             "key": key,
@@ -623,7 +623,9 @@ class _ShardExecutor:
             "end": int(end),
             "fleet": self.source.name,
             "seed": int(self.source.seed),
-            "devices": pack_device_results(results),
+            # Joined, the sub-batches' columns are the shard's: the
+            # artifact does not depend on the sub-batch width.
+            "devices": DeviceColumns.join(parts).packed,
         }
 
     def _effective_width(self, remaining: int) -> int:
@@ -647,7 +649,7 @@ class _ShardExecutor:
                     metrics.set_gauge("fleet.shard.exec_width", width)
         return max(1, min(width, remaining))
 
-    def _run_batch(self, batch) -> list:
+    def _run_batch(self, batch) -> DeviceColumns:
         """One deterministic sub-batch with bounded in-process retries."""
         attempts = 0
         while True:

@@ -7,7 +7,7 @@ steps (see the engine's ``begin``/``advance``/``finalize`` stepper).
 Because per-device randomness is pinned by ``(fleet_seed,
 device_index)`` and devices never interact, a twin advanced in any
 K-way split of ``advance`` calls — across any pattern of ``submit``
-cohorts — finishes with DeviceResults bit-identical to one uninterrupted
+cohorts — finishes with device results bit-identical to one uninterrupted
 :class:`~repro.fleet.runner.FleetRunner` run over the same devices, the
 contract ``tests/test_gateway.py`` enforces against the committed
 goldens.
@@ -21,7 +21,7 @@ internals (Q-tables, RNG pools) at all.
 from __future__ import annotations
 
 from repro.errors import GatewayError
-from repro.fleet.results import FleetResult
+from repro.fleet.results import DeviceColumns, FleetResult
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import DeviceSpec, FleetSpec
 from repro.sim.batch import BatchedFleetEngine
@@ -186,12 +186,8 @@ class FleetTwin:
                 f"{self.total_steps} steps); advance it to completion "
                 "before querying aggregates"
             )
-        devices = []
-        for cohort in self.cohorts:
-            devices.extend(cohort.engine.finalize())
-        return FleetResult(
-            fleet_name=self.name, seed=self.seed, devices=devices
-        )
+        devices = DeviceColumns.join(c.engine.finalize() for c in self.cohorts)
+        return FleetResult(fleet_name=self.name, seed=self.seed, devices=devices)
 
     def progress(self) -> dict:
         """Always-available run status (no results required)."""

@@ -134,9 +134,10 @@ from repro.sim.devices import (
     prefetch_traces,
 )
 from repro.sim.results import (
-    DeviceResult,
+    DeviceColumns,
     RecordColumns,
     SimulationResult,
+    pack_dict_column,
     percentile_rows,
 )
 from repro.utils.rng import DrawBatch, as_generator, generators, seed_states
@@ -291,9 +292,8 @@ class BatchedFleetEngine:
 
     Construction materializes every device (traces, profiles, controllers,
     per-event columns, a build window at a time); :meth:`run` plays all
-    episodes in lockstep
-    and returns one :class:`~repro.sim.results.DeviceResult` per task,
-    in task order.  The incremental twin — :meth:`begin` /
+    episodes in lockstep and returns every task's result, in task order,
+    as one :class:`~repro.sim.results.DeviceColumns`.  The incremental twin — :meth:`begin` /
     :meth:`advance` / :meth:`finalize` — executes the same instruction
     sequence in caller-sized slices; see the module docstring.
     """
@@ -495,8 +495,8 @@ class BatchedFleetEngine:
             np.put(self._charge_power, at, power)
 
     # ------------------------------------------------------------------ #
-    def run(self):
-        """Play every device's episodes; return DeviceResults in task order.
+    def run(self) -> DeviceColumns:
+        """Play every device's episodes; return their results in task order.
 
         Implemented as ``begin(); advance(); finalize()`` — the one-shot
         and incremental paths share every instruction, so they cannot
@@ -621,10 +621,15 @@ class BatchedFleetEngine:
                 self._close_episode()
         return done
 
-    def finalize(self):
+    def finalize(self) -> DeviceColumns:
         """Freeze per-device results; only valid once :attr:`finished`.
 
-        Idempotent: repeated calls return the same DeviceResult list.
+        Returns a :class:`~repro.sim.results.DeviceColumns`, in task
+        order: the packed columns (``.packed``) pool chunks seal, shard
+        artifacts store and reports are written from, read as a sequence
+        of :class:`~repro.sim.results.DeviceResult` rows built on demand;
+        ``len()`` is the device count.  Idempotent: repeated calls return
+        the same object.
         """
         rs = self._rs
         if rs is None or rs.phase != "done":
@@ -636,7 +641,7 @@ class BatchedFleetEngine:
             return rs.out
         prof = rs.prof
         t_finalize = time.perf_counter() if prof is not None else 0.0
-        out = self._device_results()
+        out = self._device_columns()
         rs.out = out
         if prof is not None:
             # batch.run spans begin() to here, so it encloses the lockstep,
@@ -1045,8 +1050,8 @@ class BatchedFleetEngine:
         return correct, entropy, energy_spent, first_k, continued
 
     # ------------------------------------------------------------------ #
-    def _device_results(self) -> list:
-        """Every device's :class:`DeviceResult`, computed column-wise.
+    def _device_columns(self) -> DeviceColumns:
+        """Every device's result, computed column-wise into the packed form.
 
         Reads the record buffers and ``total_drawn``, frozen at each
         device's last episode, as (event, device) matrices: counts, ratios,
@@ -1054,8 +1059,11 @@ class BatchedFleetEngine:
         percentiles group devices by processed count k and reduce each
         contiguous (devices x k) block along its last axis, which repeats
         ``np.mean``'s pairwise sum and ``percentile_dict``'s lerp row by
-        row.  Every field equals ``DeviceResult.from_simulation`` over
-        :meth:`records`, bit for bit and in dict key order.
+        row.  Every column is what
+        :func:`~repro.sim.results.pack_device_results` writes for
+        ``DeviceResult.from_simulation`` over :meth:`records`, bit for bit:
+        the same values and types, the same ``keys`` or ``raw`` dict
+        tables, the same exit-histogram padding.
         """
         rs = self._rs
         m, n_events = self._m, self._n_events
@@ -1088,60 +1096,74 @@ class BatchedFleetEngine:
                 means[key][group] = block.mean(axis=1)
                 block.sort(axis=1)
                 points[key][group] = percentile_rows(block, _RESULT_QS)
-        # Exit histograms: processed events at a valid exit, per device.
+        # Exit histograms: processed events at a valid exit, per device,
+        # zero beyond each device's own exits (the packed padding).
         width = self._exit_cost.shape[1]
         counted = processed & (rs.r_exit >= 0) & (rs.r_exit < self._n_exits)
         _, dev = np.nonzero(counted)
         hist = np.bincount(
             dev * width + rs.r_exit[counted], minlength=m * width
         ).reshape(m, width)
-        # Miss counts keyed by reason in first-appearance order (the order
-        # decides the packed form pack_device_results writes).
-        # (``first`` is read only where ``count`` is positive.)
+        keys = [f"p{q:g}" for q in _RESULT_QS]
+        packed = {
+            "n": m,
+            "names": [d.spec.name for d in self.devices],
+            "profiles": [d.profile.name for d in self.devices],
+            "index": [d.index for d in self.devices],
+            "num_events": n_events.tolist(),
+            "num_processed": n_processed.tolist(),
+            "num_missed": n_missed.tolist(),
+            "num_correct": n_correct.tolist(),
+            "iepmj": iepmj.tolist(),
+            "average_accuracy": average.tolist(),
+            "processed_accuracy": proc_acc.tolist(),
+            "mean_latency_s": means["latency"].tolist(),
+            "mean_inference_energy_mj": means["energy"].tolist(),
+            "total_env_energy_mj": total_env.tolist(),
+            "total_consumed_mj": rs.total_drawn.tolist(),
+            "duration_s": self._duration.tolist(),
+            "episodes": self._episodes.tolist(),
+            # The engine simulates devices together: no per-device wall.
+            "wall_s": [0.0] * m,
+            "latency_percentiles": {
+                "keys": keys, "values": points["latency"].tolist(),
+            },
+            "energy_percentiles": {
+                "keys": keys, "values": points["energy"].tolist(),
+            },
+            "harvest_percentiles": pack_dict_column(
+                [d.harvest for d in self.devices], float
+            ),
+            "miss_counts": self._miss_column(valid),
+            "exit_counts": hist.tolist(),
+            "exit_widths": self._n_exits.tolist(),
+        }
+        return DeviceColumns(packed)
+
+    def _miss_column(self, valid) -> dict:
+        """The packed ``miss_counts`` column: each device's missed events
+        by reason, reasons in the order the device first met them, as a
+        ``keys`` table when every device met the same reasons in the
+        same order and as ``raw`` dicts otherwise."""
+        rs = self._rs
         misses = []
         for code in range(1, len(_REASONS)):
             hit = valid & (rs.r_reason == code)
             count = np.count_nonzero(hit, axis=0)
+            # (``first`` is read only where ``count`` is positive.)
             first = hit.argmax(axis=0) if len(hit) else count
             misses.append((_REASONS[code], count.tolist(), first.tolist()))
-        # Plain-number fields, as DeviceResult names them, one list each.
-        fields = {
-            "num_events": n_events,
-            "num_processed": n_processed,
-            "num_missed": n_missed,
-            "num_correct": n_correct,
-            "iepmj": iepmj,
-            "average_accuracy": average,
-            "processed_accuracy": proc_acc,
-            "mean_latency_s": means["latency"],
-            "mean_inference_energy_mj": means["energy"],
-            "total_env_energy_mj": total_env,
-            "total_consumed_mj": rs.total_drawn,
-            "duration_s": self._duration,
-        }
-        fields = {name: column.tolist() for name, column in fields.items()}
-        keys = [f"p{q:g}" for q in _RESULT_QS]
-        latency, energy = points["latency"].tolist(), points["energy"].tolist()
-        hist, n_exits = hist.tolist(), self._n_exits.tolist()
-        out = []
-        for i, d in enumerate(self.devices):
-            reasons = sorted(
+        rows = [
+            sorted(
                 (first[i], name, count[i])
                 for name, count, first in misses if count[i]
             )
-            out.append(DeviceResult(
-                index=d.index,
-                name=d.spec.name,
-                profile=d.profile.name,
-                latency_percentiles=dict(zip(keys, latency[i])),
-                energy_percentiles=dict(zip(keys, energy[i])),
-                harvest_percentiles=d.harvest,
-                miss_counts={name: c for _, name, c in reasons},
-                exit_counts=hist[i][:n_exits[i]],
-                episodes=int(d.spec.episodes),
-                **{name: column[i] for name, column in fields.items()},
-            ))
-        return out
+            for i in range(self._m)
+        ]
+        order = [name for _, name, _ in rows[0]]
+        if all([name for _, name, _ in row] == order for row in rows):
+            return {"keys": order, "values": [[c for _, _, c in row] for row in rows]}
+        return {"raw": [{name: c for _, name, c in row} for row in rows]}
 
     def records(self, i: int) -> SimulationResult:
         """Device ``i``'s last episode as a :class:`SimulationResult`.

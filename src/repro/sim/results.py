@@ -15,6 +15,21 @@ on the hot path.  Callers that want per-event objects still get them:
 :attr:`SimulationResult.records` lazily materializes a list of
 :class:`EventRecord` snapshots on first access (read-only with respect to
 the aggregates — edits to a snapshot do not flow back into the columns).
+
+A device's run summarizes to one :class:`DeviceResult`, and a fleet's
+device results have one *packed form*, defined here beside it: plain
+int/float list columns (one per scalar field), ``{"keys", "values"}``
+tables for dict fields whose keys agree across devices (``{"raw"}``
+dicts otherwise), and exit histograms zero-padded to the widest with
+their true widths alongside (:func:`pack_device_results`).
+:class:`DeviceColumns` reads that form as a sequence of
+:class:`DeviceResult` rows built on demand and :meth:`DeviceColumns.join`
+concatenates parts without building any.  The batched engine's
+``finalize`` emits it from the columns it computes; pool chunks, shard
+artifacts, gateway cohorts and the fleet report
+(:mod:`repro.fleet.results`) carry it from there unchanged.  The scalar
+oracle's :meth:`DeviceResult.from_simulation` is the row view the
+engine's columns are tested against.
 """
 
 from __future__ import annotations
@@ -622,7 +637,7 @@ def _join_dict_columns(columns) -> dict:
     """One packed dict column over ``columns`` (canonical, non-empty), in
     order: what :func:`pack_dict_column` gives their concatenated dicts."""
     keys = columns[0].get("keys")
-    if all(c.get("keys") == keys for c in columns):
+    if keys is not None and all(c.get("keys") == keys for c in columns):
         return {"keys": keys, "values": [row for c in columns for row in c["values"]]}
     raw = []
     for c in columns:

@@ -516,7 +516,7 @@ class TestPackedWireForm:
         tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
         results = BatchedFleetEngine(tasks).run()
         packed = len(pickle.dumps(pack_device_results(results)))
-        plain = len(pickle.dumps(results))
+        plain = len(pickle.dumps(list(results)))
         assert packed < plain
 
 

@@ -9,7 +9,9 @@ None and float subclasses such as ``numpy.float64``.  A
 dicts would, across row blocks.  ``FleetResult.to_json``, which writes
 the device rows from packed columns, must write the bytes of
 ``json.dump(result.to_dict(t), ...)`` for any device results: with and
-without timing, with quarantined devices, and with no devices at all.
+without timing, with quarantined devices, and with no devices at all;
+and packed parts joined column by column must be the packed form of
+their concatenated rows, folding to the same aggregate.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.store
-from repro.fleet.results import DeviceFailure, FleetResult
-from repro.sim.results import DeviceResult
+from repro.fleet.results import DeviceFailure, FleetResult, ShardAggregator
+from repro.sim.results import DeviceColumns, DeviceResult, pack_device_results
 from repro.store import ColumnRows, canonical_json, write_json
 
 FLOATS = st.floats() | st.sampled_from(
@@ -60,7 +62,7 @@ def dumped(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-@settings(max_examples=examples(300), deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(JSON)
 def test_encoder_matches_json(value):
     assert canonical_json(value) == dumped(value)
@@ -69,7 +71,7 @@ def test_encoder_matches_json(value):
     assert fh.getvalue() == dumped(value)
 
 
-@settings(max_examples=examples(50), deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(st.dictionaries(KEYS, JSON, max_size=1))
 def test_non_string_keys_match_json(value):
     assert canonical_json(value) == dumped(value)
@@ -101,7 +103,7 @@ def column_rows(draw):
     return n, columns, rows
 
 
-@settings(max_examples=examples(100), deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(column_rows(), st.integers(1, 4), JSON)
 def test_column_rows_match_their_row_dicts(case, block, other):
     n, columns, rows = case
@@ -181,10 +183,50 @@ def fleet_results(draw):
     )
 
 
-@settings(max_examples=examples(60), deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(fleet_results(), st.booleans())
 def test_report_file_matches_json_dump(tmp_path_factory, result, timing):
     path = tmp_path_factory.mktemp("report") / "report.json"
     result.to_json(str(path), include_timing=timing)
     expected = dumped(result.to_dict(timing))
     assert path.read_text() == expected
+
+
+@st.composite
+def packed_parts(draw):
+    """Device results cut into consecutive parts, some of them empty."""
+    parts, index = [], 0
+    for size in draw(st.lists(st.integers(0, 4), max_size=4)):
+        parts.append([draw(device_results(index + i)) for i in range(size)])
+        index += size
+    return parts
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(packed_parts(), st.booleans(), st.integers(0, 2))
+def test_joined_parts_pack_report_and_fold_as_one(
+    tmp_path_factory, parts, timing, lost
+):
+    joined = DeviceColumns.join(DeviceColumns.from_results(p) for p in parts)
+    rows = [device for part in parts for device in part]
+    assert canonical(joined.packed) == canonical(pack_device_results(rows))
+    failures = [
+        DeviceFailure(index=len(rows) + i, name=f"lost-{i}", error="x", attempts=1)
+        for i in range(lost)
+    ]
+    result = FleetResult("joined", 7, devices=joined, failures=failures)
+    path = tmp_path_factory.mktemp("joined") / "report.json"
+    result.to_json(str(path), include_timing=timing)
+    assert path.read_text() == dumped(result.to_dict(timing))
+    folded = ShardAggregator("joined", 7)
+    for part in parts:
+        folded.add_packed(pack_device_results(part))
+    expected = result.aggregate()
+    assert [f["name"] for f in expected.pop("failures", [])] == [
+        f.name for f in failures
+    ]
+    assert canonical(folded.aggregate()) == canonical(expected)

@@ -9,7 +9,9 @@ whose recovery ladder splits a chunk and quarantines a device.  A shard
 artifact's bytes must not depend on the sub-batch width its executor
 ran (``max_rss_mb`` halving) or on how many shard workers drained the
 ledger.  Every registered golden fleet (``tests/golden/fleet_*``) and
-the csv fleet are covered.
+the csv fleet are covered.  And a ``--quiet --json`` CLI run writes its
+report from packed columns alone: no ``DeviceResult`` is built on the
+serial path or in a pool's parent.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from __future__ import annotations
 import glob
 import json
 import os
+from unittest import mock
 
 import pytest
 
 from repro.faults import Fault, FaultPlan, RetryPolicy, chaos
 from repro.fleet import SCENARIOS, FleetRunner, FleetShardSource, FleetSpec, run_sharded
-from repro.fleet.results import pack_device_results
+from repro.fleet.__main__ import main as fleet_main
+from repro.fleet.results import DeviceResult, pack_device_results
 from repro.fleet.runner import worker_pool
 from repro.sim.batch import BatchedFleetEngine
 
@@ -181,3 +185,32 @@ def test_shard_artifacts_ignore_sub_batch_width_and_workers(name, tmp_path):
     assert len(expected) == shards
     assert shard_bytes(halved) == expected
     assert shard_bytes(pooled) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pooled"])
+def test_quiet_json_run_builds_no_device_result(workers, tmp_path, capsys):
+    built, parallel = [], []
+    real_init, real_run = DeviceResult.__init__, FleetRunner.run
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def run(self, pool=None):
+        result = real_run(self, pool)
+        parallel.append(self.last_run_parallel)
+        return result
+
+    report = tmp_path / "report.json"
+    argv = ["run", "solar-farm-100", "--devices", "16", "--workers", workers]
+    with (
+        mock.patch.object(DeviceResult, "__init__", counting_init),
+        mock.patch.object(FleetRunner, "run", run),
+        # A pool even on a one-CPU host.
+        mock.patch("repro.fleet.runner.usable_cpus", return_value=2),
+    ):
+        assert fleet_main(argv + ["--quiet", "--json", str(report)]) == 0
+    capsys.readouterr()
+    assert parallel == [workers == "2"]
+    assert built == []
+    assert len(json.loads(report.read_text())["devices"]) == 16
