@@ -63,6 +63,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Optional
 
 from repro.errors import ConfigError, CorruptArtifactError
@@ -98,8 +99,8 @@ DEFAULT_LEASE_TTL_S = 120.0
 #: concluding the corruption is persistent (bad disk, hostile chaos plan).
 MAX_HEAL_ROUNDS = 4
 
-#: Sleep between work-steal scans when every incomplete shard is leased
-#: by someone else.
+#: Longest wait between work-steal scans when every incomplete shard is
+#: leased by someone else (a drain child's exit ends the wait early).
 DEFAULT_POLL_S = 0.05
 
 
@@ -556,9 +557,20 @@ class _ShardExecutor:
         if metrics is not None:
             metrics.inc(name, n)
 
-    def drain(self) -> None:
-        """Work-steal until every shard in the plan has an artifact."""
+    def drain(self, children=()) -> None:
+        """Work-steal until every shard in the plan has an artifact.
+
+        ``children`` are drain processes working the same ledger (the
+        parent's shard workers).  A pass that finds every remaining shard
+        leased by someone else waits :data:`DEFAULT_POLL_S`, or until one
+        of those children exits, whichever comes first: a child exits
+        once the plan is complete, so the merge starts without sleeping
+        past its last publish.  An exited child leaves the wait set, so
+        a SIGKILLed child's lease is still stolen on the TTL clock, one
+        scan per poll interval.
+        """
         injector = get_fault_injector()
+        waiting = [child.sentinel for child in children]
         while True:
             remaining = [
                 (start, end)
@@ -601,7 +613,7 @@ class _ShardExecutor:
                     self.verified += 1
                     self._inc("fleet.shard.straggler_verified")
             if not progressed:
-                time.sleep(DEFAULT_POLL_S)
+                _idle(waiting)
 
     def _execute_shard(self, start: int, end: int) -> dict:
         key = shard_key(start, end)
@@ -663,6 +675,16 @@ class _ShardExecutor:
                     raise
                 self._inc("fleet.shard.retries")
                 time.sleep(self.retry.backoff(attempts - 1))
+
+
+def _idle(waiting: list) -> None:
+    """Wait one poll interval, or until a process whose sentinel is in
+    ``waiting`` exits; exited processes leave ``waiting``."""
+    if not waiting:
+        time.sleep(DEFAULT_POLL_S)
+        return
+    for sentinel in wait(waiting, timeout=DEFAULT_POLL_S):
+        waiting.remove(sentinel)
 
 
 def _drain_worker(
@@ -829,7 +851,7 @@ def run_sharded(
             agg = None
             corrupt: list = []
             for _ in range(1 + MAX_HEAL_ROUNDS):
-                executor.drain()
+                executor.drain(procs)
                 agg, corrupt = _merge_ledger(source, plan, ledger)
                 if agg is not None:
                     break

@@ -11,6 +11,7 @@ degradation, SIGKILL resume) is tested against that identity.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -24,12 +25,14 @@ from repro.errors import ConfigError, CorruptArtifactError, IntegrityError
 from repro.faults import Fault, FaultPlan, chaos
 from repro.fleet.results import ShardAggregator, pack_device_results
 from repro.fleet.runner import FleetRunner, run_device
+from repro.fleet import shards
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.shards import (
     FleetShardSource,
     ScenarioShardSource,
     ShardLedger,
     ShardPlan,
+    _ShardExecutor,
     run_sharded,
     shard_key,
 )
@@ -531,6 +534,68 @@ class TestSigkillRecovery:
         )
         assert result.shards_stolen >= 1
         assert canonical(result.aggregate()) == expected
+
+
+def publish_after(ledger_dir, key, delay_s):
+    """A drain child's last act: publish ``key`` after ``delay_s``."""
+    time.sleep(delay_s)
+    ShardLedger(ledger_dir).save_shard(key, {"key": key})
+
+
+class TestDrainWaits:
+    """A drain pass that finds every remaining shard leased by someone
+    else waits on the parent's drain children as well as the clock."""
+
+    def leased(self, tmp_path):
+        """A one-shard plan whose shard another ledger owner has leased."""
+        spec = tiny_fleet(n=2)
+        plan = ShardPlan.from_counts(spec.num_devices, shards=1)
+        ledger_dir = str(tmp_path / "led")
+        (key,) = plan.keys()
+        assert ShardLedger(ledger_dir).claim(key, ttl_s=60.0) == "fresh"
+        return spec, plan, ledger_dir, key
+
+    def test_a_child_exit_wakes_the_parent(self, tmp_path, monkeypatch):
+        spec, plan, ledger_dir, key = self.leased(tmp_path)
+        monkeypatch.setattr(shards, "DEFAULT_POLL_S", 30.0)
+        child = multiprocessing.Process(
+            target=publish_after, args=(ledger_dir, key, 0.2)
+        )
+        child.start()
+        executor = _ShardExecutor(
+            FleetShardSource(spec), plan, ShardLedger(ledger_dir), lease_ttl_s=60.0
+        )
+        t0 = time.monotonic()
+        executor.drain([child])
+        elapsed = time.monotonic() - t0
+        child.join()
+        assert executor.executed == 0  # the child published the shard
+        assert elapsed < 10.0  # not the 30 s poll interval
+
+    def test_a_dead_child_does_not_make_the_parent_spin(self, tmp_path, monkeypatch):
+        spec, plan, ledger_dir, key = self.leased(tmp_path)
+        child = multiprocessing.Process(target=time.sleep, args=(60.0,))
+        child.start()
+        os.kill(child.pid, signal.SIGKILL)
+        child.join()
+        monkeypatch.setattr(shards, "DEFAULT_POLL_S", 0.02)
+        executor = _ShardExecutor(
+            FleetShardSource(spec), plan, ShardLedger(ledger_dir), lease_ttl_s=0.3
+        )
+        scans = []
+        claim = executor.ledger.claim
+
+        def counted_claim(shard, ttl_s):
+            scans.append(shard)
+            return claim(shard, ttl_s)
+
+        monkeypatch.setattr(executor.ledger, "claim", counted_claim)
+        executor.drain([child])
+        assert (executor.stolen, executor.executed) == (1, 1)
+        # One scan a poll interval until the 0.3 s TTL lets the lease be
+        # stolen: about 15, where a spin on the dead child's sentinel
+        # would scan thousands of times.
+        assert len(scans) <= 30
 
 
 # --------------------------------------------------------------------- #
