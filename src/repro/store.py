@@ -14,9 +14,8 @@ process boundary as :func:`seal` bodies and are checked with
 :func:`unseal`.
 
 It also owns the canonical JSON *text* every artifact and report file is
-written in: :func:`write_json` (and :func:`canonical_json`, its string
-form) writes exactly what ``json.dump(value, fh, indent=2,
-sort_keys=True)`` writes.  ``indent`` sends the json module to its
+written in: :func:`write_json` writes exactly what ``json.dump(value,
+fh, indent=2, sort_keys=True)`` writes.  ``indent`` sends the json module to its
 pure-Python encoder, a generator per container that yields a token at a
 time; this encoder builds each container's text with one ``join`` and
 encodes a list of plain ints, floats or strings with one ``map``.  A
@@ -226,12 +225,6 @@ def write_json(fh, value) -> None:
     bytes ``json.dump(value, fh, indent=2, sort_keys=True)`` writes."""
     for chunk in _chunks(value, 0):
         fh.write(chunk)
-
-
-def canonical_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, through this
-    module's encoder (see :func:`write_json`)."""
-    return "".join(_chunks(value, 0))
 
 
 def _dump_temp(directory: str, payload: dict) -> str:
