@@ -63,7 +63,6 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from typing import Optional
 
 from repro.errors import ConfigError, CorruptArtifactError
@@ -683,6 +682,10 @@ def _idle(waiting: list) -> None:
     if not waiting:
         time.sleep(DEFAULT_POLL_S)
         return
+    # Imported here: only a parent with drain children waits, and the
+    # module would add ~2 ms to every fleet process's import.
+    from multiprocessing.connection import wait
+
     for sentinel in wait(waiting, timeout=DEFAULT_POLL_S):
         waiting.remove(sentinel)
 

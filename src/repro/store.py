@@ -15,15 +15,17 @@ process boundary as :func:`seal` bodies and are checked with
 
 It also owns the canonical JSON *text* every artifact and report file is
 written in: :func:`write_json` writes exactly what ``json.dump(value,
-fh, indent=2, sort_keys=True)`` writes.  ``indent`` sends the json module to its
-pure-Python encoder, a generator per container that yields a token at a
-time; this encoder builds each container's text with one ``join`` and
-encodes a list of plain ints, floats or strings with one ``map``.  A
-:class:`ColumnRows` value — a JSON array of objects held as columns, the
-shape of a fleet report's device rows — is encoded a block of rows at a
-time, through one ``%`` template per block, without building the row
-dicts.  It sits below every package that writes artifacts and loads
-only :mod:`repro.errors` and the fault injector.
+fh, indent=2, sort_keys=True)`` writes.  ``indent`` sends the json
+module to its pure-Python encoder, a generator per container that
+yields a token at a time; this encoder builds each container's text
+with one ``join``, encodes a list of plain ints, floats or strings with
+one ``map``, and a list of such lists (a packed column's rows) with one
+``map`` over all their items.  A :class:`ColumnRows` value — a JSON
+array of objects held as columns, the shape of a fleet report's device
+rows — is encoded a block of rows at a time, through one ``%`` template
+per block, without building the row dicts.  It sits below every package
+that writes artifacts and loads only :mod:`repro.errors` and the fault
+injector.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def _items_text(values, level: int) -> list:
     """The text of each of ``values``, each placed at ``level``.
 
     A list of plain floats, ints or strings (exact types: bools and
-    numpy scalars take the general path) encodes in one ``map``.
+    numpy scalars take the general path) encodes in one ``map``; a list
+    of lists (a packed column's rows) encodes all their items at once.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
@@ -136,7 +139,25 @@ def _items_text(values, level: int) -> list:
         return list(map(int.__repr__, values))
     if kinds == {str}:
         return list(map(_encode_str, values))
+    if kinds == {list}:
+        return _lists_text(values, level)
     return [_text(value, level) for value in values]
+
+
+def _lists_text(lists: list, level: int) -> list:
+    """The text of each of ``lists``, each placed at ``level``: their
+    items are encoded in one pass, then cut back into lists."""
+    texts = _items_text([item for items in lists for item in items], level + 1)
+    inner = "\n" + _INDENT * (level + 1)
+    sep = "," + inner
+    close = "\n" + _INDENT * level + "]"
+    out = []
+    start = 0
+    for items in lists:
+        stop = start + len(items)
+        out.append("[" + inner + sep.join(texts[start:stop]) + close if items else "[]")
+        start = stop
+    return out
 
 
 def _text(value, level: int) -> str:
