@@ -42,7 +42,7 @@ import numpy as np
 # importable from here, where pool, shard and test code address it.
 from repro.sim.results import (
     DeviceColumns,
-    DeviceResult,
+    DeviceResult as DeviceResult,
     pack_device_results as pack_device_results,
     percentile_dict,
     unpack_device_results as unpack_device_results,
