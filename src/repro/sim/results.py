@@ -34,7 +34,6 @@ engine's columns are tested against.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -660,17 +659,14 @@ def _dict_block(column, start: int, stop: int):
 def pack_device_results(results) -> dict:
     """The packed form of device results: plain int/float list columns.
 
-    ``results`` is a list of :class:`DeviceResult` (or a
-    :class:`DeviceColumns`, whose packed form is returned as it is).
-    Shard artifacts store this form and pool chunks ship it, both sealed
-    by :mod:`repro.store`.  Python's ``json`` writes floats via ``repr``,
+    ``results`` is a sequence of :class:`DeviceResult`.  Shard artifacts
+    store this form and pool chunks ship it, both sealed by
+    :mod:`repro.store`.  Python's ``json`` writes floats via ``repr``,
     which round-trips every float bit-exactly, so
     ``unpack_device_results(pack_device_results(rs))`` reproduces every
     field bit-for-bit, through JSON or a pickle.  Exit histograms are
     zero-padded to the widest one, with the true widths alongside.
     """
-    if isinstance(results, DeviceColumns):
-        return results.packed
     out = {"n": len(results), "names": [r.name for r in results],
            "profiles": [r.profile for r in results]}
     for attr, caster in _PACK_SCALARS:
@@ -700,7 +696,7 @@ def unpack_device_results(packed: dict) -> list:
     return [_unpack_row(packed, i) for i in range(packed["n"])]
 
 
-class DeviceColumns(Sequence):
+class DeviceColumns:
     """Device results in their packed form, read as a sequence of rows.
 
     ``packed`` is the plain-list column dict :func:`pack_device_results`
@@ -749,9 +745,7 @@ class DeviceColumns(Sequence):
     def __len__(self) -> int:
         return self.packed["n"]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> DeviceResult:
         n = len(self)
         if not -n <= i < n:
             raise IndexError("device index out of range")
