@@ -11,6 +11,8 @@ pooled dispatch path, and (via hypothesis) randomly composed small fleets.
 
 import dataclasses
 import json
+import os
+from contextlib import contextmanager
 
 import pytest
 from deep import examples
@@ -26,6 +28,7 @@ from repro.fleet.results import (
 )
 from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
+from repro.sim import devices
 from repro.sim.batch import BatchedFleetEngine
 from repro.sim.devices import (
     _TRACE_CACHE_MAX,
@@ -646,6 +649,95 @@ class TestSeedPaths:
         spec = SCENARIOS.build("megacity-1m", num_devices=300)
         assert spec.num_devices > _TRACE_CACHE_MAX
         assert _payload(FleetRunner(spec).run()) == _payload(oracle(spec))
+
+
+@contextmanager
+def _cold_memo():
+    """An empty trace memo, restored afterwards."""
+    saved = dict(devices._TRACE_CACHE)
+    devices._TRACE_CACHE.clear()
+    try:
+        yield
+    finally:
+        devices._TRACE_CACHE.clear()
+        devices._TRACE_CACHE.update(saved)
+
+
+class TestBuildWindow:
+    """Every way a build window can hand a device its trace — a stack
+    row, a row shared by two devices pinning one seed, a memo hit, a
+    csv or constant trace built at the device's own turn — gives the
+    scalar oracle's results.  Engine and oracle each build on a cold
+    memo, so neither serves the other's traces."""
+
+    CSV = os.path.join(os.path.dirname(__file__), "golden", "csv", "harvest_2col.csv")
+    TRACES = (
+        {"family": "solar", "duration": 120.0, "dt": 1.0, "peak_mw": 0.03},
+        {"family": "wind", "duration": 120.0, "dt": 1.0},
+        {"family": "csv", "path": CSV},
+        {"family": "rf", "duration": 90.0, "dt": 0.5},
+        {"family": "constant", "power_mw": 0.02, "duration": 120.0, "dt": 1.0},
+        {"family": "piezo", "duration": 120.0, "dt": 1.0},
+        {"family": "kinetic", "duration": 120.0, "dt": 1.0},
+    )
+
+    def _fleet(self, n, pinned=4):
+        """``n`` devices cycling through the trace kinds and both
+        execution models; every ``pinned``-th seeded trace pins seed 5."""
+        specs = []
+        for i in range(n):
+            trace = dict(self.TRACES[i % len(self.TRACES)])
+            if i % pinned == 0 and trace["family"] not in ("csv", "constant"):
+                trace["seed"] = 5
+            extra = {}
+            if i % 5 == 2:
+                extra = dict(
+                    execution="intermittent",
+                    profile="sonic-single-exit",
+                    controller={"kind": "fixed", "exit_index": 0},
+                )
+            specs.append(
+                DeviceSpec(
+                    name=f"w{i}",
+                    trace=trace,
+                    events={"kind": "uniform", "count": 6},
+                    **extra,
+                )
+            )
+        return FleetSpec(name="window-fleet", seed=19, devices=specs)
+
+    def _check(self, spec, oracle):
+        with _cold_memo():
+            want = _payload(oracle(spec))
+        with _cold_memo():
+            assert _payload(FleetRunner(spec, workers=1).run()) == want
+
+    def test_two_devices_pinning_one_trace_seed(self, oracle):
+        spec = self._fleet(8, pinned=7)
+        pins = [d.trace for d in spec.devices if "seed" in d.trace]
+        assert len(pins) == 2 and pins[0] == pins[1]
+        self._check(spec, oracle)
+
+    def test_stacked_families_mixed_with_csv_and_constant(self, oracle):
+        spec = self._fleet(21)
+        families = {d.trace["family"] for d in spec.devices}
+        assert {"csv", "constant", "solar", "rf"} <= families
+        self._check(spec, oracle)
+
+    def test_fleet_across_a_window_boundary(self, oracle):
+        spec = self._fleet(_TRACE_CACHE_MAX + 9)
+        self._check(spec, oracle)
+
+    def test_same_fleet_built_twice_in_one_process(self, oracle):
+        """The second build reads its traces from the memo the first
+        filled; both equal the oracle."""
+        spec = self._fleet(21)
+        with _cold_memo():
+            want = _payload(oracle(spec))
+        with _cold_memo():
+            first = _payload(FleetRunner(spec, workers=1).run())
+            second = _payload(FleetRunner(spec, workers=1).run())
+        assert first == second == want
 
 
 class TestPropertyEquivalence:

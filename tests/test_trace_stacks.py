@@ -283,20 +283,35 @@ class TestPrefetchErrors:
         ],
     )
     def test_engine_raises_the_scalar_error(self, bad):
+        """The bad trace's own error, whether a later device's trace or
+        controller is bad too; a bad controller on an earlier device
+        fails first instead."""
         later_bad = {"family": "wind", "duration": 200.0, "mean_speed": -1.0}
         specs = [self.GOOD, bad, self.GOOD, later_bad]
-        tasks = [
-            (i, DeviceSpec(name=f"d{i}", trace=dict(trace)), 5)
-            for i, trace in enumerate(specs)
-        ]
+
+        def tasks(bad_controller_at=None):
+            typo = {"kind": "greedy", "reserve_fractoin": 0.1}
+            return [
+                (i, DeviceSpec(
+                    name=f"d{i}",
+                    trace=dict(trace),
+                    **({"controller": typo} if i == bad_controller_at else {}),
+                ), 5)
+                for i, trace in enumerate(specs)
+            ]
+
         with _cold_memo():
             with pytest.raises((ConfigError, EnergyError)) as scalar:
                 build_trace(bad, device_seeds(1, 5)[0])
+        for bad_controller_at in (None, 2):
+            with _cold_memo():
+                with pytest.raises((ConfigError, EnergyError)) as engine:
+                    BatchedFleetEngine(tasks(bad_controller_at))
+            assert type(engine.value) is type(scalar.value)
+            assert str(engine.value) == str(scalar.value)
         with _cold_memo():
-            with pytest.raises((ConfigError, EnergyError)) as engine:
-                BatchedFleetEngine(tasks)
-        assert type(engine.value) is type(scalar.value)
-        assert str(engine.value) == str(scalar.value)
+            with pytest.raises(ConfigError, match="reserve_fractoin"):
+                BatchedFleetEngine(tasks(0))
 
     def test_a_seed_numpy_refuses_fails_only_its_row(self):
         """The stacks seed every row's generator in one pass; a seed numpy
