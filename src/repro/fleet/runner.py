@@ -86,7 +86,8 @@ def run_device(task) -> DeviceResult:
     """
     index, spec, fleet_seed = task
     t0 = time.perf_counter()
-    device = materialize(spec, device_seeds(index, fleet_seed))
+    seeds = device_seeds(index, fleet_seed)
+    device = materialize(spec, seeds, build_trace(spec.trace, seeds[0]))
     sim = Simulator(
         device.trace,
         device.profile,

@@ -202,9 +202,9 @@ def _report_tallies(prof, tally, part) -> None:
 class IntermittentFleetKernel:
     """Lockstep multi-cycle execution for a fleet's intermittent devices.
 
-    Construction stacks the per-device environment — padded trace
-    sample/cumulative-energy rows, capacitor parameters, MCU thresholds,
-    the fixed job (the profile's only selectable exit) — into columns.
+    Construction takes the per-device environment as columns — trace
+    sample/cumulative-energy rows (padded here), capacitor parameters, MCU
+    thresholds, the fixed job (the profile's only selectable exit).
     :meth:`run_episode` then plays one whole episode (the full event
     stream) for every participating device, mutating the engine's shared
     state columns in place and returning packed per-event records.  The
@@ -212,72 +212,50 @@ class IntermittentFleetKernel:
     those dynamics, so :meth:`replay_episode` only takes its draws.
     """
 
-    def __init__(self, rows, devices):
-        """``rows`` are engine rows; ``devices`` the matching materialized
-        device objects (``trace`` / ``mcu`` / ``storage`` / ``profile`` /
-        ``exit_energy`` / ``exit_acc`` attributes, one per row)."""
+    def __init__(
+        self,
+        rows,
+        traces,
+        *,
+        capacity,
+        efficiency,
+        leakage,
+        mcus,
+        job_exit,
+        job_energy,
+        job_acc,
+    ):
+        """One lane per engine row of ``rows``; every other argument holds
+        one entry per lane: its trace as ``(samples, cumulative energy,
+        dt)`` (rows padded here to the longest), its capacitor's
+        ``capacity``, ``efficiency`` and ``leakage``, its
+        :class:`~repro.intermittent.mcu.MCUSpec`, and the fixed job (the
+        profile's last exit): its index, energy and accuracy."""
         self.rows = np.asarray(rows, dtype=np.int64)
-        k = len(devices)
-        if k != len(self.rows):
-            raise SimulationError("rows and devices must align")
-        max_n = max(d.trace.samples_mw.size for d in devices)
-        self._samples = np.zeros((k, max_n))
-        self._cum = np.zeros((k, max_n))
-        for i, d in enumerate(devices):
-            n = d.trace.samples_mw.size
-            self._samples[i, :n] = d.trace.samples_mw
-            self._cum[i, :n] = d.trace._cum_energy
-        self._n = np.array([d.trace.samples_mw.size for d in devices], np.int64)
-        self._dt = np.array([float(d.trace.dt) for d in devices])
-        self._duration = np.array([d.trace.duration for d in devices])
-        self._cum_total = np.array([d.trace.total_energy_mj for d in devices])
-        self._capacity = np.array([d.storage.capacity_mj for d in devices])
-        self._efficiency = np.array([d.storage.efficiency for d in devices])
-        self._leakage = np.array([d.storage.leakage_mw for d in devices])
-        self._shutdown = np.array(
-            [d.mcu.shutdown_threshold * d.storage.capacity_mj for d in devices]
-        )
-        self._wakeup = np.array(
-            [d.mcu.wakeup_threshold * d.storage.capacity_mj for d in devices]
-        )
-        self._active_power = np.array([d.mcu.active_power_mw for d in devices])
-        self._ckpt_half = np.array([d.mcu.checkpoint_energy_mj / 2 for d in devices])
-        self._ckpt_time = np.array([d.mcu.checkpoint_time_s for d in devices])
-        # The SONIC-style job: the profile's last (only) exit, fixed.
-        self._job_exit = np.array([d.profile.num_exits - 1 for d in devices], np.int64)
-        self._job_energy = np.array(
-            [d.exit_energy[-1] for d in devices], dtype=np.float64
-        )
-        self._job_acc = np.array([d.exit_acc[-1] for d in devices], dtype=np.float64)
+        samples, cum_energy, dt = zip(*traces)
+        self._n = np.array([row.size for row in samples], np.int64)
+        self._samples = np.zeros((len(samples), self._n.max()))
+        self._cum = np.zeros_like(self._samples)
+        for i, (row, cum) in enumerate(zip(samples, cum_energy)):
+            self._samples[i, :row.size] = row
+            self._cum[i, :row.size] = cum
+        # PowerTrace.duration and total_energy_mj, from the rows.
+        self._dt = np.array(dt, dtype=np.float64)
+        self._duration = (self._n - 1) * self._dt
+        self._cum_total = self._cum[np.arange(len(samples)), self._n - 1]
+        self._capacity = np.array(capacity, dtype=np.float64)
+        self._efficiency = np.array(efficiency, dtype=np.float64)
+        self._leakage = np.array(leakage, dtype=np.float64)
+        capacity = self._capacity
+        self._shutdown = np.array([m.shutdown_threshold for m in mcus]) * capacity
+        self._wakeup = np.array([m.wakeup_threshold for m in mcus]) * capacity
+        self._active_power = np.array([m.active_power_mw for m in mcus])
+        self._ckpt_half = np.array([m.checkpoint_energy_mj / 2 for m in mcus])
+        self._ckpt_time = np.array([m.checkpoint_time_s for m in mcus])
+        self._job_exit = np.array(job_exit, dtype=np.int64)
+        self._job_energy = np.array(job_energy, dtype=np.float64)
+        self._job_acc = np.array(job_acc, dtype=np.float64)
         self._no_leak = bool((self._leakage == 0.0).all())
-
-    @classmethod
-    def concat(cls, kernels) -> "IntermittentFleetKernel":
-        """One kernel over the rows of ``kernels``, in order.
-
-        The batched engine builds a kernel per build window, while that
-        window's traces exist, and joins them here: the padded trace rows
-        widen to the longest trace, every other column concatenates, so
-        the result equals one kernel built over all the devices.
-        """
-        if len(kernels) == 1:
-            return kernels[0]
-        kernel = cls.__new__(cls)
-        width = max(k._samples.shape[1] for k in kernels)
-        for name, value in vars(kernels[0]).items():
-            parts = [getattr(k, name) for k in kernels]
-            if name in ("_samples", "_cum"):
-                value = np.zeros((sum(len(p) for p in parts), width))
-                start = 0
-                for part in parts:
-                    stop, n = start + part.shape[0], part.shape[1]
-                    value[start:stop, :n] = part
-                    start = stop
-            elif isinstance(value, np.ndarray):
-                value = np.concatenate(parts)
-            setattr(kernel, name, value)
-        kernel._no_leak = bool((kernel._leakage == 0.0).all())
-        return kernel
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -6,24 +6,25 @@ per-device state as a numpy column — storage level / capacity / ledger
 totals, ``busy_until``, the charge bookkeeping (``t_charged`` /
 ``cum_charged``), and per-device event counts — and advancing all
 still-active devices one event-index step at a time.
-Construction builds the devices in windows of at most the trace memo's
-cap.  Per window it derives every device's four seeds in one vectorized
-pass and seeds the window's events and simulator Generators in another
-(:mod:`repro.utils.rng`), synthesizes the window's seeded traces as
-same-grid stacks
-(:func:`repro.sim.devices.prefetch_traces`, timed as the
-``batch.build.traces`` profiler phase) and materializes every device,
-which hits the memo.  Then, while the window's traces exist, it takes
-everything it reads of them as columns (the ``batch.build.columns``
-phase): the decision-independent quantities
+Construction builds the devices in windows of :data:`_BUILD_WINDOW`
+and writes each device's static facts straight into preallocated
+columns.  Per window it derives every device's four seeds in one
+vectorized pass, seeds the window's events and simulator Generators in
+another (:mod:`repro.utils.rng`) and takes the window's seeded traces in
+one :func:`repro.sim.devices.fetch_traces` call (memo hits and same-grid
+stacks, timed as the ``batch.build.traces`` profiler phase).  Each
+device then materializes around its trace, in task order; exit rows are
+computed once per distinct (profile, MCU) pair.  While the window's
+traces exist, the engine takes everything it reads of them as columns
+(the ``batch.build.columns`` phase): the decision-independent quantities
 :class:`~repro.sim.simulator.Simulator` precomputes — cumulative
 harvested energy at every event and the windowed observed charge power —
 as stacked gathers (:func:`repro.energy.traces.event_queries`) written
 straight into the (event, device) matrices, each trace's harvest
 summary, peak, duration and total energy, and the intermittent devices'
-padded kernel rows.  No trace outlives its window.  The inner step then
-applies controller decisions across the device axis with fancy indexing
-through the batched controller groups of :mod:`repro.runtime.batched`.
+sample rows.  No trace outlives its window.  The inner step then applies
+controller decisions across the device axis with fancy indexing through
+the batched controller groups of :mod:`repro.runtime.batched`.
 
 Three device classes vectorize (everything a fleet spec can express):
 
@@ -57,7 +58,10 @@ enforces it:
   window's with :func:`~repro.utils.rng.seed_states` and seeds its
   events, simulator and trace-draw Generators with
   :func:`~repro.utils.rng.generators`, numpy's ``SeedSequence``
-  arithmetic over many seeds at once, equal to numpy word for word;
+  arithmetic over many seeds at once, equal to numpy word for word.
+  The oracle hands ``materialize`` the trace ``build_trace`` returns;
+  the engine, the window's (:func:`~repro.sim.devices.fetch_traces`) or
+  ``build_trace``'s at that device's turn, so errors keep task order;
 * the event-time columns are one stacked gather per block of a window,
   repeating ``PowerTrace._cum_bulk``'s arithmetic (and ``mean_power``'s
   window) element for element, so every column equals its device's own
@@ -117,7 +121,6 @@ interactive traffic on, enforced against the same goldens.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,10 +131,10 @@ from repro.obs.recorder import get_recorder
 from repro.runtime.batched import batch_continue_rules, batch_controllers, batchable
 from repro.runtime.state import RuntimeStateBatch
 from repro.sim.devices import (
-    _TRACE_CACHE_MAX,
+    build_trace,
+    fetch_traces,
     harvest_percentiles,
     materialize,
-    prefetch_traces,
 )
 from repro.sim.results import (
     DeviceColumns,
@@ -149,73 +152,9 @@ _MISS_NONE, _MISS_BUSY, _MISS_ENERGY = 0, 1, 2
 #: Latency and energy percentiles a DeviceResult reports.
 _RESULT_QS = (50, 90, 99)
 
-class _Device:
-    """One materialized device: what the engine keeps of it once its
-    build window is done.  Its trace lives on only as a summary (event
-    count, peak, duration, total energy and, set by the window, the
-    harvest percentiles) and as the engine's columns."""
-
-    __slots__ = (
-        "index", "spec", "profile", "storage", "mcu", "controller",
-        "sim_rng", "intermittent", "n_events", "peak_mw", "duration",
-        "total_env_mj", "harvest", "exit_energy", "exit_time", "exit_acc",
-        "inc_energy", "inc_time",
-    )
-
-    def __init__(self, index: int, spec, objs):
-        self.index = int(index)
-        self.spec = spec
-        self.profile = objs.profile
-        self.storage = objs.storage
-        self.mcu = objs.mcu
-        self.controller = objs.controller
-        self.sim_rng = as_generator(objs.sim_seed)
-        self.intermittent = spec.execution == "intermittent"
-        self.n_events = objs.events.size
-        self.peak_mw = float(np.max(objs.trace.samples_mw))
-        self.duration = objs.trace.duration
-        self.total_env_mj = objs.trace.total_energy_mj
-        self.harvest = None
-        self.exit_energy = [float(e) for e in self.profile.exit_energy_mj]
-        self.exit_time = [
-            self.mcu.inference_time_s(f) for f in self.profile.exit_flops
-        ]
-        self.exit_acc = [float(a) for a in self.profile.exit_accuracies]
-        self.inc_energy = [
-            float(e) for e in self.profile.incremental_energy_mj
-        ]
-        self.inc_time = [
-            self.mcu.inference_time_s(f) for f in self.profile.incremental_flops
-        ]
-
-
-class _TracedDevice(NamedTuple):
-    """An intermittent device while its build window lasts: the fields
-    :class:`~repro.intermittent.kernel.IntermittentFleetKernel` reads."""
-
-    trace: object
-    storage: object
-    mcu: object
-    profile: object
-    exit_energy: list
-    exit_acc: list
-
-
-def _materialize_window(specs, seeds) -> list:
-    """Every device of a build window, built in task order.
-
-    The events check runs once, over every device built.  When a build
-    raises, the devices before it are still checked, and a failed check
-    replaces the build's error: errors surface in task order, as if each
-    device checked its own events straight after its build.
-    """
-    objs = []
-    try:
-        for spec, device in zip(specs, seeds):
-            objs.append(materialize(spec, device))
-    finally:
-        _check_events([obj.events for obj in objs])
-    return objs
+#: Devices built per window: a window's traces, event streams and
+#: synthesis temporaries are alive only while it builds.
+_BUILD_WINDOW = 256
 
 
 def _check_events(events) -> None:
@@ -290,8 +229,8 @@ class _RunState:
 class BatchedFleetEngine:
     """Runs a list of ``(index, DeviceSpec, fleet_seed)`` tasks.
 
-    Construction materializes every device (traces, profiles, controllers,
-    per-event columns, a build window at a time); :meth:`run` plays all
+    Construction materializes every device into the engine's columns, a
+    build window at a time; :meth:`run` plays all
     episodes in lockstep and returns every task's result, in task order,
     as one :class:`~repro.sim.results.DeviceColumns`.  The incremental twin — :meth:`begin` /
     :meth:`advance` / :meth:`finalize` — executes the same instruction
@@ -312,68 +251,69 @@ class BatchedFleetEngine:
         self._events = np.zeros((0, m))
         self._cum_at_event = np.zeros((0, m))
         self._charge_power = np.zeros((0, m))
-        self.devices = []
-        kernels = []
-        for start in range(0, m, _TRACE_CACHE_MAX):
-            kernel = self._build_window(
-                start, tasks[start:start + _TRACE_CACHE_MAX], prof
+        # Every device's static facts, written into its row by its build
+        # window (see _write_device).
+        self._names = [None] * m
+        self._profile_names = [None] * m
+        self._harvest = [None] * m
+        self._controllers = [None] * m
+        self._sim_rngs = [None] * m
+        self._index = np.zeros(m, np.int64)
+        self._n_events = np.zeros(m, np.int64)
+        self._episodes = np.zeros(m, np.int64)
+        self._exec_int = np.zeros(m, bool)
+        self._peak = np.zeros(m)
+        self._duration = np.zeros(m)
+        self._total_env = np.zeros(m)
+        self._capacity = np.zeros(m)
+        self._efficiency = np.zeros(m)
+        self._leakage = np.zeros(m)
+        self._initial = np.zeros(m)
+        #: Distinct (profile, MCU) pairs, ``(id(profile), id(mcu)) ->
+        #: (pair, profile, mcu)``, and each device's pair.
+        self._pairs = {}
+        self._pair = np.zeros(m, np.int64)
+        int_traces = []
+        for start in range(0, m, _BUILD_WINDOW):
+            int_traces += self._build_window(
+                start, tasks[start:start + _BUILD_WINDOW], prof
             )
-            if kernel is not None:
-                kernels.append(kernel)
-        for dev in self.devices:
-            if not dev.intermittent and not batchable(dev.controller):
+        for row, controller in enumerate(self._controllers):
+            if not self._exec_int[row] and not batchable(controller):
                 raise ConfigError(
-                    f"device {dev.spec.name!r}: controller cannot be batched"
+                    f"device {self._names[row]!r}: controller cannot be batched"
                 )
         max_ev = self._events.shape[0]
-        self._n_events = np.array([d.n_events for d in self.devices], np.int64)
-        max_exits = max(d.profile.num_exits for d in self.devices)
-        self._episodes = np.array([d.spec.episodes for d in self.devices], np.int64)
-        self._n_exits = np.array(
-            [d.profile.num_exits for d in self.devices], np.int64
-        )
-        # Padded per-exit lookups.  Cost pads with +inf so a padded exit
-        # can never look affordable; accuracy/time pad with 0.
-        self._exit_cost = np.full((m, max_exits), np.inf)
-        self._exit_time = np.zeros((m, max_exits))
-        self._exit_acc = np.zeros((m, max_exits))
-        inc_width = max(max_exits - 1, 1)
-        self._inc_cost = np.full((m, inc_width), np.inf)
-        self._inc_time = np.zeros((m, inc_width))
-        for i, d in enumerate(self.devices):
-            k = d.profile.num_exits
-            self._exit_cost[i, :k] = d.exit_energy
-            self._exit_time[i, :k] = d.exit_time
-            self._exit_acc[i, :k] = d.exit_acc
-            self._inc_cost[i, :len(d.inc_energy)] = d.inc_energy
-            self._inc_time[i, :len(d.inc_time)] = d.inc_time
-        # Storage columns (reset per episode) + fixed environment columns.
-        self._capacity = np.array([d.storage.capacity_mj for d in self.devices])
-        self._efficiency = np.array([d.storage.efficiency for d in self.devices])
-        self._leakage = np.array([d.storage.leakage_mw for d in self.devices])
-        self._initial = np.array([d.storage._initial_mj for d in self.devices])
-        self._peak = np.array([d.peak_mw for d in self.devices])
-        self._duration = np.array([d.duration for d in self.devices])
-        self._total_env = np.array([d.total_env_mj for d in self.devices])
-        self._sim_draws = DrawBatch([d.sim_rng for d in self.devices])
+        self._write_exit_rows()
+        self._sim_draws = DrawBatch(self._sim_rngs)
         # Execution-model split: intermittent devices run through the
         # shared multi-cycle kernel and never consult a controller.
-        self._exec_int = np.array([d.intermittent for d in self.devices], bool)
         self._has_int = bool(self._exec_int.any())
         self._sc = ~self._exec_int
         sc_rows = np.nonzero(self._sc)[0]
-        controllers = [d.controller for d in self.devices]
         self._groups, self._group_of = batch_controllers(
-            controllers, self._exit_cost, rows=sc_rows
+            self._controllers, self._exit_cost, rows=sc_rows
         )
         self._rule_groups, self._rule_of = batch_continue_rules(
-            controllers, max_steps=inc_width, rows=sc_rows
+            self._controllers, max_steps=self._inc_cost.shape[1], rows=sc_rows
         )
         self._has_rules = bool(self._rule_groups)
         if self._has_int:
             int_rows = np.nonzero(self._exec_int)[0]
+            job = self._n_exits[int_rows] - 1
+            pairs = list(self._pairs.values())
             self._int_rows = int_rows
-            self._int_kernel = IntermittentFleetKernel.concat(kernels)
+            self._int_kernel = IntermittentFleetKernel(
+                int_rows,
+                int_traces,
+                capacity=self._capacity[int_rows],
+                efficiency=self._efficiency[int_rows],
+                leakage=self._leakage[int_rows],
+                mcus=[pairs[p][2] for p in self._pair[int_rows].tolist()],
+                job_exit=job,
+                job_energy=self._exit_cost[int_rows, job],
+                job_acc=self._exit_acc[int_rows, job],
+            )
             self._int_events = np.ascontiguousarray(self._events[:, int_rows])
             self._int_cum = np.ascontiguousarray(self._cum_at_event[:, int_rows])
             self._int_nev = self._n_events[int_rows]
@@ -406,21 +346,23 @@ class BatchedFleetEngine:
             prof.add_wall("batch.build", time.perf_counter() - t_build)
             prof.memory_probe("batch.build")
 
-    def _build_window(self, start, window, prof):
-        """Materialize one build window's devices and take their columns.
+    def _build_window(self, start, window, prof) -> list:
+        """Build one window's devices into rows ``start``... of the columns.
 
-        The window's device seeds (:func:`~repro.sim.devices.device_seeds`
-        for every device) derive in one vectorized pass
-        (:func:`~repro.utils.rng.seed_states`), and its events and
+        The window's device seeds derive in one vectorized pass
+        (:func:`~repro.utils.rng.seed_states`) and its events and
         simulator Generators seed in another
-        (:func:`~repro.utils.rng.generators`).  Each device's seeds, with
-        those two Generators in their seeds' places, go to the trace
-        prefetch and to :func:`~repro.sim.devices.materialize`.  Then,
-        while the window's traces exist, the engine takes everything it
-        reads of them: the trace summaries, the event-time columns
-        (:meth:`_write_event_columns`) and the intermittent devices'
-        padded kernel rows, returned as this window's kernel (``None``
-        without intermittent devices).  No trace outlives its window.
+        (:func:`~repro.utils.rng.generators`).  In task order, each
+        device takes its trace (the window's from
+        :func:`~repro.sim.devices.fetch_traces`, or
+        :func:`~repro.sim.devices.build_trace`'s at its turn where the
+        stacks left it), materializes and writes its static facts
+        (:meth:`_write_device`); a failed events check, run once over
+        every device built, replaces a later build's error, so errors
+        surface in task order.  Then come the harvest summaries and the
+        event-time columns (:meth:`_write_event_columns`).  Returns the
+        intermittent devices' ``(samples, cumulative energy, dt)`` trace
+        rows, for the multi-cycle kernel.
         """
         states = seed_states(
             [fleet_seed for _, _, fleet_seed in window],
@@ -435,33 +377,83 @@ class BatchedFleetEngine:
         ]
         specs = [spec for _, spec, _ in window]
         t_phase = time.perf_counter() if prof is not None else 0.0
-        prefetch_traces(specs, seeds)
+        traces = fetch_traces(specs, seeds)
         if prof is not None:
             prof.add_wall("batch.build.traces", time.perf_counter() - t_phase)
-        objs = _materialize_window(specs, seeds)
-        devices = [_Device(i, spec, obj) for (i, spec, _), obj in zip(window, objs)]
-        self.devices.extend(devices)
+        events = []
+        try:
+            for c, ((index, spec, _), device) in enumerate(zip(window, seeds)):
+                if traces[c] is None:
+                    traces[c] = build_trace(spec.trace, device[0])
+                obj = materialize(spec, device, traces[c])
+                events.append(obj.events)
+                self._write_device(start + c, index, spec, obj)
+        finally:
+            _check_events(events)
         t_phase = time.perf_counter() if prof is not None else 0.0
-        traces = [obj.trace for obj in objs]
-        for dev, harvest in zip(devices, harvest_percentiles(traces)):
-            dev.harvest = harvest
-        self._write_event_columns(start, devices, traces, [o.events for o in objs])
-        kernel = None
-        if any(d.intermittent for d in devices):
-            kernel = IntermittentFleetKernel(
-                [start + c for c, d in enumerate(devices) if d.intermittent],
-                [
-                    _TracedDevice(
-                        trace, d.storage, d.mcu, d.profile, d.exit_energy, d.exit_acc
-                    )
-                    for trace, d in zip(traces, devices) if d.intermittent
-                ],
-            )
+        self._harvest[start:start + len(window)] = harvest_percentiles(traces)
+        self._write_event_columns(start, specs, traces, events)
         if prof is not None:
             prof.add_wall("batch.build.columns", time.perf_counter() - t_phase)
-        return kernel
+        return [
+            (trace.samples_mw, trace._cum_energy, trace.dt)
+            for trace, spec in zip(traces, specs)
+            if spec.execution == "intermittent"
+        ]
 
-    def _write_event_columns(self, start, devices, traces, events) -> None:
+    def _write_device(self, row, index, spec, obj) -> None:
+        """Write one materialized device's static facts into ``row``."""
+        trace, storage, profile = obj.trace, obj.storage, obj.profile
+        self._names[row] = spec.name
+        self._profile_names[row] = profile.name
+        self._controllers[row] = obj.controller
+        self._sim_rngs[row] = as_generator(obj.sim_seed)
+        self._index[row] = index
+        self._n_events[row] = obj.events.size
+        self._episodes[row] = spec.episodes
+        self._exec_int[row] = spec.execution == "intermittent"
+        self._peak[row] = trace.samples_mw.max()
+        self._duration[row] = trace.duration
+        self._total_env[row] = trace.total_energy_mj
+        self._capacity[row] = storage.capacity_mj
+        self._efficiency[row] = storage.efficiency
+        self._leakage[row] = storage.leakage_mw
+        self._initial[row] = storage._initial_mj
+        key = (id(profile), id(obj.mcu))
+        pair = self._pairs.setdefault(key, (len(self._pairs), profile, obj.mcu))
+        self._pair[row] = pair[0]
+
+    def _write_exit_rows(self) -> None:
+        """Every device's padded per-exit and incremental lookups, computed
+        once per (profile, MCU) pair and gathered by each device's pair.
+        Cost pads with +inf so a padded exit can never look affordable;
+        accuracy and time pad with 0."""
+        pairs = [(profile, mcu) for _, profile, mcu in self._pairs.values()]
+        max_exits = max(profile.num_exits for profile, _ in pairs)
+        inc_width = max(max_exits - 1, 1)
+        exit_cost = np.full((len(pairs), max_exits), np.inf)
+        exit_time = np.zeros((len(pairs), max_exits))
+        exit_acc = np.zeros((len(pairs), max_exits))
+        inc_cost = np.full((len(pairs), inc_width), np.inf)
+        inc_time = np.zeros((len(pairs), inc_width))
+        for p, (profile, mcu) in enumerate(pairs):
+            k = profile.num_exits
+            exit_cost[p, :k] = profile.exit_energy_mj
+            exit_time[p, :k] = [mcu.inference_time_s(f) for f in profile.exit_flops]
+            exit_acc[p, :k] = profile.exit_accuracies
+            inc_cost[p, :k - 1] = profile.incremental_energy_mj
+            inc_time[p, :k - 1] = [
+                mcu.inference_time_s(f) for f in profile.incremental_flops
+            ]
+        pair = self._pair
+        self._n_exits = np.array([p.num_exits for p, _ in pairs], np.int64)[pair]
+        self._exit_cost = exit_cost[pair]
+        self._exit_time = exit_time[pair]
+        self._exit_acc = exit_acc[pair]
+        self._inc_cost = inc_cost[pair]
+        self._inc_time = inc_time[pair]
+
+    def _write_event_columns(self, start, specs, traces, events) -> None:
         """Write a window's event times, the cumulative harvested energy
         at each event and the observed charge power P into the engine's
         columns ``start``..., a block of devices per stacked gather.
@@ -478,10 +470,10 @@ class BatchedFleetEngine:
             self._events = _with_rows(self._events, rows)
             self._cum_at_event = _with_rows(self._cum_at_event, rows)
             self._charge_power = _with_rows(self._charge_power, rows)
-        windows = [d.spec.power_window_s for d in devices]
+        windows = [spec.power_window_s for spec in specs]
         # The SONIC baseline never consults P, so intermittent columns
         # keep zeros (the scalar simulator skips the windowed query).
-        reads_power = [not d.intermittent for d in devices]
+        reads_power = [spec.execution != "intermittent" for spec in specs]
         for a, b in _blocks(counts, _BLOCK_ELEMENTS // 2):
             block = counts[a:b]
             flat = np.concatenate(events[a:b])
@@ -1107,9 +1099,9 @@ class BatchedFleetEngine:
         keys = [f"p{q:g}" for q in _RESULT_QS]
         packed = {
             "n": m,
-            "names": [d.spec.name for d in self.devices],
-            "profiles": [d.profile.name for d in self.devices],
-            "index": [d.index for d in self.devices],
+            "names": list(self._names),
+            "profiles": list(self._profile_names),
+            "index": self._index.tolist(),
             "num_events": n_events.tolist(),
             "num_processed": n_processed.tolist(),
             "num_missed": n_missed.tolist(),
@@ -1131,9 +1123,7 @@ class BatchedFleetEngine:
             "energy_percentiles": {
                 "keys": keys, "values": points["energy"].tolist(),
             },
-            "harvest_percentiles": pack_dict_column(
-                [d.harvest for d in self.devices], float
-            ),
+            "harvest_percentiles": pack_dict_column(self._harvest, float),
             "miss_counts": self._miss_column(valid),
             "exit_counts": hist.tolist(),
             "exit_widths": self._n_exits.tolist(),
@@ -1203,7 +1193,7 @@ class BatchedFleetEngine:
             total_env_energy_mj=float(self._total_env[i]),
             total_consumed_mj=float(rs.total_drawn[i]),
             duration_s=float(self._duration[i]),
-            profile_name=self.devices[i].profile.name,
+            profile_name=self._profile_names[i],
         )
 
 

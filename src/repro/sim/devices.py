@@ -1,8 +1,8 @@
 """Device materialization: a declarative device spec becomes live objects.
 
-:func:`materialize` builds one device's power trace, event stream,
-profile, capacitor, MCU and exit controller for both the batched engine
-(:mod:`repro.sim.batch`) and the scalar oracle
+:func:`materialize` builds one device's event stream, profile,
+capacitor, MCU and exit controller around its power trace for both the
+batched engine (:mod:`repro.sim.batch`) and the scalar oracle
 (``repro.fleet.runner.run_device``).  A spec is duck-typed: anything with
 ``trace``, ``events``, ``profile``, ``storage``, ``mcu`` and
 ``controller`` attributes materializes.  Device ``index`` of a fleet
@@ -14,20 +14,20 @@ engine derives a build window's in one vectorized pass
 (:func:`repro.utils.rng.seed_states`) and seeds the window's events
 and simulator Generators in another (:func:`repro.utils.rng.generators`),
 handing each device's seeds, those two Generators in their seeds'
-places, to :func:`prefetch_traces` and :func:`materialize`.  Either way
-every stream is the one numpy seeds.
+places, to :func:`materialize`.  Either way every stream is the one
+numpy seeds.
 
-Traces are memoized per process, except those whose params cannot key a
-deterministic result (a live Generator or a None seed).  The engine
-fills the memo a window of devices at a time with
-:func:`prefetch_traces`, which synthesizes every missing seeded trace as
-same-grid stacks (:func:`repro.energy.traces.synthesize_stacks`); each
-device's own :func:`build_trace` call then hits the memo, and a trace
-the prefetch could not build synthesizes there, raising the builder's
-own error.  The engine keeps no trace past its window: the memo's
-entries (at most its cap) are the only traces a built engine leaves
-alive.  :func:`harvest_percentiles` summarizes a window's traces a stack
-of same-grid traces at a time.
+The caller hands :func:`materialize` the device's trace: the scalar
+oracle's from :func:`build_trace`, the engine's from one
+:func:`fetch_traces` call per window, which reads the memo once per
+device and synthesizes the missing seeded traces as same-grid stacks
+(:func:`repro.energy.traces.synthesize_stacks`); the engine calls
+:func:`build_trace` only for a trace the stacks cannot take.  Traces are
+memoized per process, except those whose params cannot key a
+deterministic result (a live Generator or a None seed), so a fleet
+rebuilt in one process synthesizes no trace the memo still holds.
+:func:`harvest_percentiles` summarizes a window's traces a stack of
+same-grid traces at a time.
 
 The one lazy import: a ``zoo:<net>`` profile loads :mod:`repro.zoo` (and
 the training substrate behind it) on first use.
@@ -91,9 +91,7 @@ _PROFILE_CACHE: dict = {}
 #: fleet — share one PowerTrace instead of re-synthesizing 36k-43k samples
 #: each time.  Traces are treated as immutable everywhere in the simulator,
 #: so sharing is safe; the cap bounds worker memory on fleets with many
-#: distinct environments (FIFO eviction).  It is also the engine's build
-#: window: a window's prefetched traces all survive until its devices
-#: materialize.
+#: distinct environments (FIFO eviction).
 _TRACE_CACHE: dict = {}
 _TRACE_CACHE_MAX = 256
 
@@ -152,21 +150,21 @@ def build_trace(trace_spec: dict, fallback_seed: int) -> PowerTrace:
     return trace
 
 
-def prefetch_traces(specs, seeds) -> None:
-    """Synthesize the seeded traces of ``specs`` missing from the memo.
+def fetch_traces(specs, seeds) -> list:
+    """Each spec's seeded trace, in order; None where the caller must
+    call :func:`build_trace` itself.
 
-    ``seeds`` are what each device's :func:`materialize` call receives;
-    the prefetch reads their trace seed.  At most the memo's cap of
-    specs, so every trace added here survives until its device's
-    :func:`build_trace` call reads it back.  Traces synthesize as
-    same-grid stacks through the family builders directly (never through
-    :func:`build_trace`, which stays one call per device).  Never raises:
-    a spec the stacks cannot take (csv, constant, an unhashable param, a
-    failing row) is left to its device's own build, in task order, with
-    that build's error.
+    ``seeds`` are the devices' :func:`device_seeds` (the trace seed is
+    read).  The memo is read once per spec; the traces it lacks
+    synthesize as same-grid stacks and join it, one per key.  Never
+    raises: a spec the stacks cannot take (csv, constant, an unhashable
+    param, a failing row) comes back None, and its own
+    :func:`build_trace` call, made in task order, raises that build's
+    error.
     """
+    out = [None] * len(specs)
     wanted: dict = {}
-    for spec, (trace_seed, *_) in zip(specs, seeds):
+    for r, (spec, (trace_seed, *_)) in enumerate(zip(specs, seeds)):
         try:
             params = dict(spec.trace)
             family = params.pop("family")
@@ -174,20 +172,26 @@ def prefetch_traces(specs, seeds) -> None:
                 continue
             params.setdefault("seed", trace_seed)
             key = _trace_cache_key(family, params)
-            if key is None or key in _TRACE_CACHE:
+            if key is None:
                 continue
+            out[r] = _TRACE_CACHE.get(key)
         except Exception:
             continue
-        wanted.setdefault(family, {})[key] = params
+        if out[r] is None:
+            wanted.setdefault(family, {}).setdefault(key, (params, []))[1].append(r)
     # Evict first what the new traces will displace, so their memory is
     # free before the stacks synthesize.
     missing = sum(len(rows) for rows in wanted.values())
     while _TRACE_CACHE and len(_TRACE_CACHE) + missing > _TRACE_CACHE_MAX:
         _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
     for family, rows in wanted.items():
-        for key, trace in zip(rows, synthesize_stacks(family, list(rows.values()))):
+        stacked = synthesize_stacks(family, [params for params, _ in rows.values()])
+        for (key, (_, members)), trace in zip(rows.items(), stacked):
             if trace is not None:
                 _remember(key, trace)
+                for r in members:
+                    out[r] = trace
+    return out
 
 
 def build_events(events_spec: dict, duration: float, seed: int) -> np.ndarray:
@@ -276,9 +280,9 @@ def build_controller(controller_spec: dict, profile, storage, seed: int):
 
 
 class DeviceObjects(NamedTuple):
-    """One device's live objects, in the order :func:`materialize` builds
-    them, plus its simulator stream: the seed, or a Generator already
-    seeded from it."""
+    """One device's live objects: its trace, what :func:`materialize`
+    builds in the order it builds them, and its simulator stream (the
+    seed, or a Generator already seeded from it)."""
 
     trace: PowerTrace
     events: np.ndarray
@@ -298,17 +302,19 @@ def device_seeds(index, fleet_seed) -> tuple:
     return tuple(int(s) for s in child.generate_state(4, np.uint32))
 
 
-def materialize(spec, seeds) -> DeviceObjects:
-    """Build a device from ``spec`` and its four stream seeds.
+def materialize(spec, seeds, trace: PowerTrace) -> DeviceObjects:
+    """Build a device from ``spec``, its four stream seeds and its trace.
 
     ``seeds`` are the device's :func:`device_seeds`, derived once by the
     caller; its events and simulator entries may be Generators already
-    seeded from them (the engine seeds a window's in one pass), which the
-    builders take as they are.  The builders run in one fixed order:
-    trace, events, profile, storage, MCU, controller.
+    seeded from them (the engine seeds a window's in one pass), which
+    the builders take as they are.  ``trace`` is what
+    :func:`build_trace` returns for the spec at the trace seed (the
+    engine's comes from :func:`fetch_traces` where the stacks took it).
+    The builders run in one fixed order: events, profile, storage, MCU,
+    controller.
     """
-    trace_seed, event_seed, sim_seed, ctrl_seed = seeds
-    trace = build_trace(spec.trace, trace_seed)
+    _, event_seed, sim_seed, ctrl_seed = seeds
     events = build_events(spec.events, trace.duration, event_seed)
     profile = resolve_profile(spec.profile)
     storage = build_storage(spec.storage)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from deep import examples
@@ -28,14 +29,15 @@ from repro.fleet.results import (
 )
 from repro.obs.recorder import Recorder, recording
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
-from repro.sim import devices
-from repro.sim.batch import BatchedFleetEngine
+from repro.energy.traces import synthesize_stacks
+from repro.sim import batch, devices
+from repro.sim.batch import _BUILD_WINDOW, BatchedFleetEngine
 from repro.sim.devices import (
-    _TRACE_CACHE_MAX,
     build_trace,
     device_seeds,
     harvest_percentiles,
     materialize,
+    resolve_profile,
 )
 from repro.sim.results import DeviceResult
 from repro.sim.simulator import Simulator, SimulatorConfig
@@ -51,7 +53,8 @@ def _payload(result) -> str:
 def _scalar_episodes(index, device, fleet_seed):
     """Every episode of one device through the scalar simulator, built the
     way ``run_device`` builds it (which keeps only the last episode)."""
-    objs = materialize(device, device_seeds(index, fleet_seed))
+    seeds = device_seeds(index, fleet_seed)
+    objs = materialize(device, seeds, build_trace(device.trace, seeds[0]))
     sim = Simulator(
         objs.trace,
         objs.profile,
@@ -100,7 +103,7 @@ class TestScenarioEquivalence:
         for name in SCENARIOS.names():
             spec = SCENARIOS.build(name, num_devices=8)
             tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-            assert len(BatchedFleetEngine(tasks).devices) == 8
+            assert BatchedFleetEngine(tasks)._n_events.size == 8
 
     def test_only_the_oracle_measures_device_wall_time(self, oracle):
         """The engine simulates its devices together, so it has no
@@ -388,13 +391,13 @@ class TestColumnarFinalize:
             [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
         )
         results = engine.run()
-        for i, (got, d) in enumerate(zip(results, engine.devices)):
+        for i, (got, d) in enumerate(zip(results, spec.devices)):
             # The engine keeps no trace past its build window: rebuild it.
-            trace = build_trace(d.spec.trace, device_seeds(i, spec.seed)[0])
+            trace = build_trace(d.trace, device_seeds(i, spec.seed)[0])
             want = DeviceResult.from_simulation(
-                d.index, d.spec.name, engine.records(i), d.profile,
+                i, d.name, engine.records(i), resolve_profile(d.profile),
                 harvest_percentiles=harvest_percentiles([trace])[0],
-                episodes=d.spec.episodes,
+                episodes=d.episodes,
             )
             # JSON without sort_keys: float bits, int/float types and
             # dict key order all count.
@@ -647,7 +650,7 @@ class TestSeedPaths:
 
     def test_fleet_spanning_two_build_windows(self, oracle):
         spec = SCENARIOS.build("megacity-1m", num_devices=300)
-        assert spec.num_devices > _TRACE_CACHE_MAX
+        assert spec.num_devices > _BUILD_WINDOW
         assert _payload(FleetRunner(spec).run()) == _payload(oracle(spec))
 
 
@@ -725,8 +728,43 @@ class TestBuildWindow:
         self._check(spec, oracle)
 
     def test_fleet_across_a_window_boundary(self, oracle):
-        spec = self._fleet(_TRACE_CACHE_MAX + 9)
+        spec = self._fleet(_BUILD_WINDOW + 9)
         self._check(spec, oracle)
+
+    def test_seeded_fleet_never_calls_build_trace(self):
+        """A window takes every seeded trace from the memo or a stack row
+        (devices pinning one seed share a row): no device calls
+        ``build_trace``, and a second build of the fleet in one process
+        synthesizes no row."""
+        seeded = [
+            d for d in self._fleet(21, pinned=7).devices
+            if d.trace["family"] not in ("csv", "constant")
+        ]
+        tasks = [(i, d, 19) for i, d in enumerate(seeded)]
+        distinct = {
+            json.dumps({"seed": device_seeds(i, 19)[0], **d.trace}, sort_keys=True)
+            for i, d, _ in tasks
+        }
+        rows = []
+
+        def stacks(family, params):
+            rows.append(len(params))
+            return synthesize_stacks(family, params)
+
+        build = mock.Mock(wraps=devices.build_trace)
+        with (
+            _cold_memo(),
+            mock.patch.object(devices, "synthesize_stacks", stacks),
+            mock.patch.object(devices, "build_trace", build),
+            mock.patch.object(batch, "build_trace", build),
+        ):
+            BatchedFleetEngine(tasks)
+            first = sum(rows)
+            rows.clear()
+            BatchedFleetEngine(tasks)
+        assert build.call_count == 0
+        assert first == len(distinct) < len(tasks)
+        assert sum(rows) == 0
 
     def test_same_fleet_built_twice_in_one_process(self, oracle):
         """The second build reads its traces from the memo the first

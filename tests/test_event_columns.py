@@ -13,7 +13,6 @@ too, so the columns are held to arithmetic the bulk path does not share.
 
 import gc
 from contextlib import contextmanager
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -26,9 +25,9 @@ from repro.energy.traces import PowerTrace
 from repro.errors import ConfigError, SimulationError
 from repro.fleet import DeviceSpec
 from repro.intermittent.kernel import IntermittentFleetKernel
-from repro.sim import devices
+from repro.sim import batch, devices
 from repro.sim.batch import BatchedFleetEngine
-from repro.sim.devices import build_trace, device_seeds
+from repro.sim.devices import build_trace, device_seeds, materialize
 
 _build_events = devices.build_events
 
@@ -184,9 +183,9 @@ def _mixed_fleet(n, seed=2024):
 
 
 def test_fleet_wider_than_a_build_window():
-    """300 devices span two build windows of the trace memo's cap."""
+    """300 devices span two build windows."""
     tasks = _mixed_fleet(300)
-    assert len(tasks) > devices._TRACE_CACHE_MAX
+    assert len(tasks) > batch._BUILD_WINDOW
     engine = _assert_columns_match(tasks)
     assert engine._exec_int.any() and not engine._n_events.all()
 
@@ -217,28 +216,34 @@ def test_no_trace_outlives_its_build_window():
 
 
 def test_window_kernels_join_into_one_fleet_kernel():
-    """Per-window intermittent kernels, joined, equal one kernel built
-    over every intermittent device at once (trace rows of several
-    lengths, padded to the longest)."""
+    """The intermittent kernel an engine builds over several windows
+    equals one kernel built from every intermittent device's own scalar
+    build (trace rows of several lengths, padded to the longest)."""
     tasks = _mixed_fleet(60)
-    with _edge_events(), mock.patch("repro.sim.batch._TRACE_CACHE_MAX", 8):
-        engine = BatchedFleetEngine(tasks)
-    rows = np.nonzero(engine._exec_int)[0]
-    views = []
-    for r in rows:
-        d = engine.devices[r]
-        view = SimpleNamespace(
-            trace=build_trace(d.spec.trace, device_seeds(r, 2024)[0]),
-            storage=d.storage,
-            mcu=d.mcu,
-            profile=d.profile,
-            exit_energy=d.exit_energy,
-            exit_acc=d.exit_acc,
-        )
-        views.append(view)
-    want = IntermittentFleetKernel(rows, views)
+    with _edge_events():
+        with mock.patch.object(batch, "_BUILD_WINDOW", 8):
+            engine = BatchedFleetEngine(tasks)
+        rows = np.nonzero(engine._exec_int)[0]
+        objs = []
+        for r in rows:
+            _, spec, fleet_seed = tasks[r]
+            seeds = device_seeds(r, fleet_seed)
+            with _cold_memo():
+                trace = build_trace(spec.trace, seeds[0])
+            objs.append(materialize(spec, seeds, trace))
+    want = IntermittentFleetKernel(
+        rows,
+        [(o.trace.samples_mw, o.trace._cum_energy, o.trace.dt) for o in objs],
+        capacity=[o.storage.capacity_mj for o in objs],
+        efficiency=[o.storage.efficiency for o in objs],
+        leakage=[o.storage.leakage_mw for o in objs],
+        mcus=[o.mcu for o in objs],
+        job_exit=[o.profile.num_exits - 1 for o in objs],
+        job_energy=[float(o.profile.exit_energy_mj[-1]) for o in objs],
+        job_acc=[float(o.profile.exit_accuracies[-1]) for o in objs],
+    )
     got = engine._int_kernel
-    assert len({v.trace.samples_mw.size for v in views}) > 1
+    assert len({o.trace.samples_mw.size for o in objs}) > 1
     assert vars(got).keys() == vars(want).keys()
     for name, value in vars(want).items():
         if isinstance(value, np.ndarray):

@@ -357,10 +357,10 @@ class TestUnseededTrace:
         saved = dict(devices._TRACE_CACHE)
         devices._TRACE_CACHE.clear()
         try:
-            devices.prefetch_traces(
+            got = devices.fetch_traces(
                 [SimpleNamespace(trace=dict(self.SPEC))], [devices.device_seeds(0, 1)]
             )
-            assert devices._TRACE_CACHE == {}
+            assert got == [None] and devices._TRACE_CACHE == {}
         finally:
             devices._TRACE_CACHE.clear()
             devices._TRACE_CACHE.update(saved)

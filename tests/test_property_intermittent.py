@@ -37,19 +37,29 @@ from repro.utils.rng import DrawBatch, PooledDraws
 
 
 class _KernelDevice:
-    """The duck-typed device view IntermittentFleetKernel consumes."""
-
-    class _Profile:
-        num_exits = 1
-        name = "prop"
+    """One kernel lane: a trace, a capacitor and a single-exit job."""
 
     def __init__(self, trace, storage, job_mj, acc=0.8):
         self.trace = trace
         self.storage = storage
         self.mcu = MSP432
-        self.profile = self._Profile()
         self.exit_energy = [float(job_mj)]
         self.exit_acc = [float(acc)]
+
+
+def _kernel(devices):
+    """An IntermittentFleetKernel with one lane per device."""
+    return IntermittentFleetKernel(
+        np.arange(len(devices)),
+        [(d.trace.samples_mw, d.trace._cum_energy, d.trace.dt) for d in devices],
+        capacity=[d.storage.capacity_mj for d in devices],
+        efficiency=[d.storage.efficiency for d in devices],
+        leakage=[d.storage.leakage_mw for d in devices],
+        mcus=[d.mcu for d in devices],
+        job_exit=[0] * len(devices),
+        job_energy=[d.exit_energy[-1] for d in devices],
+        job_acc=[d.exit_acc[-1] for d in devices],
+    )
 
 
 def _make_trace(kind, power_mw, duration, seed):
@@ -83,7 +93,7 @@ def _build(cases, seed):
         )
         storages.append(storage)
         devices.append(_KernelDevice(trace, storage, job))
-    kernel = IntermittentFleetKernel(np.arange(len(devices)), devices)
+    kernel = _kernel(devices)
     return kernel, devices, storages
 
 
@@ -273,7 +283,7 @@ def _episode_devices(cases, seed, storage_cls=EnergyStorage):
 def _kernel_episode(cases, seed, prof=None):
     """One kernel episode over ``cases``: records plus end state."""
     devices = _episode_devices(cases, seed)
-    kernel = IntermittentFleetKernel(np.arange(len(devices)), devices)
+    kernel = _kernel(devices)
     k = len(devices)
     n_events = np.array([len(c[7]) for c in cases], np.int64)
     events = np.zeros((n_events.max(), k))

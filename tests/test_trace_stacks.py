@@ -1,8 +1,9 @@
 """Same-grid trace stacks equal their scalar builds, bit for bit.
 
 :func:`repro.energy.traces.synthesize_stacks` builds many devices' traces
-as (rows x samples) stacks; the engine fills the per-process trace memo
-with it before each device's own ``build_trace`` call.  Every row must
+as (rows x samples) stacks; the engine takes a build window's seeded
+traces from it and the per-process memo (``fetch_traces``), calling
+``build_trace`` only for a spec the stacks cannot take.  Every row must
 equal the scalar builder's trace exactly — samples and cumulative energy
 — whatever the stack, its block size and its neighbours, and a spec the
 stacks cannot take must fail through the engine exactly as it fails
@@ -25,7 +26,7 @@ from repro.errors import ConfigError, EnergyError
 from repro.fleet import DeviceSpec, FleetRunner, FleetSpec
 from repro.sim import devices
 from repro.sim.batch import BatchedFleetEngine
-from repro.sim.devices import build_trace, device_seeds, prefetch_traces
+from repro.sim.devices import build_trace, device_seeds, fetch_traces
 
 
 def _bits(array) -> bytes:
@@ -214,9 +215,9 @@ class TestStacksEqualScalarBuilds:
             assert _same_trace(got, traces.rf_trace(**row))
 
     def test_mixed_grid_fleet_prefetch_equals_scalar_builds(self):
-        """What the engine's prefetch puts in the memo for a fleet of
-        every family on several grids is what each device's scalar
-        ``build_trace`` makes on a cold memo."""
+        """What the engine's trace fetch returns and puts in the memo for
+        a fleet of every family on several grids is what each device's
+        scalar ``build_trace`` makes on a cold memo."""
         specs = []
         for i in range(40):
             family = ("solar", "wind", "piezo", "kinetic", "rf")[i % 5]
@@ -230,17 +231,20 @@ class TestStacksEqualScalarBuilds:
             specs.append(DeviceSpec(name=f"d{i}", trace=trace))
         tasks = [(i, spec, 77) for i, spec in enumerate(specs)]
         with _cold_memo():
-            prefetch_traces(specs, [device_seeds(i, 77) for i in range(len(specs))])
-            prefetched = dict(devices._TRACE_CACHE)
-        assert len(prefetched) == len(specs)
-        for i, spec, seed in tasks:
+            fetched = fetch_traces(
+                specs, [device_seeds(i, 77) for i in range(len(specs))]
+            )
+            memo = dict(devices._TRACE_CACHE)
+        assert len(memo) == len(specs)
+        for (i, spec, seed), got in zip(tasks, fetched):
             with _cold_memo():
                 want = build_trace(spec.trace, device_seeds(i, seed)[0])
                 (key,) = devices._TRACE_CACHE
-            assert _same_trace(prefetched[key], want)
+            assert memo[key] is got
+            assert _same_trace(got, want)
 
     def test_prefetch_displaces_the_oldest_entries_within_the_cap(self):
-        """A prefetched window displaces the memo's oldest entries, first
+        """A fetched window displaces the memo's oldest entries, first
         in first out, and the memo never exceeds its cap."""
         rf = {"family": "rf", "duration": 50.0, "dt": 1.0}
         windows = [
@@ -248,9 +252,9 @@ class TestStacksEqualScalarBuilds:
             for seeds in ([1, 2, 3], [4, 5, 6])
         ]
         with _cold_memo(), mock.patch.object(devices, "_TRACE_CACHE_MAX", 4):
-            prefetch_traces(windows[0], [device_seeds(0, 0)] * 3)
+            fetch_traces(windows[0], [device_seeds(0, 0)] * 3)
             old = list(devices._TRACE_CACHE)
-            prefetch_traces(windows[1], [device_seeds(0, 0)] * 3)
+            fetch_traces(windows[1], [device_seeds(0, 0)] * 3)
             kept = list(devices._TRACE_CACHE)
         assert len(kept) == 4
         assert kept[0] == old[-1]
@@ -258,7 +262,7 @@ class TestStacksEqualScalarBuilds:
 
 
 class TestPrefetchErrors:
-    """The prefetch never raises: a spec it cannot take fails through the
+    """The trace fetch never raises: a spec it cannot take fails through the
     engine exactly as through ``build_trace``, in task order."""
 
     GOOD = {"family": "rf", "duration": 200.0, "dt": 1.0}
@@ -291,14 +295,11 @@ class TestPrefetchErrors:
 
         def tasks(bad_controller_at=None):
             typo = {"kind": "greedy", "reserve_fractoin": 0.1}
-            return [
-                (i, DeviceSpec(
-                    name=f"d{i}",
-                    trace=dict(trace),
-                    **({"controller": typo} if i == bad_controller_at else {}),
-                ), 5)
-                for i, trace in enumerate(specs)
-            ]
+            out = []
+            for i, trace in enumerate(specs):
+                ctrl = {"controller": typo} if i == bad_controller_at else {}
+                out.append((i, DeviceSpec(name=f"d{i}", trace=dict(trace), **ctrl), 5))
+            return out
 
         with _cold_memo():
             with pytest.raises((ConfigError, EnergyError)) as scalar:
@@ -324,12 +325,12 @@ class TestPrefetchErrors:
             assert _same_trace(trace, traces.rf_trace(**row))
 
     def test_unhashable_seed_keeps_the_per_device_path(self):
-        # DeviceSpec rejects a non-int trace seed; the prefetch takes any
+        # DeviceSpec rejects a non-int trace seed; the fetch takes any
         # spec with a ``trace`` dict.
         trace = {**self.GOOD, "seed": np.random.default_rng(3)}
         with _cold_memo():
-            prefetch_traces([SimpleNamespace(trace=trace)], [device_seeds(0, 1)])
-            assert devices._TRACE_CACHE == {}
+            got = fetch_traces([SimpleNamespace(trace=trace)], [device_seeds(0, 1)])
+            assert got == [None] and devices._TRACE_CACHE == {}
 
 
 def test_fleet_results_do_not_depend_on_window_or_block_size():
@@ -345,6 +346,6 @@ def test_fleet_results_do_not_depend_on_window_or_block_size():
     with _cold_memo():
         expected = FleetRunner(fleet, workers=1).run().to_dict()
     with _cold_memo():
-        with mock.patch("repro.sim.batch._TRACE_CACHE_MAX", 5):
+        with mock.patch("repro.sim.batch._BUILD_WINDOW", 5):
             with mock.patch.object(traces, "_BLOCK_ELEMENTS", 900):
                 assert FleetRunner(fleet, workers=1).run().to_dict() == expected
