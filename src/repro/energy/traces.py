@@ -289,7 +289,7 @@ def trace_from_csv(
 
 def constant_trace(power_mw: float, duration: float, dt: float = 0.1) -> PowerTrace:
     """Steady harvesting at ``power_mw`` (tethered-supply ablation)."""
-    n = int(round(duration / dt)) + 1
+    n = _grid("constant", duration, dt)
     return PowerTrace(np.full(n, float(power_mw)), dt, name="constant")
 
 
@@ -299,9 +299,28 @@ def constant_trace(power_mw: float, duration: float, dt: float = 0.1) -> PowerTr
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _samples(duration, dt) -> int:
-    """Sample count of a ``duration``-second grid at step ``dt``."""
-    return int(round(duration / dt)) + 1
+def _grid(family: str, duration, dt) -> int:
+    """Sample count of a ``duration``-second grid at step ``dt``, both
+    positive and finite, spanning at least two samples."""
+    for name, value in (("duration", duration), ("dt", dt)):
+        if not 0 < value < np.inf:
+            raise ConfigError(
+                f"{family} trace: {name} must be positive, got {value!r}"
+            )
+    n = int(round(duration / dt)) + 1
+    if n < 2:
+        raise ConfigError(
+            f"{family} trace: duration {duration!r} at dt {dt!r} spans "
+            f"fewer than 2 samples"
+        )
+    return n
+
+
+def _non_negative(family: str, p, *names) -> None:
+    """Each rate or mean length ``p[name]`` is at least 0."""
+    for name in names:
+        if not p[name] >= 0:
+            raise ConfigError(f"{family} trace: {name} must be >= 0, got {p[name]!r}")
 
 
 def _ou_draw(n: int, rng) -> np.ndarray:
@@ -414,7 +433,8 @@ def _gust_profile(length: int) -> np.ndarray:
 def _finish(samples, dt, name: str, strict: bool) -> list:
     """PowerTraces for a (rows, n) stack of power samples.
 
-    Validates like :class:`PowerTrace` and computes every row's
+    Checks the power like :class:`PowerTrace` (each row's draw checked
+    its grid) and computes every row's
     trapezoidal cumulative energy in one pass; each trace gets its own
     copies, so the memo never keeps a whole stack alive for one row.  A
     row with negative power raises :class:`EnergyError` when ``strict``,
@@ -422,10 +442,6 @@ def _finish(samples, dt, name: str, strict: bool) -> list:
     """
     samples = np.asarray(samples, dtype=np.float64)
     rows, n = samples.shape
-    if n < 2:
-        raise ConfigError("trace needs a 1-D array of at least 2 samples")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     negative = (samples < 0).any(axis=1)
     if strict and negative.any():
         raise EnergyError("harvested power cannot be negative")
@@ -485,8 +501,8 @@ def solar_trace(
 
 
 def _solar_draw(p, rng):
+    n = _grid("solar", p["duration"], p["dt"])
     gen = as_generator(rng)
-    n = _samples(p["duration"], p["dt"])
     return n, (_ou_draw(n, gen), gen.normal(0.0, p["noise_mw"], size=n))
 
 
@@ -543,9 +559,10 @@ def kinetic_trace(
 
 
 def _kinetic_draw(p, rng):
-    gen = as_generator(rng)
     duration, dt = p["duration"], p["dt"]
-    n = _samples(duration, dt)
+    n = _grid("kinetic", duration, dt)
+    _non_negative("kinetic", p, "burst_rate_hz", "burst_length_s")
+    gen = as_generator(rng)
     power = np.full(n, p["base_mw"])
     rate = p["burst_rate_hz"]
     t = 0.0
@@ -591,11 +608,12 @@ def wind_trace(
 
 
 def _wind_draw(p, rng):
+    duration, dt = p["duration"], p["dt"]
+    n = _grid("wind", duration, dt)
     if p["mean_speed"] <= 0:
         raise ConfigError(f"mean_speed must be positive, got {p['mean_speed']}")
+    _non_negative("wind", p, "gust_rate_hz", "gust_length_s")
     gen = as_generator(rng)
-    duration, dt = p["duration"], p["dt"]
-    n = _samples(duration, dt)
     turbulence = _ou_draw(n, gen)
     gusts = []  # (i0, i1, amplitude factor), drawn gap, length, amplitude
     t = 0.0
@@ -653,12 +671,17 @@ def piezo_trace(
 
 
 def _piezo_draw(p, rng):
-    gen = as_generator(rng)
+    duration, dt = p["duration"], p["dt"]
+    n = _grid("piezo", duration, dt)
     duty_cycle = p["duty_cycle"]
     if not 0.0 < duty_cycle < 1.0:
         raise ConfigError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
-    duration, dt = p["duration"], p["dt"]
-    n = _samples(duration, dt)
+    if not p["cycle_period_s"] > 0:
+        raise ConfigError(
+            f"piezo trace: cycle_period_s must be positive, "
+            f"got {p['cycle_period_s']!r}"
+        )
+    gen = as_generator(rng)
     on = np.zeros(n, dtype=bool)
     mean_on = duty_cycle * p["cycle_period_s"]
     mean_off = (1.0 - duty_cycle) * p["cycle_period_s"]
@@ -695,8 +718,8 @@ def rf_trace(
 
 
 def _rf_draw(p, rng):
+    n = _grid("rf", p["duration"], p["dt"])
     gen = as_generator(rng)
-    n = _samples(p["duration"], p["dt"])
     return n, (_ou_draw(n, gen),)
 
 
@@ -789,9 +812,7 @@ def synthesize_stacks(family: str, rows) -> list:
         if p is None:
             continue
         try:
-            n = _samples(p["duration"], p["dt"])
-            if n < 2 or not p["dt"] > 0:
-                continue
+            n = _grid(family, p["duration"], p["dt"])
             keyed.append(((n, p["dt"], p[fam.theta] if fam.theta else None), r, p))
         except Exception:
             continue

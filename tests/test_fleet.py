@@ -438,7 +438,7 @@ class TestRunner:
 
 
 class TestCLI:
-    def _run(self, *argv):
+    def _run(self, *argv, timeout=300):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -449,8 +449,36 @@ class TestCLI:
             text=True,
             env=env,
             cwd=REPO_ROOT,
-            timeout=300,
+            timeout=timeout,
         )
+
+    @pytest.mark.parametrize(
+        "family,param,value",
+        [
+            ("piezo", "cycle_period_s", 0),
+            ("piezo", "cycle_period_s", -5),
+            ("solar", "dt", 0),
+            ("rf", "dt", -1),
+            ("wind", "duration", -100),
+            ("kinetic", "burst_rate_hz", -0.5),
+            ("wind", "gust_rate_hz", -0.5),
+        ],
+    )
+    def test_bad_trace_parameter_exits_2(self, tmp_path, family, param, value):
+        """A bad grid, rate or period fails the run as a spec error naming
+        the family and the parameter: no hang, no traceback."""
+        trace = {"family": family, "duration": 600.0, "dt": 1.0, param: value}
+        spec = tmp_path / "spec.json"
+        device = {"name": "d0", "trace": trace}
+        spec.write_text(json.dumps({"name": "bad", "seed": 1, "devices": [device]}))
+        proc = self._run("run", "--spec", str(spec), "--quiet", timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {family} trace: {param}" in proc.stderr
+
+    def test_negative_duration_override_exits_2(self):
+        proc = self._run("run", "dev-smoke", "--duration", "-5", "--quiet", timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "trace: duration must be positive" in proc.stderr
 
     def test_list(self):
         proc = self._run("list")

@@ -276,6 +276,9 @@ class TestPrefetchErrors:
             {"family": "kinetic", "duration": 200.0, "base_mw": -1.0},
             {"family": "rf", "duration": 0.0},
             {"family": "rf", "duration": 200.0, "mean_mw": "0.02"},
+            {"family": "piezo", "duration": 200.0, "cycle_period_s": 0.0},
+            {"family": "solar", "duration": 200.0, "dt": 0.0},
+            {"family": "kinetic", "duration": 200.0, "burst_length_s": -1.0},
         ],
         ids=[
             "typo",
@@ -284,6 +287,9 @@ class TestPrefetchErrors:
             "negative-power",
             "one-sample",
             "string-param",
+            "zero-period",
+            "zero-dt",
+            "negative-length",
         ],
     )
     def test_engine_raises_the_scalar_error(self, bad):
@@ -313,6 +319,31 @@ class TestPrefetchErrors:
         with _cold_memo():
             with pytest.raises(ConfigError, match="reserve_fractoin"):
                 BatchedFleetEngine(tasks(0))
+
+    @pytest.mark.parametrize(
+        "family,bad",
+        [
+            ("piezo", {"cycle_period_s": 0.0}),
+            ("kinetic", {"burst_rate_hz": -0.5}),
+            ("wind", {"gust_length_s": -1.0}),
+            ("rf", {"dt": -1.0}),
+            ("solar", {"duration": 0.5}),
+        ],
+    )
+    def test_a_bad_row_fails_only_its_row(self, family, bad):
+        """A row whose grid, rate or length its draw refuses comes back
+        None; its neighbours equal their scalar builds bit for bit, and
+        its own scalar build names the family and the parameter."""
+        params = {"duration": 200.0, "dt": 1.0}
+        rows = [{**params, "seed": 1}, {**params, **bad, "seed": 2}]
+        rows.append({**params, "seed": 3})
+        got = synthesize_stacks(family, rows)
+        assert got[1] is None
+        with _cold_memo():
+            for row, trace in zip(rows[::2], got[::2]):
+                assert _same_trace(trace, build_trace({"family": family, **row}, 0))
+            with pytest.raises(ConfigError, match=f"{family} trace: "):
+                build_trace({"family": family, **rows[1]}, 0)
 
     def test_a_seed_numpy_refuses_fails_only_its_row(self):
         """The stacks seed every row's generator in one pass; a seed numpy
