@@ -811,6 +811,12 @@ def run_sharded(
     t0 = time.perf_counter()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    # A lease that expires at once lets every drain steal every live
+    # shard; a budget of no memory degrades every sub-batch.
+    if not lease_ttl_s > 0:
+        raise ConfigError(f"lease_ttl_s must be positive, got {lease_ttl_s}")
+    if max_rss_mb is not None and not max_rss_mb > 0:
+        raise ConfigError(f"max_rss_mb must be positive, got {max_rss_mb}")
     ledger = ShardLedger(ledger_dir)
     plan = ledger.plan_for(source, shards, shard_width, plan)
     meta = {

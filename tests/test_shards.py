@@ -712,6 +712,28 @@ class TestShardCLI:
                             "--chaos", plan_path) == 2
         assert "fleet.shard.nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--lease-ttl", "0"),
+            ("--lease-ttl", "-1"),
+            ("--max-rss-mb", "0"),
+            ("--max-rss-mb", "-5"),
+        ],
+    )
+    def test_non_positive_lease_ttl_or_rss_budget_exits_2(
+        self, tmp_path, capsys, flag, value
+    ):
+        """A lease that expires at once would let every drain steal every
+        live shard, and a non-positive budget degrades every sub-batch:
+        run_sharded refuses both before any ledger exists."""
+        ledger = tmp_path / "led"
+        argv = ["run", "dev-smoke", "--quiet", "--shards", "2"]
+        assert self.run_cli(*argv, "--ledger", str(ledger), flag, value) == 2
+        name = {"--lease-ttl": "lease_ttl_s", "--max-rss-mb": "max_rss_mb"}[flag]
+        assert f"{name} must be positive" in capsys.readouterr().err
+        assert not ledger.exists()
+
     def test_max_rss_and_lease_ttl_flags_accepted(self, tmp_path, capsys):
         assert self.run_cli("run", "dev-smoke", "--quiet", "--shards", "2",
                             "--ledger", str(tmp_path / "led"),
