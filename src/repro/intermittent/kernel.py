@@ -202,8 +202,8 @@ def _report_tallies(prof, tally, part) -> None:
 class IntermittentFleetKernel:
     """Lockstep multi-cycle execution for a fleet's intermittent devices.
 
-    Construction takes the per-device environment as columns — trace
-    sample/cumulative-energy rows (padded here), capacitor parameters, MCU
+    Construction takes the per-device environment as columns — padded
+    trace sample/cumulative-energy rows, capacitor parameters, MCU
     thresholds, the fixed job (the profile's only selectable exit).
     :meth:`run_episode` then plays one whole episode (the full event
     stream) for every participating device, mutating the engine's shared
@@ -215,7 +215,10 @@ class IntermittentFleetKernel:
     def __init__(
         self,
         rows,
-        traces,
+        samples,
+        cum_energy,
+        n,
+        dt,
         *,
         capacity,
         efficiency,
@@ -225,24 +228,21 @@ class IntermittentFleetKernel:
         job_energy,
         job_acc,
     ):
-        """One lane per engine row of ``rows``; every other argument holds
-        one entry per lane: its trace as ``(samples, cumulative energy,
-        dt)`` (rows padded here to the longest), its capacitor's
-        ``capacity``, ``efficiency`` and ``leakage``, its
-        :class:`~repro.intermittent.mcu.MCUSpec`, and the fixed job (the
-        profile's last exit): its index, energy and accuracy."""
+        """One lane per engine row of ``rows``.  ``samples`` and
+        ``cum_energy`` are the lanes' trace rows, zero-padded past each
+        lane's ``n`` samples of step ``dt``.  Every other argument holds
+        one entry per lane: its capacitor's ``capacity``, ``efficiency``
+        and ``leakage``, its :class:`~repro.intermittent.mcu.MCUSpec`, and
+        the fixed job (the profile's last exit): its index, energy and
+        accuracy."""
         self.rows = np.asarray(rows, dtype=np.int64)
-        samples, cum_energy, dt = zip(*traces)
-        self._n = np.array([row.size for row in samples], np.int64)
-        self._samples = np.zeros((len(samples), self._n.max()))
-        self._cum = np.zeros_like(self._samples)
-        for i, (row, cum) in enumerate(zip(samples, cum_energy)):
-            self._samples[i, :row.size] = row
-            self._cum[i, :row.size] = cum
+        self._samples = np.asarray(samples, dtype=np.float64)
+        self._cum = np.asarray(cum_energy, dtype=np.float64)
+        self._n = np.asarray(n, dtype=np.int64)
         # PowerTrace.duration and total_energy_mj, from the rows.
-        self._dt = np.array(dt, dtype=np.float64)
+        self._dt = np.asarray(dt, dtype=np.float64)
         self._duration = (self._n - 1) * self._dt
-        self._cum_total = self._cum[np.arange(len(samples)), self._n - 1]
+        self._cum_total = self._cum[np.arange(len(self._n)), self._n - 1]
         self._capacity = np.array(capacity, dtype=np.float64)
         self._efficiency = np.array(efficiency, dtype=np.float64)
         self._leakage = np.array(leakage, dtype=np.float64)

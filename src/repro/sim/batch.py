@@ -183,10 +183,10 @@ def _blocks(counts, budget):
     yield start, len(counts)
 
 
-def _with_rows(matrix, rows: int) -> np.ndarray:
-    """``matrix`` extended with zero rows to ``rows`` rows."""
-    grown = np.zeros((rows, matrix.shape[1]))
-    grown[:len(matrix)] = matrix
+def _padded(matrix, shape) -> np.ndarray:
+    """``matrix`` extended with zeros to ``shape``."""
+    grown = np.zeros(shape)
+    grown[:matrix.shape[0], :matrix.shape[1]] = matrix
     return grown
 
 
@@ -261,7 +261,9 @@ class BatchedFleetEngine:
         self._index = np.zeros(m, np.int64)
         self._n_events = np.zeros(m, np.int64)
         self._episodes = np.zeros(m, np.int64)
-        self._exec_int = np.zeros(m, bool)
+        self._exec_int = np.array(
+            [spec.execution == "intermittent" for _, spec, _ in tasks], bool
+        )
         self._peak = np.zeros(m)
         self._duration = np.zeros(m)
         self._total_env = np.zeros(m)
@@ -273,11 +275,15 @@ class BatchedFleetEngine:
         #: (pair, profile, mcu)``, and each device's pair.
         self._pairs = {}
         self._pair = np.zeros(m, np.int64)
-        int_traces = []
+        # The intermittent devices' trace rows, one kernel lane each in
+        # row order, zero-padded to the longest (see _write_int_traces).
+        n_int = int(self._exec_int.sum())
+        self._int_samples = np.zeros((n_int, 0))
+        self._int_trace_cum = np.zeros((n_int, 0))
+        self._int_n = np.zeros(n_int, np.int64)
+        self._int_dt = np.zeros(n_int)
         for start in range(0, m, _BUILD_WINDOW):
-            int_traces += self._build_window(
-                start, tasks[start:start + _BUILD_WINDOW], prof
-            )
+            self._build_window(start, tasks[start:start + _BUILD_WINDOW], prof)
         for row, controller in enumerate(self._controllers):
             if not self._exec_int[row] and not batchable(controller):
                 raise ConfigError(
@@ -305,7 +311,10 @@ class BatchedFleetEngine:
             self._int_rows = int_rows
             self._int_kernel = IntermittentFleetKernel(
                 int_rows,
-                int_traces,
+                self._int_samples,
+                self._int_trace_cum,
+                self._int_n,
+                self._int_dt,
                 capacity=self._capacity[int_rows],
                 efficiency=self._efficiency[int_rows],
                 leakage=self._leakage[int_rows],
@@ -346,7 +355,7 @@ class BatchedFleetEngine:
             prof.add_wall("batch.build", time.perf_counter() - t_build)
             prof.memory_probe("batch.build")
 
-    def _build_window(self, start, window, prof) -> list:
+    def _build_window(self, start, window, prof) -> None:
         """Build one window's devices into rows ``start``... of the columns.
 
         The window's device seeds derive in one vectorized pass
@@ -359,10 +368,9 @@ class BatchedFleetEngine:
         stacks left it), materializes and writes its static facts
         (:meth:`_write_device`); a failed events check, run once over
         every device built, replaces a later build's error, so errors
-        surface in task order.  Then come the harvest summaries and the
-        event-time columns (:meth:`_write_event_columns`).  Returns the
-        intermittent devices' ``(samples, cumulative energy, dt)`` trace
-        rows, for the multi-cycle kernel.
+        surface in task order.  Then come the harvest summaries, the
+        event-time columns (:meth:`_write_event_columns`) and the
+        intermittent devices' trace rows (:meth:`_write_int_traces`).
         """
         states = seed_states(
             [fleet_seed for _, _, fleet_seed in window],
@@ -393,13 +401,9 @@ class BatchedFleetEngine:
         t_phase = time.perf_counter() if prof is not None else 0.0
         self._harvest[start:start + len(window)] = harvest_percentiles(traces)
         self._write_event_columns(start, specs, traces, events)
+        self._write_int_traces(start, traces)
         if prof is not None:
             prof.add_wall("batch.build.columns", time.perf_counter() - t_phase)
-        return [
-            (trace.samples_mw, trace._cum_energy, trace.dt)
-            for trace, spec in zip(traces, specs)
-            if spec.execution == "intermittent"
-        ]
 
     def _write_device(self, row, index, spec, obj) -> None:
         """Write one materialized device's static facts into ``row``."""
@@ -411,7 +415,6 @@ class BatchedFleetEngine:
         self._index[row] = index
         self._n_events[row] = obj.events.size
         self._episodes[row] = spec.episodes
-        self._exec_int[row] = spec.execution == "intermittent"
         self._peak[row] = trace.samples_mw.max()
         self._duration[row] = trace.duration
         self._total_env[row] = trace.total_energy_mj
@@ -453,6 +456,27 @@ class BatchedFleetEngine:
         self._inc_cost = inc_cost[pair]
         self._inc_time = inc_time[pair]
 
+    def _write_int_traces(self, start, traces) -> None:
+        """Write a window's intermittent devices' trace rows (samples,
+        cumulative energy, sample count and step) into their kernel
+        lanes, widening the padded rows to the window's longest trace."""
+        window = self._exec_int[start:start + len(traces)]
+        rows = [trace for trace, kept in zip(traces, window) if kept]
+        if not rows:
+            return
+        width = max(trace.samples_mw.size for trace in rows)
+        if width > self._int_samples.shape[1]:
+            shape = (len(self._int_samples), width)
+            self._int_samples = _padded(self._int_samples, shape)
+            self._int_trace_cum = _padded(self._int_trace_cum, shape)
+        first = int(np.count_nonzero(self._exec_int[:start]))
+        for lane, trace in enumerate(rows, first):
+            n = trace.samples_mw.size
+            self._int_samples[lane, :n] = trace.samples_mw
+            self._int_trace_cum[lane, :n] = trace._cum_energy
+            self._int_n[lane] = n
+            self._int_dt[lane] = trace.dt
+
     def _write_event_columns(self, start, specs, traces, events) -> None:
         """Write a window's event times, the cumulative harvested energy
         at each event and the observed charge power P into the engine's
@@ -467,13 +491,14 @@ class BatchedFleetEngine:
         counts = [e.size for e in events]
         rows = max(counts)
         if rows > self._events.shape[0]:
-            self._events = _with_rows(self._events, rows)
-            self._cum_at_event = _with_rows(self._cum_at_event, rows)
-            self._charge_power = _with_rows(self._charge_power, rows)
+            shape = (rows, self._m)
+            self._events = _padded(self._events, shape)
+            self._cum_at_event = _padded(self._cum_at_event, shape)
+            self._charge_power = _padded(self._charge_power, shape)
         windows = [spec.power_window_s for spec in specs]
         # The SONIC baseline never consults P, so intermittent columns
         # keep zeros (the scalar simulator skips the windowed query).
-        reads_power = [spec.execution != "intermittent" for spec in specs]
+        reads_power = ~self._exec_int[start:start + len(specs)]
         for a, b in _blocks(counts, _BLOCK_ELEMENTS // 2):
             block = counts[a:b]
             flat = np.concatenate(events[a:b])

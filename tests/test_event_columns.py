@@ -231,9 +231,18 @@ def test_window_kernels_join_into_one_fleet_kernel():
             with _cold_memo():
                 trace = build_trace(spec.trace, seeds[0])
             objs.append(materialize(spec, seeds, trace))
+    n = np.array([o.trace.samples_mw.size for o in objs])
+    samples = np.zeros((len(objs), n.max()))
+    cum = np.zeros_like(samples)
+    for i, (o, size) in enumerate(zip(objs, n)):
+        samples[i, :size] = o.trace.samples_mw
+        cum[i, :size] = o.trace._cum_energy
     want = IntermittentFleetKernel(
         rows,
-        [(o.trace.samples_mw, o.trace._cum_energy, o.trace.dt) for o in objs],
+        samples,
+        cum,
+        n,
+        [o.trace.dt for o in objs],
         capacity=[o.storage.capacity_mj for o in objs],
         efficiency=[o.storage.efficiency for o in objs],
         leakage=[o.storage.leakage_mw for o in objs],

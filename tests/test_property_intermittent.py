@@ -49,9 +49,18 @@ class _KernelDevice:
 
 def _kernel(devices):
     """An IntermittentFleetKernel with one lane per device."""
+    n = np.array([d.trace.samples_mw.size for d in devices])
+    samples = np.zeros((len(devices), n.max()))
+    cum = np.zeros_like(samples)
+    for i, (d, size) in enumerate(zip(devices, n)):
+        samples[i, :size] = d.trace.samples_mw
+        cum[i, :size] = d.trace._cum_energy
     return IntermittentFleetKernel(
         np.arange(len(devices)),
-        [(d.trace.samples_mw, d.trace._cum_energy, d.trace.dt) for d in devices],
+        samples,
+        cum,
+        n,
+        [d.trace.dt for d in devices],
         capacity=[d.storage.capacity_mj for d in devices],
         efficiency=[d.storage.efficiency for d in devices],
         leakage=[d.storage.leakage_mw for d in devices],
