@@ -228,13 +228,10 @@ class IntermittentFleetKernel:
         job_energy,
         job_acc,
     ):
-        """One lane per engine row of ``rows``.  ``samples`` and
-        ``cum_energy`` are the lanes' trace rows, zero-padded past each
-        lane's ``n`` samples of step ``dt``.  Every other argument holds
-        one entry per lane: its capacitor's ``capacity``, ``efficiency``
-        and ``leakage``, its :class:`~repro.intermittent.mcu.MCUSpec`, and
-        the fixed job (the profile's last exit): its index, energy and
-        accuracy."""
+        """One lane per engine row of ``rows``: trace rows zero-padded
+        past the lane's ``n`` samples of step ``dt``, capacitor, MCU and
+        the fixed job (the profile's last exit: index, energy, accuracy),
+        one entry per lane."""
         self.rows = np.asarray(rows, dtype=np.int64)
         self._samples = np.asarray(samples, dtype=np.float64)
         self._cum = np.asarray(cum_energy, dtype=np.float64)

@@ -358,19 +358,14 @@ class BatchedFleetEngine:
     def _build_window(self, start, window, prof) -> None:
         """Build one window's devices into rows ``start``... of the columns.
 
-        The window's device seeds derive in one vectorized pass
-        (:func:`~repro.utils.rng.seed_states`) and its events and
-        simulator Generators seed in another
-        (:func:`~repro.utils.rng.generators`).  In task order, each
-        device takes its trace (the window's from
-        :func:`~repro.sim.devices.fetch_traces`, or
-        :func:`~repro.sim.devices.build_trace`'s at its turn where the
-        stacks left it), materializes and writes its static facts
-        (:meth:`_write_device`); a failed events check, run once over
-        every device built, replaces a later build's error, so errors
-        surface in task order.  Then come the harvest summaries, the
-        event-time columns (:meth:`_write_event_columns`) and the
-        intermittent devices' trace rows (:meth:`_write_int_traces`).
+        Seeds derive in one pass (:func:`~repro.utils.rng.seed_states`),
+        events and simulator Generators in another.  In task order, each
+        device takes its trace (:func:`~repro.sim.devices.fetch_traces`'s,
+        or :func:`~repro.sim.devices.build_trace`'s at its turn), then
+        materializes and writes its facts (:meth:`_write_device`); the
+        events check, run once over every device built, fails before a
+        later build's error would.  Then come the harvest summaries, the
+        event-time columns and the intermittent trace rows.
         """
         states = seed_states(
             [fleet_seed for _, _, fleet_seed in window],
@@ -427,10 +422,9 @@ class BatchedFleetEngine:
         self._pair[row] = pair[0]
 
     def _write_exit_rows(self) -> None:
-        """Every device's padded per-exit and incremental lookups, computed
-        once per (profile, MCU) pair and gathered by each device's pair.
-        Cost pads with +inf so a padded exit can never look affordable;
-        accuracy and time pad with 0."""
+        """Padded per-exit and incremental lookups, once per (profile,
+        MCU) pair, gathered by each device's pair.  Cost pads with +inf so
+        a padded exit never looks affordable; accuracy and time with 0."""
         pairs = [(profile, mcu) for _, profile, mcu in self._pairs.values()]
         max_exits = max(profile.num_exits for profile, _ in pairs)
         inc_width = max(max_exits - 1, 1)
@@ -441,13 +435,12 @@ class BatchedFleetEngine:
         inc_time = np.zeros((len(pairs), inc_width))
         for p, (profile, mcu) in enumerate(pairs):
             k = profile.num_exits
+            time_s = mcu.inference_time_s
             exit_cost[p, :k] = profile.exit_energy_mj
-            exit_time[p, :k] = [mcu.inference_time_s(f) for f in profile.exit_flops]
+            exit_time[p, :k] = [time_s(f) for f in profile.exit_flops]
             exit_acc[p, :k] = profile.exit_accuracies
             inc_cost[p, :k - 1] = profile.incremental_energy_mj
-            inc_time[p, :k - 1] = [
-                mcu.inference_time_s(f) for f in profile.incremental_flops
-            ]
+            inc_time[p, :k - 1] = [time_s(f) for f in profile.incremental_flops]
         pair = self._pair
         self._n_exits = np.array([p.num_exits for p, _ in pairs], np.int64)[pair]
         self._exit_cost = exit_cost[pair]
@@ -462,9 +455,7 @@ class BatchedFleetEngine:
         lanes, widening the padded rows to the window's longest trace."""
         window = self._exec_int[start:start + len(traces)]
         rows = [trace for trace, kept in zip(traces, window) if kept]
-        if not rows:
-            return
-        width = max(trace.samples_mw.size for trace in rows)
+        width = max((trace.samples_mw.size for trace in rows), default=0)
         if width > self._int_samples.shape[1]:
             shape = (len(self._int_samples), width)
             self._int_samples = _padded(self._int_samples, shape)
