@@ -103,7 +103,9 @@ class TestScenarioEquivalence:
         for name in SCENARIOS.names():
             spec = SCENARIOS.build(name, num_devices=8)
             tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-            assert BatchedFleetEngine(tasks)._n_events.size == 8
+            engine = BatchedFleetEngine(tasks)
+            assert engine._names == [d.name for d in spec.devices]
+            assert engine._index.tolist() == list(range(8))
 
     def test_only_the_oracle_measures_device_wall_time(self, oracle):
         """The engine simulates its devices together, so it has no
